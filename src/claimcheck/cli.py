@@ -10,10 +10,10 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 
 from . import pipeline
 from .errors import BackendError, ValidationError
-from .store import read_doc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -21,6 +21,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValidationError(message)
+
+
+# Flags every subcommand takes; they override config values.
+OVERRIDES = ("seed", "limit", "summarizer", "classifier", "nli")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -36,34 +40,22 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="claimcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {
-        "ingest": "parse, clean, and store the corpus with statistics",
-        "stats": "print statistics of the cleaned corpus",
-        "split": "write the train/validation/test split manifest",
-        "rationales": "generate one rationale per record",
-        "train": "fine-tune the verdict classifier on the train split",
-        "predict": "classify every record with the trained backend",
-        "nle": "assemble the natural-language explanations",
-        "explain": "attribute rationale generation over evidence features",
-        "eval-f1": "score predictions with macro-F1 per split",
-        "eval-nli": "audit test-split explanations with entailment checks",
-        "annotate-export": "export a seeded sample of annotation tasks",
-        "annotate-aggregate": "aggregate filled annotation files",
-        "report": "merge evaluation artifacts into one report",
-    }
-    for name, help_text in commands.items():
-        cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd)
-        if name == "annotate-export":
-            cmd.add_argument("--n", type=int, default=None, help="number of tasks to sample")
-        if name == "annotate-aggregate":
-            cmd.add_argument("files", nargs="+", help="filled annotation files")
+    for stage in pipeline.COMMANDS.values():
+        if stage.help:
+            cmd = sub.add_parser(stage.name, help=stage.help)
+            _add_common(cmd)
+            cmd.set_defaults(run=partial(pipeline.run_command, name=stage.name))
+    sub.choices["ingest"].set_defaults(printer=_print_ingest)
+    sub.choices["annotate-export"].add_argument("--n", type=int, default=None,
+                                                help="number of tasks to sample")
+    sub.choices["annotate-aggregate"].add_argument("files", nargs="+",
+                                                   help="filled annotation files")
 
     run_cmd = sub.add_parser("run", help="run one named pipeline stage")
     _add_common(run_cmd)
     run_cmd.add_argument("--stage", required=True, choices=sorted(pipeline.STAGES),
                          help="stage to run (upstream artifacts must exist)")
+    run_cmd.set_defaults(run=pipeline.run_stage)
     return parser
 
 
@@ -91,38 +83,12 @@ def _print_ingest(summary: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = pipeline.load_config(
-            args.config,
-            seed=args.seed,
-            limit=args.limit,
-            summarizer=args.summarizer,
-            classifier=args.classifier,
-            nli=args.nli,
-        )
-        command = args.command
-        if command == "ingest":
-            _print_ingest(pipeline.stage_ingest(config))
-        elif command == "stats":
-            doc = read_doc(config.artifact(pipeline.CORPUS_STATS), "stats", config.config_hash)
-            _print({k: doc[k] for k in
-                    ("total", "per_label", "mean_claim_tokens", "mean_evidence_tokens")})
-        elif command == "eval-f1":
-            _print(pipeline.stage_eval_f1(config))
-        elif command == "eval-nli":
-            _print(pipeline.stage_eval_nli(config))
-        elif command == "annotate-export":
-            _print(pipeline.export_annotations(config, n=args.n))
-        elif command == "annotate-aggregate":
-            _print(pipeline.aggregate_annotation_files(config, args.files))
-        elif command == "report":
-            _print(pipeline.build_report(config))
-        elif command == "run":
-            _print(pipeline.run_stage(config, args.stage))
-        else:
-            _print(pipeline.run_stage(config, command))
+        args = vars(build_parser().parse_args(argv))
+        config = pipeline.load_config(args.pop("config"), **{k: args.pop(k) for k in OVERRIDES})
+        printer, run = args.pop("printer", _print), args.pop("run")
+        del args["command"]
+        printer(run(config, **args))  # what remains are the command's own arguments
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -108,6 +108,10 @@ class ClaimRecord:
             "url": self.url,
         }
 
+    @classmethod
+    def from_row(cls, row: dict) -> "ClaimRecord":
+        return cls(**{**row, "verdict": VerdictLabel(row["verdict"])})
+
 
 @dataclass(frozen=True)
 class SourceBlocklist:

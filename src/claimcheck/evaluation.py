@@ -255,14 +255,13 @@ def _legend_lines() -> list[str]:
     return lines
 
 
-def export_annotation_tasks(
+def render_annotation_tasks(
     items: Sequence[tuple[str, str, str]],
-    path: str | Path,
     n: int = 100,
     seed: int = 0,
     system_id: str = "claimcheck",
-) -> list[AnnotationTask]:
-    """Write a seeded sample of (item_id, claim, nle) triples for annotators.
+) -> tuple[list[AnnotationTask], str]:
+    """A seeded sample of (item_id, claim, nle) triples and its annotation file text.
 
     The file is tab-separated with a '#' legend embedding the rating
     scales; the rating and annotator columns start empty.
@@ -281,7 +280,19 @@ def export_annotation_tasks(
         writer.writerow(
             [task.item_id, _flatten(task.claim), _flatten(task.nle_text), "", "", "", "", task.system_id]
         )
-    Path(path).write_text("\n".join(_legend_lines()) + "\n" + buffer.getvalue(), encoding="utf-8")
+    return tasks, "\n".join(_legend_lines()) + "\n" + buffer.getvalue()
+
+
+def export_annotation_tasks(
+    items: Sequence[tuple[str, str, str]],
+    path: str | Path,
+    n: int = 100,
+    seed: int = 0,
+    system_id: str = "claimcheck",
+) -> list[AnnotationTask]:
+    """Write the annotation file of render_annotation_tasks to `path`."""
+    tasks, text = render_annotation_tasks(items, n, seed, system_id)
+    Path(path).write_text(text, encoding="utf-8")
     return tasks
 
 

@@ -1,9 +1,12 @@
 """Stage-wise pipeline engine.
 
-Each stage reads the artifacts of earlier stages, writes its own store
-plus a manifest entry, and refuses to mix artifacts produced under a
-different configuration. Artifact files carry no timestamps, so a rerun
-with the same config and inputs is byte-identical.
+One table, COMMANDS, declares every stage: the artifacts it needs and the
+function that turns them into new artifacts. For each stage the engine
+checks that the needed artifacts exist, reads and decodes them, refusing
+artifacts produced under a different configuration, writes what the
+stage returns, and appends a manifest entry hashing every file the stage
+read. Artifact files carry no timestamps, so a rerun with the same config
+and inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import attribution, evaluation, nle, rationale, verdict
 from .corpus import (
@@ -30,7 +34,9 @@ from .corpus import (
 )
 from .errors import ValidationError
 from .store import (
+    CorruptArtifact,
     MissingUpstreamArtifact,
+    atomic_open,
     file_sha256,
     read_doc,
     read_records,
@@ -58,6 +64,25 @@ ANNOTATION_TASKS = "annotation_tasks.tsv"
 ANNOTATION_SUMMARY = "annotation_summary.json"
 REPORT = "report.json"
 MANIFEST = "manifest.jsonl"
+
+# Store kind of every provenance-stamped artifact.
+KINDS = {
+    CORPUS_CLEAN: "corpus",
+    CORPUS_STATS: "stats",
+    SPLITS: "splits",
+    RATIONALES: "rationales",
+    MODEL_STATE: "model",
+    TRAIN_LOG: "train-log",
+    PREDICTIONS: "predictions",
+    NLES: "nles",
+    HIGHLIGHTS: "highlights",
+    EVAL_F1: "eval-f1",
+    EVAL_NLI: "eval-nli",
+    EVAL_REPORT: "eval-report",
+    ANNOTATION_SUMMARY: "annotation-summary",
+    REPORT: "report",
+}
+SPLIT_NAMES = ("train", "validation", "test")
 
 # Published shape of the benchmark release; ingest prints a comparison
 # when the cleaned corpus reproduces it.
@@ -152,26 +177,30 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if "corpus_path" not in raw or "output_dir" not in raw:
+    if not isinstance(raw, dict) or "corpus_path" not in raw or "output_dir" not in raw:
         raise ValidationError("config must set corpus_path and output_dir")
 
-    backends = BackendIds(**raw.get("backends", {}))
+    backends = _section(raw, "backends", BackendIds)
     for env_name, attr in ENV_OVERRIDES.items():
         if os.environ.get(env_name):
             setattr(backends, attr, os.environ[env_name])
+    try:
+        ratios = tuple(raw.get("ratios", (0.70, 0.15, 0.15)))
+    except TypeError as exc:
+        raise ValidationError(f"config key 'ratios' must be a list of three numbers: {exc}") from exc
 
     config = PipelineConfig(
         corpus_path=raw["corpus_path"],
         output_dir=raw["output_dir"],
         blocklist_path=raw.get("blocklist_path"),
         corpus_format=raw.get("corpus_format", "json-lines"),
-        ratios=tuple(raw.get("ratios", (0.70, 0.15, 0.15))),
+        ratios=ratios,
         split_seed=raw.get("split_seed", 42),
-        summary=rationale.SummaryConfig(**raw.get("summary", {})),
-        train=verdict.TrainConfig(**raw.get("train", {})),
+        summary=_section(raw, "summary", rationale.SummaryConfig),
+        train=_section(raw, "train", verdict.TrainConfig),
         backends=backends,
-        explain=ExplainSettings(**raw.get("explain", {})),
-        annotation=AnnotationSettings(**raw.get("annotation", {})),
+        explain=_section(raw, "explain", ExplainSettings),
+        annotation=_section(raw, "annotation", AnnotationSettings),
         limit=raw.get("limit"),
     )
     for key, value in overrides.items():
@@ -186,6 +215,14 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
         else:
             raise ValidationError(f"unknown config override {key!r}")
     return config
+
+
+def _section(raw: dict, key: str, cls):
+    """Build a nested settings object from its config section."""
+    try:
+        return cls(**raw.get(key, {}))
+    except TypeError as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from exc
 
 
 def _create(registry: dict, backend_id: str, role: str):
@@ -208,10 +245,11 @@ def create_nli(backend_id: str) -> evaluation.NliBackend:
     return _create(NLI_BACKENDS, backend_id, "NLI")
 
 
-def append_manifest(config: PipelineConfig, stage: str, input_hashes: dict[str, str]) -> None:
+def append_manifest(config: PipelineConfig, stage: str, config_hash: str,
+                    input_hashes: dict[str, str]) -> None:
     entry = {
         "stage": stage,
-        "config_hash": config.config_hash,
+        "config_hash": config_hash,
         "input_hashes": input_hashes,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -221,64 +259,67 @@ def append_manifest(config: PipelineConfig, stage: str, input_hashes: dict[str, 
         fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-def _require(config: PipelineConfig, stage: str, *names: str) -> None:
-    for name in names:
-        path = config.artifact(name)
-        if not path.exists():
-            raise MissingUpstreamArtifact(stage, path)
+# ---------------------------------------------------------------------------
+# Artifact decoding
 
 
-def _load_clean_records(config: PipelineConfig) -> list[ClaimRecord]:
-    rows = read_records(config.artifact(CORPUS_CLEAN), "corpus", config.config_hash)
-    return [
-        ClaimRecord(
-            id=row["id"],
-            claim=row["claim"],
-            date=row["date"],
-            source=row["source"],
-            verdict=VerdictLabel(row["verdict"]),
-            evidence=row["evidence"],
-            url=row["url"],
-        )
-        for row in rows
-    ]
+# Record stores decode into {key field: typed record}, in file order.
+_ROW_TYPES: dict[str, tuple[str, Callable[[dict], object]]] = {
+    CORPUS_CLEAN: ("id", ClaimRecord.from_row),
+    RATIONALES: ("record_id", rationale.Rationale.from_row),
+    PREDICTIONS: ("record_id", verdict.VerdictPrediction.from_row),
+    NLES: ("record_id", lambda row: nle.nle_from_row(row["record_id"], row["text"])),
+}
 
 
-def _load_rationales(config: PipelineConfig) -> dict[str, rationale.Rationale]:
-    rows = read_records(config.artifact(RATIONALES), "rationales", config.config_hash)
-    return {
-        row["record_id"]: rationale.Rationale(
-            record_id=row["record_id"],
-            text=row["text"],
-            token_length=row["token_length"],
-            backend_id=row["backend_id"],
-        )
-        for row in rows
-    }
+def _read(config: PipelineConfig, name: str, config_hash: str):
+    """Read, provenance-check, and decode one artifact of the output directory."""
+    path = config.artifact(name)
+    if name not in _ROW_TYPES:
+        doc = read_doc(path, KINDS[name], config_hash)
+        if name == SPLITS and not all(isinstance(doc.get(s), list) for s in SPLIT_NAMES):
+            raise CorruptArtifact(path, f"splits {', '.join(SPLIT_NAMES)} must be id lists")
+        return doc
+    key, from_row = _ROW_TYPES[name]
+    decoded = {}
+    for line, row in enumerate(read_records(path, KINDS[name], config_hash), start=2):
+        try:
+            decoded[row[key]] = from_row(row)
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
+    return decoded
 
 
-def _load_split_ids(config: PipelineConfig) -> dict[str, list[str]]:
-    doc = read_doc(config.artifact(SPLITS), "splits", config.config_hash)
-    return {name: doc[name] for name in ("train", "validation", "test")}
+def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> None:
+    path = config.artifact(name)
+    if name.endswith(".jsonl"):
+        write_records(path, KINDS[name], config_hash, payload)
+    elif name.endswith(".json"):
+        write_doc(path, KINDS[name], config_hash, payload)
+    else:
+        with atomic_open(path) as fh:
+            fh.write(payload)
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stage functions: fn(config, config_hash, *decoded needs, **command args)
+# returns (summary, {artifact file name: payload}) plus, for stages that read
+# files outside the output directory, {manifest key: path}.
 
 
-def stage_ingest(config: PipelineConfig) -> dict:
+def _ingest(config: PipelineConfig, config_hash: str):
     """Parse, clean, and summarize the corpus; write the cleaned store."""
     records = parse_corpus(config.corpus_path, config.corpus_format)
     if config.limit is not None:
         records = records[: config.limit]
 
-    input_hashes = {"corpus": file_sha256(config.corpus_path)}
+    sources = {"corpus": config.corpus_path}
     dropped: list[str] = []
     if config.blocklist_path:
         blocklist = SourceBlocklist.from_file(config.blocklist_path)
         if not blocklist.outlets:
             raise ValidationError(f"blocklist {config.blocklist_path} is empty")
-        input_hashes["blocklist"] = file_sha256(config.blocklist_path)
+        sources["blocklist"] = config.blocklist_path
         kept = []
         for record in records:
             try:
@@ -291,12 +332,6 @@ def stage_ingest(config: PipelineConfig) -> dict:
         records = kept
 
     stats = compute_stats(records)
-    write_records(
-        config.artifact(CORPUS_CLEAN),
-        "corpus",
-        config.config_hash,
-        (r.to_row() for r in records),
-    )
     stats_payload = {
         "total": stats.total,
         "per_label": {label.value: count for label, count in stats.per_label.items()},
@@ -304,61 +339,38 @@ def stage_ingest(config: PipelineConfig) -> dict:
         "mean_evidence_tokens": stats.mean_evidence_tokens,
         "dropped_ids": dropped,
     }
-    write_doc(config.artifact(CORPUS_STATS), "stats", config.config_hash, stats_payload)
-    append_manifest(config, "ingest", input_hashes)
     matches_benchmark = stats.total == BENCHMARK_TOTAL and stats.per_label == BENCHMARK_PER_LABEL
-    return {**stats_payload, "matches_benchmark": matches_benchmark}
+    summary = {**stats_payload, "matches_benchmark": matches_benchmark}
+    outputs = {CORPUS_CLEAN: (r.to_row() for r in records), CORPUS_STATS: stats_payload}
+    return summary, outputs, sources
 
 
-def stage_split(config: PipelineConfig) -> dict:
-    _require(config, "split", CORPUS_CLEAN)
-    records = _load_clean_records(config)
-    splits = split_corpus(records, config.ratios, config.split_seed)
+def _stats(config, config_hash, stats):
+    return {k: stats[k] for k in
+            ("total", "per_label", "mean_claim_tokens", "mean_evidence_tokens")}, {}
+
+
+def _split(config, config_hash, records):
+    splits = split_corpus(list(records.values()), config.ratios, config.split_seed)
     payload = {
         "seed": splits.seed,
         "ratios": list(config.ratios),
-        "train": [r.id for r in splits.train],
-        "validation": [r.id for r in splits.validation],
-        "test": [r.id for r in splits.test],
+        **{name: [r.id for r in getattr(splits, name)] for name in SPLIT_NAMES},
     }
-    write_doc(config.artifact(SPLITS), "splits", config.config_hash, payload)
-    append_manifest(config, "split", {"corpus_clean": file_sha256(config.artifact(CORPUS_CLEAN))})
-    return {"sizes": splits.sizes(), "seed": splits.seed}
+    return {"sizes": splits.sizes(), "seed": splits.seed}, {SPLITS: payload}
 
 
-def stage_rationales(config: PipelineConfig) -> dict:
-    _require(config, "rationales", CORPUS_CLEAN, SPLITS)
-    records = _load_clean_records(config)
-    _load_split_ids(config)  # provenance check: splits must match this config
+def _rationales(config, config_hash, records, _splits):
+    # splits is read only to check that it was made under this config
     backend = create_summarizer(config.backends.summarizer)
-    result = rationale.batch_generate(records, backend, config.summary)
-    rows = [
-        {
-            "record_id": record.id,
-            "text": result.rationales[record.id].text,
-            "token_length": result.rationales[record.id].token_length,
-            "backend_id": result.rationales[record.id].backend_id,
-            "config_hash": config.config_hash,
-        }
-        for record in records
-        if record.id in result.rationales
-    ]
-    write_records(config.artifact(RATIONALES), "rationales", config.config_hash, rows)
-    append_manifest(config, "rationales", {
-        "corpus_clean": file_sha256(config.artifact(CORPUS_CLEAN)),
-        "splits": file_sha256(config.artifact(SPLITS)),
-    })
-    return {"generated": len(rows), "failures": result.failures}
+    result = rationale.batch_generate(list(records.values()), backend, config.summary)
+    rows = [r.to_row(config_hash) for r in result.rationales.values()]
+    return {"generated": len(rows), "failures": result.failures}, {RATIONALES: rows}
 
 
-def stage_train(config: PipelineConfig) -> dict:
-    _require(config, "train", CORPUS_CLEAN, SPLITS, RATIONALES)
-    records = {r.id: r for r in _load_clean_records(config)}
-    split_ids = _load_split_ids(config)
-    rationales = _load_rationales(config)
-
-    train_records = [records[i] for i in split_ids["train"] if i in rationales]
-    val_records = [records[i] for i in split_ids["validation"] if i in rationales]
+def _train(config, config_hash, records, splits, rationales):
+    train_records = [records[i] for i in splits["train"] if i in rationales]
+    val_records = [records[i] for i in splits["validation"] if i in rationales]
     pairs = verdict.make_training_pairs(train_records, rationales)
     validation_pairs = verdict.make_training_pairs(val_records, rationales) or None
 
@@ -369,101 +381,45 @@ def stage_train(config: PipelineConfig) -> dict:
         )
     state, log = verdict.fine_tune(pairs, config.train, backend, validation_pairs)
 
-    write_doc(config.artifact(MODEL_STATE), "model", config.config_hash, {
-        "backend_id": config.backends.classifier,
-        "state": state,
-    })
-    write_doc(config.artifact(TRAIN_LOG), "train-log", config.config_hash, {
-        "optimizer": log.optimizer,
-        "learning_rate": log.learning_rate,
-        "weight_decay": log.weight_decay,
-        "lr_schedule": log.lr_schedule,
-        "best_step": log.best_step,
-        "best_validation_f1": log.best_validation_f1,
-        "final_step": log.final_step,
-        "final_validation_f1": log.final_validation_f1,
-        "entries": [
-            {"step": e.step, "loss": e.loss, "validation_macro_f1": e.validation_macro_f1}
-            for e in log.entries
-        ],
-    })
-    append_manifest(config, "train", {
-        "rationales": file_sha256(config.artifact(RATIONALES)),
-        "splits": file_sha256(config.artifact(SPLITS)),
-    })
-    return {
+    train_log = asdict(log)
+    train_log["entries"] = train_log.pop("entries")  # stored after the settings
+    summary = {
         "pairs": len(pairs),
         "steps": log.final_step,
         "best_validation_f1": log.best_validation_f1,
         "final_validation_f1": log.final_validation_f1,
     }
+    model = {"backend_id": config.backends.classifier, "state": state}
+    return summary, {MODEL_STATE: model, TRAIN_LOG: train_log}
 
 
-def stage_predict(config: PipelineConfig) -> dict:
-    _require(config, "predict", CORPUS_CLEAN, RATIONALES, MODEL_STATE)
-    records = _load_clean_records(config)
-    rationales = _load_rationales(config)
-    model_doc = read_doc(config.artifact(MODEL_STATE), "model", config.config_hash)
+def _predict(config, config_hash, records, rationales, model):
+    backend = create_classifier(model["backend_id"])
+    if model.get("state") is not None and isinstance(backend, verdict.TrainableBackend):
+        backend.restore(model["state"])
 
-    backend = create_classifier(model_doc["backend_id"])
-    if model_doc.get("state") is not None and isinstance(backend, verdict.TrainableBackend):
-        backend.restore(model_doc["state"])
-
-    rows = []
-    skipped = []
-    for record in records:
-        if record.id not in rationales:
-            skipped.append(record.id)
-            continue
-        prediction = verdict.classify(record.claim, rationales[record.id], backend)
-        rows.append({
-            "record_id": prediction.record_id,
-            "label": prediction.label.value,
-            "raw_generation": prediction.raw_generation,
-            "prompt_hash": prediction.prompt_hash,
-        })
+    rows = [verdict.classify(r.claim, rationales[r.id], backend).to_row()
+            for r in records.values() if r.id in rationales]
+    skipped = [i for i in records if i not in rationales]
     if skipped:
         logger.warning("no rationale for %d records; skipped: %s", len(skipped), ", ".join(skipped))
-    write_records(config.artifact(PREDICTIONS), "predictions", config.config_hash, rows)
-    append_manifest(config, "predict", {
-        "rationales": file_sha256(config.artifact(RATIONALES)),
-        "model_state": file_sha256(config.artifact(MODEL_STATE)),
-    })
-    return {"predicted": len(rows), "skipped": skipped}
+    return {"predicted": len(rows), "skipped": skipped}, {PREDICTIONS: rows}
 
 
-def stage_nle(config: PipelineConfig) -> dict:
-    _require(config, "nle", RATIONALES, PREDICTIONS)
-    rationales = _load_rationales(config)
-    prediction_rows = read_records(config.artifact(PREDICTIONS), "predictions", config.config_hash)
-
+def _nle(config, config_hash, rationales, predictions):
     rows = []
-    for row in prediction_rows:
-        prediction = verdict.VerdictPrediction(
-            record_id=row["record_id"],
-            label=VerdictLabel(row["label"]),
-            raw_generation=row["raw_generation"],
-            prompt_hash=row["prompt_hash"],
-        )
+    for prediction in predictions.values():
+        if prediction.record_id not in rationales:
+            raise verdict.MissingRationale(prediction.record_id)
         explanation = nle.compose_nle(prediction, rationales[prediction.record_id])
         rows.append({"record_id": explanation.record_id, "text": explanation.text})
-    write_records(config.artifact(NLES), "nles", config.config_hash, rows)
-    append_manifest(config, "nle", {
-        "predictions": file_sha256(config.artifact(PREDICTIONS)),
-        "rationales": file_sha256(config.artifact(RATIONALES)),
-    })
-    return {"explanations": len(rows)}
+    return {"explanations": len(rows)}, {NLES: rows}
 
 
-def stage_explain(config: PipelineConfig) -> dict:
+def _explain(config, config_hash, records, splits, rationales):
     """Attribute rationale generation for the first few test records."""
-    _require(config, "explain", CORPUS_CLEAN, SPLITS, RATIONALES)
-    records = {r.id: r for r in _load_clean_records(config)}
-    split_ids = _load_split_ids(config)
-    rationales = _load_rationales(config)
     backend = create_summarizer(config.backends.summarizer)
-
-    target_ids = [i for i in split_ids["test"] if i in rationales][: config.explain.records]
+    target_ids = [i for i in splits["test"] if i in rationales][: config.explain.records]
     out_records = []
     docs = []
     for record_id in target_ids:
@@ -488,98 +444,148 @@ def stage_explain(config: PipelineConfig) -> dict:
             "phi": list(result.phi),
             "polarity": [e.polarity for e in doc.entries],
         })
-    write_doc(config.artifact(HIGHLIGHTS), "highlights", config.config_hash,
-              {"records": out_records})
-    html_page = render_with_provenance(docs, config.config_hash)
-    config.artifact(HIGHLIGHTS_HTML).write_text(html_page, encoding="utf-8")
-    append_manifest(config, "explain", {
-        "corpus_clean": file_sha256(config.artifact(CORPUS_CLEAN)),
-        "rationales": file_sha256(config.artifact(RATIONALES)),
-    })
-    return {"explained": target_ids}
+    page = f"<!-- config_hash: {config_hash} -->\n{attribution.render_highlight_page(docs)}"
+    return {"explained": target_ids}, {HIGHLIGHTS: {"records": out_records}, HIGHLIGHTS_HTML: page}
 
 
-def render_with_provenance(docs, config_hash: str) -> str:
-    page = attribution.render_highlight_page(docs)
-    return f"<!-- config_hash: {config_hash} -->\n{page}"
-
-
-def stage_eval_f1(config: PipelineConfig) -> dict:
+def _eval_f1(config, config_hash, records, splits, predictions):
     """Macro-F1 of stored predictions against gold labels, per split."""
-    _require(config, "eval-f1", CORPUS_CLEAN, SPLITS, PREDICTIONS)
-    records = {r.id: r for r in _load_clean_records(config)}
-    split_ids = _load_split_ids(config)
-    prediction_rows = read_records(config.artifact(PREDICTIONS), "predictions", config.config_hash)
-    predicted = {row["record_id"]: VerdictLabel(row["label"]) for row in prediction_rows}
-
     payload: dict = {"macro_f1": {}, "scored": {}}
     for split_name in ("validation", "test"):
-        ids = [i for i in split_ids[split_name] if i in predicted]
-        missing = [i for i in split_ids[split_name] if i not in predicted]
+        ids = [i for i in splits[split_name] if i in predictions]
+        missing = len(splits[split_name]) - len(ids)
         if missing:
-            logger.warning("%s split: %d records lack predictions", split_name, len(missing))
+            logger.warning("%s split: %d records lack predictions", split_name, missing)
         golds = [records[i].verdict for i in ids]
-        preds = [predicted[i] for i in ids]
+        preds = [predictions[i].label for i in ids]
         payload["macro_f1"][split_name] = evaluation.macro_f1(preds, golds) if ids else None
         payload["scored"][split_name] = len(ids)
-    write_doc(config.artifact(EVAL_F1), "eval-f1", config.config_hash, payload)
-    append_manifest(config, "eval-f1", {
-        "predictions": file_sha256(config.artifact(PREDICTIONS)),
-        "splits": file_sha256(config.artifact(SPLITS)),
-    })
-    return payload
+    return payload, {EVAL_F1: payload}
 
 
-def stage_eval_nli(config: PipelineConfig) -> dict:
+def _eval_nli(config, config_hash, records, splits, nles):
     """Entailment audit of the test-split explanations."""
-    _require(config, "eval-nli", CORPUS_CLEAN, SPLITS, NLES)
-    records = {r.id: r for r in _load_clean_records(config)}
-    split_ids = _load_split_ids(config)
-    nle_rows = read_records(config.artifact(NLES), "nles", config.config_hash)
-    nles = {row["record_id"]: nle.nle_from_row(row["record_id"], row["text"]) for row in nle_rows}
-
-    pairs = [
-        (records[i].claim, nles[i])
-        for i in split_ids["test"]
-        if i in nles
-    ]
-    backend = create_nli(config.backends.nli)
-    report = evaluation.evaluate_nli(pairs, backend)
+    pairs = [(records[i].claim, nles[i]) for i in splits["test"] if i in nles]
+    report = evaluation.evaluate_nli(pairs, create_nli(config.backends.nli))
     payload = {
         "total": report.total,
         "counts": {label.value: report.counts[label] for label in evaluation.NliVerdict},
         "percentages": {label.value: report.percentages[label] for label in evaluation.NliVerdict},
     }
-    write_doc(config.artifact(EVAL_NLI), "eval-nli", config.config_hash, payload)
-    append_manifest(config, "eval-nli", {
-        "nles": file_sha256(config.artifact(NLES)),
-        "splits": file_sha256(config.artifact(SPLITS)),
-    })
-    return payload
+    return payload, {EVAL_NLI: payload}
+
+
+def _report_core(f1: dict, nli: dict, **between) -> dict:
+    """The {macro_f1, nli} core shared by eval_report.json and report.json."""
+    return {"macro_f1": f1["macro_f1"], **between,
+            "nli": {k: nli[k] for k in ("total", "counts", "percentages")}}
+
+
+def _eval_report(config, config_hash, f1, nli):
+    payload = _report_core(f1, nli, scored=f1["scored"])
+    return payload, {EVAL_REPORT: payload}
+
+
+def _annotate_export(config, config_hash, records, splits, nles, n=None):
+    items = [(i, records[i].claim, nles[i].text) for i in splits["test"] if i in nles]
+    tasks, text = evaluation.render_annotation_tasks(
+        items,
+        n=config.annotation.n if n is None else n,
+        seed=config.annotation.seed,
+        system_id=config.annotation.system,
+    )
+    summary = {"tasks": len(tasks), "path": str(config.artifact(ANNOTATION_TASKS))}
+    return summary, {ANNOTATION_TASKS: text}
+
+
+def _annotate_aggregate(config, config_hash, files):
+    payload = asdict(evaluation.aggregate_annotations(files))
+    return payload, {ANNOTATION_SUMMARY: payload}, {Path(f).name: f for f in files}
+
+
+def _report(config, config_hash, f1, nli):
+    """Merge the evaluation artifacts (and annotation means, if present)."""
+    payload = {**_report_core(f1, nli), "annotation": None}
+    sources = {}
+    if config.artifact(ANNOTATION_SUMMARY).exists():
+        annotation = _read(config, ANNOTATION_SUMMARY, config_hash)
+        payload["annotation"] = {k: annotation[k] for k in ("per_system", "per_annotator")}
+        sources["annotation_summary"] = config.artifact(ANNOTATION_SUMMARY)
+    return payload, {REPORT: payload}, sources
+
+
+# ---------------------------------------------------------------------------
+# Engine
+
+
+class Stage(NamedTuple):
+    name: str
+    needs: tuple[str, ...]  # artifacts read, decoded and passed to fn in this order
+    fn: Callable[..., tuple]
+    help: str | None  # CLI help; None for steps that only run inside another stage
+
+
+COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("ingest", (), _ingest, "parse, clean, and store the corpus with statistics"),
+    Stage("stats", (CORPUS_STATS,), _stats, "print statistics of the cleaned corpus"),
+    Stage("split", (CORPUS_CLEAN,), _split, "write the train/validation/test split manifest"),
+    Stage("rationales", (CORPUS_CLEAN, SPLITS), _rationales, "generate one rationale per record"),
+    Stage("train", (CORPUS_CLEAN, SPLITS, RATIONALES), _train,
+          "fine-tune the verdict classifier on the train split"),
+    Stage("predict", (CORPUS_CLEAN, RATIONALES, MODEL_STATE), _predict,
+          "classify every record with the trained backend"),
+    Stage("nle", (RATIONALES, PREDICTIONS), _nle, "assemble the natural-language explanations"),
+    Stage("explain", (CORPUS_CLEAN, SPLITS, RATIONALES), _explain,
+          "attribute rationale generation over evidence features"),
+    Stage("eval-f1", (CORPUS_CLEAN, SPLITS, PREDICTIONS), _eval_f1,
+          "score predictions with macro-F1 per split"),
+    Stage("eval-nli", (CORPUS_CLEAN, SPLITS, NLES), _eval_nli,
+          "audit test-split explanations with entailment checks"),
+    Stage("eval-report", (EVAL_F1, EVAL_NLI), _eval_report, None),
+    Stage("annotate-export", (CORPUS_CLEAN, SPLITS, NLES), _annotate_export,
+          "export a seeded sample of annotation tasks"),
+    Stage("annotate-aggregate", (), _annotate_aggregate, "aggregate filled annotation files"),
+    Stage("report", (EVAL_F1, EVAL_NLI), _report, "merge evaluation artifacts into one report"),
+)}
+
+
+def run_command(config: PipelineConfig, name: str, **args) -> dict:
+    """Run one table entry: check, read and decode its needs, write its
+    outputs, and stamp a manifest entry hashing every file it read."""
+    stage = COMMANDS[name]
+    for need in stage.needs:
+        if not config.artifact(need).exists():
+            raise MissingUpstreamArtifact(stage.name, config.artifact(need))
+    config_hash = config.config_hash
+    inputs = [_read(config, need, config_hash) for need in stage.needs]
+    summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
+    for output, payload in outputs.items():
+        _write(config, output, config_hash, payload)
+    if outputs:
+        input_hashes = {Path(n).stem: file_sha256(config.artifact(n)) for n in stage.needs}
+        for extra in sources:
+            input_hashes.update({key: file_sha256(path) for key, path in extra.items()})
+        append_manifest(config, stage.name, config_hash, input_hashes)
+    return summary
 
 
 def stage_eval(config: PipelineConfig) -> dict:
-    """Both evaluation halves plus the combined report artifact."""
-    f1_payload = stage_eval_f1(config)
-    nli_payload = stage_eval_nli(config)
-    payload = {
-        "macro_f1": f1_payload["macro_f1"],
-        "scored": f1_payload["scored"],
-        "nli": {k: nli_payload[k] for k in ("total", "counts", "percentages")},
-    }
-    write_doc(config.artifact(EVAL_REPORT), "eval-report", config.config_hash, payload)
-    return payload
+    """Both evaluation halves, then the eval report that merges them."""
+    run_command(config, "eval-f1")
+    run_command(config, "eval-nli")
+    return run_command(config, "eval-report")
 
 
+stage_ingest = partial(run_command, name="ingest")
+
+# run_all order after ingest; each value is f(config).
 STAGES: dict[str, Callable[[PipelineConfig], dict]] = {
-    "split": stage_split,
-    "rationales": stage_rationales,
-    "train": stage_train,
-    "predict": stage_predict,
-    "nle": stage_nle,
-    "explain": stage_explain,
+    **{name: partial(run_command, name=name)
+       for name in ("split", "rationales", "train", "predict", "nle", "explain")},
     "eval": stage_eval,
 }
+stage_split = STAGES["split"]
+stage_rationales = STAGES["rationales"]
 
 
 def run_stage(config: PipelineConfig, stage: str) -> dict:
@@ -595,64 +601,3 @@ def run_all(config: PipelineConfig) -> dict[str, dict]:
     for stage in STAGES:
         summaries[stage] = run_stage(config, stage)
     return summaries
-
-
-# ---------------------------------------------------------------------------
-# Annotation and report helpers (not part of the stage DAG)
-
-
-def export_annotations(config: PipelineConfig, n: int | None = None) -> dict:
-    _require(config, "annotate-export", CORPUS_CLEAN, SPLITS, NLES)
-    records = {r.id: r for r in _load_clean_records(config)}
-    split_ids = _load_split_ids(config)
-    nle_rows = read_records(config.artifact(NLES), "nles", config.config_hash)
-    texts = {row["record_id"]: row["text"] for row in nle_rows}
-    items = [
-        (i, records[i].claim, texts[i])
-        for i in split_ids["test"]
-        if i in texts
-    ]
-    tasks = evaluation.export_annotation_tasks(
-        items,
-        config.artifact(ANNOTATION_TASKS),
-        n=config.annotation.n if n is None else n,
-        seed=config.annotation.seed,
-        system_id=config.annotation.system,
-    )
-    append_manifest(config, "annotate-export", {"nles": file_sha256(config.artifact(NLES))})
-    return {"tasks": len(tasks), "path": str(config.artifact(ANNOTATION_TASKS))}
-
-
-def aggregate_annotation_files(config: PipelineConfig, files: list[str]) -> dict:
-    summary = evaluation.aggregate_annotations(files)
-    payload = {
-        "per_system": summary.per_system,
-        "per_annotator": summary.per_annotator,
-        "n_items": summary.n_items,
-        "n_annotators": summary.n_annotators,
-    }
-    write_doc(config.artifact(ANNOTATION_SUMMARY), "annotation-summary", config.config_hash, payload)
-    append_manifest(config, "annotate-aggregate",
-                    {Path(f).name: file_sha256(f) for f in files})
-    return payload
-
-
-def build_report(config: PipelineConfig) -> dict:
-    """Merge the evaluation artifacts (and annotation means, if present)."""
-    _require(config, "report", EVAL_F1, EVAL_NLI)
-    f1_doc = read_doc(config.artifact(EVAL_F1), "eval-f1", config.config_hash)
-    nli_doc = read_doc(config.artifact(EVAL_NLI), "eval-nli", config.config_hash)
-    payload = {
-        "macro_f1": f1_doc["macro_f1"],
-        "nli": {k: nli_doc[k] for k in ("total", "counts", "percentages")},
-        "annotation": None,
-    }
-    summary_path = config.artifact(ANNOTATION_SUMMARY)
-    if summary_path.exists():
-        summary_doc = read_doc(summary_path, "annotation-summary", config.config_hash)
-        payload["annotation"] = {
-            "per_system": summary_doc["per_system"],
-            "per_annotator": summary_doc["per_annotator"],
-        }
-    write_doc(config.artifact(REPORT), "report", config.config_hash, payload)
-    return payload

@@ -4,14 +4,20 @@ Every artifact file opens with {"kind", "config_hash"}; readers verify
 both, so artifacts produced under a different configuration can never be
 mixed into a run. Stores contain no timestamps, which keeps reruns
 byte-identical (timestamps live only in the run manifest).
+
+Writes go to a temporary file in the same directory that replaces the
+artifact only once it is complete, so a write that fails part-way leaves
+the previous artifact, or none, never a truncated one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .errors import ValidationError
 
@@ -27,48 +33,81 @@ class ArtifactMismatch(ValidationError):
     """Artifact kind or config hash does not match the current run."""
 
 
+class CorruptArtifact(ValidationError):
+    """An artifact that cannot be decoded: truncated, garbled, or hand-edited."""
+
+    def __init__(self, path: Path, detail: str, line: int | None = None):
+        where = path.name if line is None else f"{path.name} line {line}"
+        super().__init__(f"{where}: {detail}; rerun the stage that writes it")
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> None:
-    """Write a line-delimited store: one header line, then one record per line."""
+def _loads(path: Path, text: str, first_line: int):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorruptArtifact(path, f"not valid JSON ({exc.msg})",
+                              first_line + exc.lineno - 1) from exc
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a text file for writing that appears at `path` only when closed cleanly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> None:
+    """Write a line-delimited store: one header line, then one record per line."""
+    with atomic_open(path) as fh:
         fh.write(_dump({"kind": kind, "config_hash": config_hash}) + "\n")
         for record in records:
             fh.write(_dump(record) + "\n")
 
 
-def read_records(path: str | Path, kind: str, config_hash: str) -> list[dict]:
-    path = Path(path)
+def _read_text(path: Path, kind: str) -> str:
     if not path.exists():
         raise MissingUpstreamArtifact(kind, path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        _check_header(path, header, kind, config_hash)
-        return [json.loads(line) for line in fh if line.strip()]
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptArtifact(path, f"not UTF-8 text ({exc.reason})") from exc
+
+
+def read_records(path: str | Path, kind: str, config_hash: str) -> list[dict]:
+    path = Path(path)
+    header, *lines = _read_text(path, kind).split("\n")
+    _check_header(path, _loads(path, header, 1), kind, config_hash)
+    return [_loads(path, line, number) for number, line in enumerate(lines, start=2) if line.strip()]
 
 
 def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> None:
     """Write a single-document JSON artifact with embedded provenance."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"kind": kind, "config_hash": config_hash, **payload}
-    path.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
 def read_doc(path: str | Path, kind: str, config_hash: str) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise MissingUpstreamArtifact(kind, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _loads(path, _read_text(path, kind), 1)
     _check_header(path, doc, kind, config_hash)
     return doc
 
 
-def _check_header(path: Path, header: dict, kind: str, config_hash: str) -> None:
+def _check_header(path: Path, header, kind: str, config_hash: str) -> None:
+    if not isinstance(header, dict):
+        raise CorruptArtifact(path, f"expected a JSON object header, found {type(header).__name__}", 1)
     if header.get("kind") != kind:
         raise ArtifactMismatch(f"{path.name}: expected kind {kind!r}, found {header.get('kind')!r}")
     if header.get("config_hash") != config_hash:

@@ -70,6 +70,18 @@ class VerdictPrediction:
     raw_generation: str
     prompt_hash: str
 
+    def to_row(self) -> dict:
+        return {
+            "record_id": self.record_id,
+            "label": self.label.value,
+            "raw_generation": self.raw_generation,
+            "prompt_hash": self.prompt_hash,
+        }
+
+    @classmethod
+    def from_row(cls, row: dict) -> "VerdictPrediction":
+        return cls(**{**row, "label": VerdictLabel(row["label"])})
+
 
 @dataclass(frozen=True)
 class TrainConfig:

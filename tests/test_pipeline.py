@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +256,75 @@ def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
     report = json.loads((tmp_path / "out" / pipeline.REPORT).read_text())
     assert report["annotation"]["per_system"]["claimcheck"]["fluency"] == 5.0
     assert "macro_f1" in report and "nli" in report
+
+
+def test_manifest_hashes_exactly_each_stages_declared_inputs(fixture_config):
+    pipeline.run_all(fixture_config)
+    out = Path(fixture_config.output_dir)
+    entries = [json.loads(line) for line in (out / pipeline.MANIFEST).read_text().splitlines()]
+    assert [e["stage"] for e in entries] == [
+        "ingest", "split", "rationales", "train", "predict", "nle", "explain",
+        "eval-f1", "eval-nli", "eval-report",
+    ]
+    for entry in entries:
+        expected = {Path(name).stem: file_sha256(out / name)
+                    for name in pipeline.COMMANDS[entry["stage"]].needs}
+        if entry["stage"] == "ingest":  # reads the two inputs named by the config
+            expected = {"corpus": file_sha256(fixture_config.corpus_path),
+                        "blocklist": file_sha256(fixture_config.blocklist_path)}
+        assert entry["input_hashes"] == expected, entry["stage"]
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs end as exit 1 with an error line, never a traceback
+
+
+def _cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _drop_claim_of_first_row(path):
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    row = json.loads(first)
+    del row["claim"]
+    path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
+
+
+def _drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
+
+# case: (config keys, commands run first, artifact to damage, damage, command, error text)
+MALFORMED_INPUTS = {
+    "empty splits": ({}, UPSTREAM[:2], pipeline.SPLITS, lambda p: p.write_text(""),
+                     "rationales", "splits.json line 1"),
+    "truncated cleaned corpus": ({}, UPSTREAM[:1], pipeline.CORPUS_CLEAN, _cut_in_half,
+                                 "split", "corpus_clean.jsonl line 11"),
+    "splits holding a list": ({}, UPSTREAM[:2], pipeline.SPLITS, lambda p: p.write_text("[]"),
+                              "rationales", "splits.json line 1"),
+    "cleaned row missing claim": ({}, UPSTREAM[:1], pipeline.CORPUS_CLEAN,
+                                  _drop_claim_of_first_row, "split",
+                                  "corpus_clean.jsonl line 2"),
+    "unknown summary key": ({"summary": {"min_tok": 5}}, (), None, None, "ingest", "'summary'"),
+    "scalar ratios": ({"ratios": 0.7}, (), None, None, "ingest", "'ratios'"),
+    "explain not an object": ({"explain": [1]}, (), None, None, "ingest", "'explain'"),
+    "prediction without rationale": ({}, UPSTREAM, pipeline.RATIONALES, _drop_last_row,
+                                     "nle", "no rationale for record"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_cli_malformed_input_exits_one(case, tmp_path, corpus20_path, capsys):
+    extra, upstream, artifact, damage, command, message = MALFORMED_INPUTS[case]
+    config = cli_config(tmp_path, corpus20_path, **extra)
+    for cmd in upstream:
+        assert main([cmd, "--config", str(config)]) == 0
+    if damage is not None:
+        damage(tmp_path / "out" / artifact)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
