@@ -6,8 +6,9 @@ orderings:
 
     phi_i = sum over S subset of N\\{i} of |S|!(n-|S|-1)!/n! * (v(S+{i}) - v(S))
 
-Exact enumeration is used for small n, a seeded permutation-sampling
-estimator otherwise. For rationale generation the default value function
+Exact enumeration costs 2^n value calls and is used while that fits
+EXACT_VALUE_CALL_BUDGET; a seeded permutation-sampling estimator is used
+otherwise. For rationale generation the default value function
 is the token-overlap F1 between the summary of the coalition-only
 evidence and the reference rationale.
 """
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 from .corpus import ClaimRecord
 from .errors import EmptyInput, ValidationError
-from .rationale import SummarizationBackend, SummaryConfig, generate_rationale
+from .rationale import SummarizationBackend, SummaryConfig, generate_rationale, summarize_evidence
 from .textutil import split_sentences, token_f1, tokenize
 
 # A coalition value function: subset of feature indices -> real value.
@@ -30,6 +31,7 @@ from .textutil import split_sentences, token_f1, tokenize
 CoalitionValueFn = Callable[[frozenset[int]], float]
 
 EXACT_FEATURE_LIMIT = 14  # 2^n subset enumeration guard
+EXACT_VALUE_CALL_BUDGET = 1 << 10  # attribute() enumerates exactly up to this many value calls
 
 
 class TooManyFeatures(ValidationError):
@@ -90,6 +92,11 @@ def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> At
     # weight[s] = s! (n-s-1)! / n!  for a coalition of size s joined by one player
     n_fact = math.factorial(n)
     weight = [math.factorial(s) * math.factorial(n - s - 1) / n_fact for s in range(n)]
+    size = [0] * (1 << n)  # popcount of every mask
+    for mask in range(1, 1 << n):
+        size[mask] = size[mask >> 1] + (mask & 1)
+    # every mask but the full one can be joined by a player
+    mask_weight = [weight[s] for s in size[:-1]]
 
     phi = [0.0] * n
     for i in range(n):
@@ -97,8 +104,7 @@ def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> At
         for mask in range(1 << n):
             if mask & bit:
                 continue
-            size = bin(mask).count("1")
-            phi[i] += weight[size] * (values[mask | bit] - values[mask])
+            phi[i] += mask_weight[mask] * (values[mask | bit] - values[mask])
 
     return AttributionResult(
         features=tuple(features),
@@ -161,6 +167,18 @@ def sampled_shapley(
     )
 
 
+def attribute(
+    features: Sequence[Feature],
+    value_fn: CoalitionValueFn,
+    num_permutations: int,
+    seed: int,
+) -> AttributionResult:
+    """Exact values while 2^n value calls fit EXACT_VALUE_CALL_BUDGET, sampled otherwise."""
+    if 1 << len(features) <= EXACT_VALUE_CALL_BUDGET:
+        return exact_shapley(features, value_fn)
+    return sampled_shapley(features, value_fn, num_permutations, seed)
+
+
 def rationale_value_fn(
     record: ClaimRecord,
     backend: SummarizationBackend,
@@ -174,16 +192,22 @@ def rationale_value_fn(
     token-overlap F1 against the reference rationale of the full
     evidence. evaluate(empty) is 0 by definition. Coalition perturbation
     is removal, not mask substitution, so any backend can be plugged in.
+    Distinct coalitions often summarize alike, so each distinct summary
+    is scored once.
     """
-    features = evidence_features(record.evidence, granularity)
+    texts = [feature.text for feature in evidence_features(record.evidence, granularity)]
     reference = generate_rationale(record.evidence, backend, config, record_id=record.id).text
+    scores: dict[str, float] = {}
 
     def evaluate(subset: frozenset[int]) -> float:
         if not subset:
             return 0.0
-        coalition_text = " ".join(features[i].text for i in sorted(subset))
-        summary = generate_rationale(coalition_text, backend, config, record_id=record.id).text
-        return token_f1(summary, reference)
+        coalition_text = " ".join([texts[i] for i in sorted(subset)])
+        summary = summarize_evidence(coalition_text, backend, config, record_id=record.id)
+        score = scores.get(summary)
+        if score is None:
+            score = scores[summary] = token_f1(summary, reference)
+        return score
 
     return evaluate
 

@@ -84,6 +84,18 @@ KINDS = {
 }
 SPLIT_NAMES = ("train", "validation", "test")
 
+# Keys every document artifact a stage reads must hold, with their JSON
+# types; _read rejects a document that lacks one.
+DOC_KEYS: dict[str, dict[str, type | tuple[type, ...]]] = {
+    CORPUS_STATS: {"total": int, "per_label": dict,
+                   "mean_claim_tokens": (int, float), "mean_evidence_tokens": (int, float)},
+    SPLITS: dict.fromkeys(SPLIT_NAMES, list),
+    MODEL_STATE: {"backend_id": str},
+    EVAL_F1: {"macro_f1": dict, "scored": dict},
+    EVAL_NLI: {"total": int, "counts": dict, "percentages": dict},
+    ANNOTATION_SUMMARY: {"per_system": dict, "per_annotator": dict},
+}
+
 # Published shape of the benchmark release; ingest prints a comparison
 # when the cleaned corpus reproduces it.
 BENCHMARK_TOTAL = 4006
@@ -121,6 +133,19 @@ class ExplainSettings:
     permutations: int = 200
     seed: int = 7
     granularity: str = "sentence"
+
+    def __post_init__(self):
+        for key, least in (("records", 0), ("permutations", 1)):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValidationError(
+                    f"config key 'explain.{key}' must be an integer >= {least}, got {value!r}"
+                )
+        if self.granularity not in ("sentence", "token"):
+            raise ValidationError(
+                "config key 'explain.granularity' must be 'sentence' or 'token', "
+                f"got {self.granularity!r}"
+            )
 
 
 @dataclass
@@ -277,8 +302,9 @@ def _read(config: PipelineConfig, name: str, config_hash: str):
     path = config.artifact(name)
     if name not in _ROW_TYPES:
         doc = read_doc(path, KINDS[name], config_hash)
-        if name == SPLITS and not all(isinstance(doc.get(s), list) for s in SPLIT_NAMES):
-            raise CorruptArtifact(path, f"splits {', '.join(SPLIT_NAMES)} must be id lists")
+        for key, kind in DOC_KEYS.get(name, {}).items():
+            if not isinstance(doc.get(key), kind):
+                raise CorruptArtifact(path, f"key {key!r} is missing or has the wrong type")
         return doc
     key, from_row = _ROW_TYPES[name]
     decoded = {}
@@ -428,12 +454,9 @@ def _explain(config, config_hash, records, splits, rationales):
         value_fn = attribution.rationale_value_fn(
             record, backend, config.summary, config.explain.granularity
         )
-        if len(features) <= 10:
-            result = attribution.exact_shapley(features, value_fn)
-        else:
-            result = attribution.sampled_shapley(
-                features, value_fn, config.explain.permutations, config.explain.seed
-            )
+        result = attribution.attribute(
+            features, value_fn, config.explain.permutations, config.explain.seed
+        )
         doc = attribution.export_highlights(result, title=f"record {record_id}")
         docs.append(doc)
         out_records.append({

@@ -124,13 +124,13 @@ class LeadSummarizer(SummarizationBackend):
         return stub_summarize(evidence, config)
 
 
-def generate_rationale(
+def summarize_evidence(
     evidence: str,
     backend: SummarizationBackend,
     config: SummaryConfig,
     record_id: str = "",
-) -> Rationale:
-    """Summarize one evidence document into a Rationale.
+) -> str:
+    """Summarize one evidence document into the backend's summary text.
 
     Inputs longer than config.backend_max_input tokens are truncated at
     the tail (a warning is logged). Backend exceptions surface as
@@ -138,7 +138,9 @@ def generate_rationale(
     """
     if not evidence or not evidence.strip():
         raise EmptyEvidence(f"record {record_id!r}: evidence is empty")
-    tokens = tokenize(evidence)
+    # k whitespace tokens span at least 2k - 1 characters, so evidence of at
+    # most 2 * backend_max_input characters is within the limit uncounted.
+    tokens = tokenize(evidence) if len(evidence) > 2 * config.backend_max_input else ()
     if len(tokens) > config.backend_max_input:
         logger.warning(
             "evidence for record %s has %d tokens; tail-truncating to %d",
@@ -148,9 +150,19 @@ def generate_rationale(
         )
         evidence = " ".join(tokens[: config.backend_max_input])
     try:
-        text = backend.summarize(evidence, config)
+        return backend.summarize(evidence, config)
     except Exception as exc:
         raise BackendFailure(f"summarizer {backend.identity!r}: {exc}") from exc
+
+
+def generate_rationale(
+    evidence: str,
+    backend: SummarizationBackend,
+    config: SummaryConfig,
+    record_id: str = "",
+) -> Rationale:
+    """Summarize one evidence document into a Rationale (see summarize_evidence)."""
+    text = summarize_evidence(evidence, backend, config, record_id)
     return Rationale(
         record_id=record_id,
         text=text,

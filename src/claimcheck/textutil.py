@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
+from functools import lru_cache
+from itertools import repeat
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+|\n+")
@@ -39,12 +41,25 @@ def split_paragraphs(text: str) -> list[str]:
     return parts
 
 
+@lru_cache(maxsize=64)
+def _reference_counts(reference: str) -> tuple[int, Counter]:
+    """Token count and multiset of a reference; shared across calls, never mutated."""
+    tokens = tokenize(reference)
+    return len(tokens), Counter(tokens)
+
+
 def token_f1(candidate: str, reference: str) -> float:
-    """Token-overlap F1 between two texts (multiset intersection)."""
-    cand, ref = tokenize(candidate), tokenize(reference)
-    if not cand and not ref:
+    """Token-overlap F1 between two texts (multiset intersection).
+
+    Attribution scores many candidates against one reference, so the
+    reference is tokenized and counted once.
+    """
+    ref_len, ref_counts = _reference_counts(reference)
+    cand = tokenize(candidate)
+    if not cand and not ref_len:
         return 1.0
-    overlap = sum((Counter(cand) & Counter(ref)).values())
+    counts = Counter(cand)
+    overlap = sum(map(min, counts.values(), map(ref_counts.get, counts, repeat(0))))
     if overlap == 0:
         return 0.0
-    return 2.0 * overlap / (len(cand) + len(ref))
+    return 2.0 * overlap / (len(cand) + ref_len)

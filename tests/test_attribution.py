@@ -6,11 +6,14 @@ import random
 
 import pytest
 
+from claimcheck import attribution
 from claimcheck.attribution import (
     EXACT_FEATURE_LIMIT,
+    EXACT_VALUE_CALL_BUDGET,
     AttributionResult,
     Feature,
     TooManyFeatures,
+    attribute,
     evidence_features,
     exact_shapley,
     export_highlights,
@@ -19,7 +22,7 @@ from claimcheck.attribution import (
     sampled_shapley,
 )
 from claimcheck.corpus import ClaimRecord, VerdictLabel
-from claimcheck.rationale import LeadSummarizer, SummaryConfig
+from claimcheck.rationale import LeadSummarizer, SummaryConfig, stub_summarize
 
 
 def features_of(n):
@@ -134,6 +137,37 @@ def test_exact_agrees_with_permutation_oracle_on_random_games():
         assert result.phi == pytest.approx(brute_force_shapley(n, value_fn), abs=1e-12)
 
 
+def bin_count_shapley(n, value_fn):
+    """The exact kernel as first written, recounting bits with bin().count per mask."""
+    values = [value_fn(frozenset(i for i in range(n) if mask >> i & 1)) for mask in range(1 << n)]
+    n_fact = math.factorial(n)
+    weight = [math.factorial(s) * math.factorial(n - s - 1) / n_fact for s in range(n)]
+    phi = [0.0] * n
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            size = bin(mask).count("1")
+            phi[i] += weight[size] * (values[mask | bit] - values[mask])
+    return phi
+
+
+def test_exact_phi_bit_identical_to_bin_count_kernel():
+    rng = random.Random(11)
+    for n in list(range(1, 11)) * 2:
+        value_fn = random_game(n, rng)
+        assert list(exact_shapley(features_of(n), value_fn).phi) == bin_count_shapley(n, value_fn)
+
+
+def test_attribute_enumerates_exactly_within_the_value_call_budget():
+    assert 1 << 10 == EXACT_VALUE_CALL_BUDGET
+    game = lambda s: float(len(s))  # noqa: E731
+    assert attribute(features_of(10), game, num_permutations=3, seed=0).method == "exact"
+    result = attribute(features_of(11), game, num_permutations=3, seed=0)
+    assert (result.method, result.num_permutations, result.seed) == ("sampled", 3, 0)
+
+
 # ---------------------------------------------------------------------------
 # Sampled values
 
@@ -215,6 +249,31 @@ def test_value_fn_partial_coalition_hand_computed():
     config = SummaryConfig(min_tokens=4, max_tokens=120)
     value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
     assert value_fn(frozenset({0})) == pytest.approx(2 / 3)
+
+
+def test_value_fn_scores_each_distinct_summary_once(monkeypatch):
+    # With a 3-token floor every coalition summarizes to its first sentence,
+    # so the 15 non-empty coalitions of 4 sentences give 4 distinct summaries.
+    sentences = ["aa bb cc.", "dd ee ff.", "gg hh ii.", "aa dd gg."]
+    evidence = " ".join(sentences)
+    config = SummaryConfig(min_tokens=3, max_tokens=120)
+    scored = []
+    token_f1 = attribution.token_f1
+
+    def counting_f1(summary, reference):
+        scored.append(summary)
+        return token_f1(summary, reference)
+
+    monkeypatch.setattr(attribution, "token_f1", counting_f1)
+    value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
+    features = evidence_features(evidence)
+    exact_shapley(features, value_fn)
+    assert sorted(scored) == sorted(sentences)
+    for mask in range(1, 1 << len(sentences)):
+        subset = frozenset(i for i in range(len(sentences)) if mask >> i & 1)
+        summary = stub_summarize(" ".join(sentences[i] for i in sorted(subset)), config)
+        assert value_fn(subset) == token_f1(summary, stub_summarize(evidence, config))
+    assert len(scored) == len(sentences)  # repeated coalitions are not rescored
 
 
 # ---------------------------------------------------------------------------

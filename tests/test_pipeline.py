@@ -66,6 +66,17 @@ def test_config_missing_keys_rejected(tmp_path):
         pipeline.load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("records", -1), ("records", 2.5), ("records", True), ("permutations", 0),
+    ("permutations", "200"), ("granularity", "paragraph"),
+])
+def test_config_invalid_explain_settings_name_the_key(tmp_path, corpus20_path, key, value):
+    path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out",
+                        explain={key: value})
+    with pytest.raises(ValidationError, match=f"'explain.{key}'"):
+        pipeline.load_config(path)
+
+
 def test_unknown_backend_id_is_validation_error(fixture_config):
     fixture_config.backends.summarizer = "no-such-backend"
     pipeline.stage_ingest(fixture_config)
@@ -291,6 +302,12 @@ def _drop_claim_of_first_row(path):
     path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
 
 
+def _drop_backend_id(path):
+    doc = json.loads(path.read_text())
+    del doc["backend_id"]
+    path.write_text(json.dumps(doc))
+
+
 def _drop_last_row(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
@@ -313,6 +330,10 @@ MALFORMED_INPUTS = {
     "explain not an object": ({"explain": [1]}, (), None, None, "ingest", "'explain'"),
     "prediction without rationale": ({}, UPSTREAM, pipeline.RATIONALES, _drop_last_row,
                                      "nle", "no rationale for record"),
+    "model state without backend_id": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _drop_backend_id,
+                                       "predict", "model_state.json: key 'backend_id'"),
+    "negative explain records": ({"explain": {"records": -1}}, (), None, None, "ingest",
+                                 "'explain.records'"),
 }
 
 

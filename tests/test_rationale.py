@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.corpus import parse_corpus
 from claimcheck.errors import BackendFailure
@@ -15,6 +17,7 @@ from claimcheck.rationale import (
     batch_generate,
     generate_rationale,
     stub_summarize,
+    summarize_evidence,
 )
 from claimcheck.textutil import tokenize
 
@@ -125,6 +128,42 @@ class FailingBackend(SummarizationBackend):
 def test_backend_exception_wrapped():
     with pytest.raises(BackendFailure, match="synthetic outage"):
         generate_rationale("e1 e2 e3", FailingBackend(), SummaryConfig(min_tokens=1, max_tokens=5))
+
+
+class EchoBackend(SummarizationBackend):
+    identity = "stub-echo"
+
+    def summarize(self, evidence, config):
+        return evidence
+
+
+def test_summarize_evidence_is_the_rationale_path(caplog):
+    config = SummaryConfig(min_tokens=3, max_tokens=5, backend_max_input=8)
+    evidence = "t1 t2 t3 t4 t5 t6 t7 t8 t9 t10 t11 t12"
+    with caplog.at_level("WARNING"):
+        text = summarize_evidence(evidence, EchoBackend(), config, record_id="r1")
+    # the backend sees the input tail-truncated at backend_max_input
+    assert text == "t1 t2 t3 t4 t5 t6 t7 t8"
+    assert text == generate_rationale(evidence, EchoBackend(), config, record_id="r1").text
+    assert sum("tail-truncating" in m for m in caplog.messages) == 2
+    with pytest.raises(EmptyEvidence):
+        summarize_evidence("   ", BACKEND, SummaryConfig(), record_id="r1")
+    with pytest.raises(BackendFailure, match="synthetic outage"):
+        summarize_evidence("e1 e2 e3", FailingBackend(), SummaryConfig(min_tokens=1, max_tokens=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=st.lists(st.sampled_from(["a", "bb", "c.", "ddd"]), min_size=1, max_size=14),
+    separators=st.lists(st.sampled_from([" ", "\n", " \t", "  "]), min_size=14, max_size=14),
+    limit=st.integers(min_value=1, max_value=8),
+)
+def test_summarize_evidence_truncates_exactly_past_the_limit(tokens, separators, limit):
+    # The length shortcut must agree with counting tokens at and around the limit.
+    evidence = tokens[0] + "".join(sep + tok for sep, tok in zip(separators, tokens[1:]))
+    config = SummaryConfig(min_tokens=1, max_tokens=1, backend_max_input=limit)
+    expected = evidence if len(tokens) <= limit else " ".join(tokens[:limit])
+    assert summarize_evidence(evidence, EchoBackend(), config) == expected
 
 
 def test_summary_config_validation():
