@@ -27,3 +27,15 @@ class BackendFailure(BackendError):
     def __init__(self, detail: str):
         super().__init__(f"backend failure: {detail}")
         self.detail = detail
+
+
+def call_backend(role: str, backend, method: str, *args):
+    """Return backend.<method>(*args), raising BackendFailure for any exception.
+
+    The one place a backend exception is wrapped; the message names the
+    role and the backend's identity: "<role> '<identity>': <exc>".
+    """
+    try:
+        return getattr(backend, method)(*args)
+    except Exception as exc:
+        raise BackendFailure(f"{role} {backend.identity!r}: {exc}") from exc

@@ -8,11 +8,9 @@ decimal so they reproduce the published benchmark rendering exactly.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import random
 import warnings
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -20,8 +18,9 @@ from statistics import fmean
 from typing import Sequence
 
 from .corpus import VerdictLabel
-from .errors import BackendError, BackendFailure, EmptyInput, ValidationError
+from .errors import BackendError, EmptyInput, ValidationError, call_backend
 from .nle import NleText
+from .verdict import Text2TextBackend
 
 
 class LengthMismatch(ValidationError):
@@ -97,6 +96,8 @@ class NliVerdict(Enum):
 
 
 _NLI_DECODE = {label.value.casefold(): label for label in NliVerdict}
+# The closed choice set of the stub entailment backend, in NliVerdict order.
+NLI_CHOICES = tuple(label.value for label in NliVerdict)
 
 NLI_PROMPT_PREFIX = "cb hypothesis: "
 NLI_PREMISE_MARKER = " premise: "
@@ -128,35 +129,6 @@ class NliReport:
         return sum(self.counts.values())
 
 
-class NliBackend(ABC):
-    """Entailment backend: prompt in, one of three verdict words out."""
-
-    identity: str = "unspecified"
-
-    @abstractmethod
-    def generate(self, prompt: str) -> str:
-        raise NotImplementedError
-
-
-class StubNliBackend(NliBackend):
-    """Deterministic stub: programmed responses, then a hash-based fallback."""
-
-    identity = "stub-nli"
-
-    def __init__(self):
-        self._programmed: dict[str, str] = {}
-
-    def program(self, prompt: str, output: str) -> None:
-        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        self._programmed[digest] = output
-
-    def generate(self, prompt: str) -> str:
-        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        if digest in self._programmed:
-            return self._programmed[digest]
-        return [v.value for v in NliVerdict][int(digest, 16) % 3]
-
-
 def build_nli_prompt(claim: str, nle: NleText) -> str:
     """Serialize the entailment query: can the claim be deduced from the NLE."""
     if not claim.strip():
@@ -173,18 +145,16 @@ def decode_nli(raw: str) -> NliVerdict:
     return verdict
 
 
-def evaluate_nli(records: Sequence[tuple[str, NleText]], nli_backend: NliBackend) -> NliReport:
+def evaluate_nli(
+    records: Sequence[tuple[str, NleText]], nli_backend: Text2TextBackend
+) -> NliReport:
     """Run the entailment audit over (claim, explanation) pairs."""
     if not records:
         raise EmptyInput("no records to evaluate")
     verdicts = []
     for claim, nle in records:
         prompt = build_nli_prompt(claim, nle)
-        try:
-            raw = nli_backend.generate(prompt)
-        except Exception as exc:
-            raise BackendFailure(f"NLI backend {nli_backend.identity!r}: {exc}") from exc
-        verdicts.append(decode_nli(raw))
+        verdicts.append(decode_nli(call_backend("NLI backend", nli_backend, "generate", prompt)))
     return NliReport.from_verdicts(verdicts)
 
 
@@ -266,6 +236,8 @@ def render_annotation_tasks(
     The file is tab-separated with a '#' legend embedding the rating
     scales; the rating and annotator columns start empty.
     """
+    if n < 0:
+        raise ValidationError(f"annotation sample size n must be >= 0, got {n}")
     if n > len(items):
         raise SampleTooLarge(f"asked for {n} tasks but only {len(items)} items available")
     sampled = random.Random(seed).sample(list(items), n)

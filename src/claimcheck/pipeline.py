@@ -32,7 +32,7 @@ from .corpus import (
     split_corpus,
     EmptyEvidenceAfterFilter,
 )
-from .errors import ValidationError
+from .errors import BackendFailure, ValidationError, call_backend
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
@@ -90,7 +90,7 @@ DOC_KEYS: dict[str, dict[str, type | tuple[type, ...]]] = {
     CORPUS_STATS: {"total": int, "per_label": dict,
                    "mean_claim_tokens": (int, float), "mean_evidence_tokens": (int, float)},
     SPLITS: dict.fromkeys(SPLIT_NAMES, list),
-    MODEL_STATE: {"backend_id": str},
+    MODEL_STATE: {"backend_id": str, "state": dict},
     EVAL_F1: {"macro_f1": dict, "scored": dict},
     EVAL_NLI: {"total": int, "counts": dict, "percentages": dict},
     ANNOTATION_SUMMARY: {"per_system": dict, "per_annotator": dict},
@@ -109,8 +109,8 @@ SUMMARIZER_BACKENDS: dict[str, Callable[[], rationale.SummarizationBackend]] = {
 CLASSIFIER_BACKENDS: dict[str, Callable[[], verdict.Text2TextBackend]] = {
     "stub-memorizing": verdict.MemorizingBackend,
 }
-NLI_BACKENDS: dict[str, Callable[[], evaluation.NliBackend]] = {
-    "stub-nli": evaluation.StubNliBackend,
+NLI_BACKENDS: dict[str, Callable[[], verdict.Text2TextBackend]] = {
+    "stub-nli": partial(verdict.MemorizingBackend, "stub-nli", evaluation.NLI_CHOICES),
 }
 
 ENV_OVERRIDES = {
@@ -127,7 +127,14 @@ class BackendIds:
     nli: str = "stub-nli"
 
 
-@dataclass
+def _check_int(section: str, key: str, value, least: int | None = None) -> None:
+    """Require an int (not a bool), at least `least` when given, naming the config key."""
+    bound = "" if least is None else f" >= {least}"
+    if not isinstance(value, int) or isinstance(value, bool) or (bound and value < least):
+        raise ValidationError(f"config key '{section}.{key}' must be an integer{bound}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class ExplainSettings:
     records: int = 3  # how many test records to attribute
     permutations: int = 200
@@ -135,12 +142,8 @@ class ExplainSettings:
     granularity: str = "sentence"
 
     def __post_init__(self):
-        for key, least in (("records", 0), ("permutations", 1)):
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ValidationError(
-                    f"config key 'explain.{key}' must be an integer >= {least}, got {value!r}"
-                )
+        _check_int("explain", "records", self.records, 0)
+        _check_int("explain", "permutations", self.permutations, 1)
         if self.granularity not in ("sentence", "token"):
             raise ValidationError(
                 "config key 'explain.granularity' must be 'sentence' or 'token', "
@@ -148,11 +151,15 @@ class ExplainSettings:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnotationSettings:
     n: int = 100
     seed: int = 13
     system: str = "claimcheck"
+
+    def __post_init__(self):
+        _check_int("annotation", "n", self.n, 0)
+        _check_int("annotation", "seed", self.seed)
 
 
 @dataclass
@@ -266,7 +273,7 @@ def create_classifier(backend_id: str) -> verdict.Text2TextBackend:
     return _create(CLASSIFIER_BACKENDS, backend_id, "classifier")
 
 
-def create_nli(backend_id: str) -> evaluation.NliBackend:
+def create_nli(backend_id: str) -> verdict.Text2TextBackend:
     return _create(NLI_BACKENDS, backend_id, "NLI")
 
 
@@ -421,8 +428,12 @@ def _train(config, config_hash, records, splits, rationales):
 
 def _predict(config, config_hash, records, rationales, model):
     backend = create_classifier(model["backend_id"])
-    if model.get("state") is not None and isinstance(backend, verdict.TrainableBackend):
-        backend.restore(model["state"])
+    if isinstance(backend, verdict.TrainableBackend):
+        try:
+            call_backend("classifier", backend, "restore", model["state"])
+        except BackendFailure as exc:
+            raise CorruptArtifact(config.artifact(MODEL_STATE),
+                                  f"cannot restore the state: {exc.detail}") from exc
 
     rows = [verdict.classify(r.claim, rationales[r.id], backend).to_row()
             for r in records.values() if r.id in rationales]

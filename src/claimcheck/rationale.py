@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import ClaimRecord
-from .errors import BackendFailure, ValidationError
+from .errors import BackendFailure, ValidationError, call_backend
 from .textutil import split_sentences, tokenize
 
 logger = logging.getLogger(__name__)
@@ -82,8 +82,6 @@ class SummarizationBackend(ABC):
     """
 
     identity: str = "unspecified"
-    honors_bounds: bool = False
-    max_input_tokens: int | None = None
 
     @abstractmethod
     def summarize(self, evidence: str, config: SummaryConfig) -> str:
@@ -117,8 +115,6 @@ class LeadSummarizer(SummarizationBackend):
     """Desk-scale stub backend wrapping stub_summarize."""
 
     identity = "stub-lead"
-    honors_bounds = True
-    max_input_tokens = None
 
     def summarize(self, evidence: str, config: SummaryConfig) -> str:
         return stub_summarize(evidence, config)
@@ -149,10 +145,7 @@ def summarize_evidence(
             config.backend_max_input,
         )
         evidence = " ".join(tokens[: config.backend_max_input])
-    try:
-        return backend.summarize(evidence, config)
-    except Exception as exc:
-        raise BackendFailure(f"summarizer {backend.identity!r}: {exc}") from exc
+    return call_backend("summarizer", backend, "summarize", evidence, config)
 
 
 def generate_rationale(

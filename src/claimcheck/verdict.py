@@ -12,14 +12,16 @@ import hashlib
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .corpus import ClaimRecord, VerdictLabel
-from .errors import BackendError, BackendFailure, EmptyInput, ValidationError
+from .errors import BackendError, EmptyInput, ValidationError, call_backend
 from .rationale import Rationale
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
 CHOICE_REFUTES = VerdictLabel.REFUTES.value
+VERDICT_CHOICES = (CHOICE_SUPPORTS, CHOICE_REFUTES)
 
 PROMPT_PREFIX = f"copa choice1: {CHOICE_SUPPORTS} choice2: {CHOICE_REFUTES} premise: "
 QUESTION_MARKER = " question: "
@@ -133,7 +135,7 @@ class TrainLog:
 
 
 class Text2TextBackend(ABC):
-    """Prompt-in, text-out backend. generate must be deterministic."""
+    """Prompt-in, text-out backend of the verdict and the NLI audit; generate is deterministic."""
 
     identity: str = "unspecified"
 
@@ -164,13 +166,14 @@ class MemorizingBackend(TrainableBackend):
     """Deterministic text-to-text stub for desk-scale pipeline runs.
 
     Responses come from three layers, in order: explicitly programmed
-    fixtures, pairs memorized during fine-tuning, then a stable
-    hash-parity fallback that always emits one of the two choice words
-    (so verdict decoding stays total).
+    fixtures, pairs memorized during fine-tuning, then a stable hash
+    fallback that always emits one of the closed `choices` (so decoding
+    stays total): choices[sha256(prompt) % len(choices)].
     """
 
-    def __init__(self, identity: str = "stub-memorizing"):
+    def __init__(self, identity: str = "stub-memorizing", choices: Sequence[str] = VERDICT_CHOICES):
         self.identity = identity
+        self.choices = tuple(choices)
         self._programmed: dict[str, str] = {}
         self._memory: dict[str, str] = {}
 
@@ -184,7 +187,7 @@ class MemorizingBackend(TrainableBackend):
             return self._programmed[digest]
         if digest in self._memory:
             return self._memory[digest]
-        return CHOICE_SUPPORTS if int(digest, 16) % 2 == 0 else CHOICE_REFUTES
+        return self.choices[int(digest, 16) % len(self.choices)]
 
     def train_step(self, batch: Sequence[tuple[str, str]]) -> float:
         wrong = sum(1 for prompt, target in batch if self.generate(prompt) != target)
@@ -244,10 +247,7 @@ def decode_verdict(raw: str) -> VerdictLabel:
 def classify(claim: str, rationale: Rationale, backend: Text2TextBackend) -> VerdictPrediction:
     """Prompt the backend with (claim, rationale) and decode its verdict."""
     prompt = build_copa_prompt(claim, rationale)
-    try:
-        raw = backend.generate(prompt.text)
-    except Exception as exc:
-        raise BackendFailure(f"classifier {backend.identity!r}: {exc}") from exc
+    raw = call_backend("classifier", backend, "generate", prompt.text)
     return VerdictPrediction(
         record_id=rationale.record_id,
         label=decode_verdict(raw),
@@ -279,7 +279,8 @@ def _validation_f1(
     if not validation_pairs:
         return None
     golds = [decode_verdict(target) for _, target in validation_pairs]
-    preds = [decode_verdict(backend.generate(prompt)) for prompt, _ in validation_pairs]
+    preds = [decode_verdict(call_backend("classifier", backend, "generate", prompt))
+             for prompt, _ in validation_pairs]
     return macro_f1(preds, golds)
 
 
@@ -299,6 +300,7 @@ def fine_tune(
     """
     if not pairs:
         raise EmptyTrainingSet("no training pairs")
+    call = partial(call_backend, "classifier", backend)
     log = TrainLog(
         optimizer=config.optimizer,
         learning_rate=config.learning_rate,
@@ -306,7 +308,7 @@ def fine_tune(
         lr_schedule=config.lr_schedule,
     )
     if config.epochs == 0:
-        return backend.snapshot(), log
+        return call("snapshot"), log
 
     rng = random.Random(config.seed)
     step = 0
@@ -317,7 +319,7 @@ def fine_tune(
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = backend.train_step(batch)
+            loss = call("train_step", batch)
             step += 1
             if step % config.eval_every_steps == 0:
                 f1 = _validation_f1(backend, validation_pairs)
@@ -327,7 +329,7 @@ def fine_tune(
                 ):
                     log.best_validation_f1 = f1
                     log.best_step = step
-                    best_state = backend.snapshot()
+                    best_state = call("snapshot")
 
     final_f1 = _validation_f1(backend, validation_pairs)
     if not log.entries or log.entries[-1].step != step:
@@ -342,6 +344,6 @@ def fine_tune(
         best_state = None  # final state is the best; no restore needed
 
     if best_state is not None:
-        backend.restore(best_state)
+        call("restore", best_state)
         return best_state, log
-    return backend.snapshot(), log
+    return call("snapshot"), log

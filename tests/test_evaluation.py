@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import random
 import warnings
@@ -10,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimcheck import pipeline
 from claimcheck.corpus import VerdictLabel
-from claimcheck.errors import EmptyInput
+from claimcheck.errors import EmptyInput, ValidationError
 from claimcheck.evaluation import (
+    NLI_CHOICES,
     LengthMismatch,
     NliReport,
     NliVerdict,
     OutOfRangeRating,
     RATING_SCALES,
     SampleTooLarge,
-    StubNliBackend,
     UndecodableNliOutput,
     aggregate_annotations,
     build_nli_prompt,
@@ -31,6 +33,7 @@ from claimcheck.evaluation import (
     read_annotation_file,
 )
 from claimcheck.nle import NleText
+from claimcheck.verdict import MemorizingBackend
 
 from conftest import golden_text
 
@@ -179,7 +182,7 @@ def test_decode_nli_rejects_junk():
 
 
 def test_evaluate_nli_with_programmed_backend():
-    backend = StubNliBackend()
+    backend = pipeline.create_nli("stub-nli")
     pairs = [(f"claim {i}", nle_of(f"explanation {i}", record_id=f"r{i}")) for i in range(3)]
     outputs = ["entailment", "neutral", "entailment"]
     for (claim, nle), output in zip(pairs, outputs):
@@ -191,7 +194,19 @@ def test_evaluate_nli_with_programmed_backend():
 
 def test_evaluate_nli_empty_input():
     with pytest.raises(EmptyInput):
-        evaluate_nli([], StubNliBackend())
+        evaluate_nli([], pipeline.create_nli("stub-nli"))
+
+
+@given(st.text())
+def test_stub_fallbacks_match_the_old_hash_rules(prompt):
+    # Oracle: the two formulas of the separate classifier and NLI stubs
+    # the one programmable stub replaced.
+    digest = int(hashlib.sha256(prompt.encode("utf-8")).hexdigest(), 16)
+    parity = "Supports" if digest % 2 == 0 else "Refutes"
+    assert MemorizingBackend().generate(prompt) == parity
+    old_nli = [v.value for v in NliVerdict][digest % 3]
+    assert MemorizingBackend("stub-nli", NLI_CHOICES).generate(prompt) == old_nli
+    assert pipeline.create_nli("stub-nli").generate(prompt) == old_nli
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +244,11 @@ def test_export_deterministic_given_seed(tmp_path):
 def test_export_sample_too_large(tmp_path):
     with pytest.raises(SampleTooLarge):
         export_annotation_tasks(items_of(5), tmp_path / "t.tsv", n=6, seed=0)
+
+
+def test_export_negative_sample_size_names_n(tmp_path):
+    with pytest.raises(ValidationError, match="sample size n must be >= 0, got -1"):
+        export_annotation_tasks(items_of(5), tmp_path / "t.tsv", n=-1, seed=0)
 
 
 def test_export_embeds_rating_scales_verbatim(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from claimcheck import pipeline
 from claimcheck.cli import main
 from claimcheck.corpus import default_blocklist_path
 from claimcheck.errors import ValidationError
-from claimcheck.evaluation import NliBackend
 from claimcheck.store import ArtifactMismatch, MissingUpstreamArtifact, file_sha256
+from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
 from helpers import make_rows, write_config, write_corpus
 
@@ -75,6 +76,13 @@ def test_config_invalid_explain_settings_name_the_key(tmp_path, corpus20_path, k
                         explain={key: value})
     with pytest.raises(ValidationError, match=f"'explain.{key}'"):
         pipeline.load_config(path)
+
+
+def test_settings_are_frozen(fixture_config):
+    with pytest.raises(FrozenInstanceError):
+        fixture_config.explain.records = -1
+    with pytest.raises(FrozenInstanceError):
+        fixture_config.annotation.n = -1
 
 
 def test_unknown_backend_id_is_validation_error(fixture_config):
@@ -207,23 +215,43 @@ def test_cli_stage_order_violation_exits_one(tmp_path, corpus20_path, capsys):
     assert "run earlier stages first" in capsys.readouterr().err
 
 
-class JunkNliBackend(NliBackend):
+class JunkNliBackend(Text2TextBackend):
     identity = "stub-junk"
 
     def generate(self, prompt):
         return "banana"
 
 
-def test_cli_backend_failure_exits_two(tmp_path, corpus20_path, capsys, monkeypatch):
-    # The junk backend is only reached at eval-nli; the whole run uses its
-    # config so the provenance hashes line up.
-    monkeypatch.setitem(pipeline.NLI_BACKENDS, "stub-junk", JunkNliBackend)
-    config = cli_config(tmp_path, corpus20_path, backends={"nli": "stub-junk"})
-    for cmd in ("ingest", "split", "rationales", "train", "predict", "nle"):
+class OutOfMemoryClassifier(MemorizingBackend):
+    def __init__(self):
+        super().__init__("stub-oom")
+
+    def generate(self, prompt):
+        raise RuntimeError("model OOM")
+
+
+BACKEND_FAILURES = {
+    "undecodable NLI output": ("NLI_BACKENDS", "nli", JunkNliBackend, "eval-nli", "banana"),
+    "classifier raising in train": ("CLASSIFIER_BACKENDS", "classifier", OutOfMemoryClassifier,
+                                    "train", "classifier 'stub-oom': model OOM"),
+}
+
+
+@pytest.mark.parametrize("case", list(BACKEND_FAILURES))
+def test_cli_backend_failure_exits_two(case, tmp_path, corpus20_path, capsys, monkeypatch):
+    # The failing backend is only reached at the failing command; the whole
+    # run uses its config so the provenance hashes line up.
+    registry, role, backend, command, message = BACKEND_FAILURES[case]
+    backend_id = backend().identity
+    monkeypatch.setitem(getattr(pipeline, registry), backend_id, backend)
+    config = cli_config(tmp_path, corpus20_path, backends={role: backend_id})
+    commands = ["ingest", "split", "rationales", "train", "predict", "nle", "eval-nli"]
+    for cmd in commands[: commands.index(command)]:
         assert main([cmd, "--config", str(config)]) == 0
     capsys.readouterr()
-    assert main(["eval-nli", "--config", str(config)]) == 2
-    assert "banana" in capsys.readouterr().err
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: ") and message in err
 
 
 def test_cli_bad_usage_exits_one(capsys):
@@ -308,6 +336,14 @@ def _drop_backend_id(path):
     path.write_text(json.dumps(doc))
 
 
+def _set_model_state(state):
+    def damage(path):
+        doc = json.loads(path.read_text())
+        doc["state"] = state
+        path.write_text(json.dumps(doc))
+    return damage
+
+
 def _drop_last_row(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
@@ -334,6 +370,14 @@ MALFORMED_INPUTS = {
                                        "predict", "model_state.json: key 'backend_id'"),
     "negative explain records": ({"explain": {"records": -1}}, (), None, None, "ingest",
                                  "'explain.records'"),
+    "model state without memory": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _set_model_state({}),
+                                   "predict", "model_state.json: cannot restore the state"),
+    "model state null": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _set_model_state(None),
+                         "predict", "model_state.json: key 'state'"),
+    "negative annotation n": ({"annotation": {"n": -2}}, (), None, None, "ingest",
+                              "'annotation.n'"),
+    "string annotation n": ({"annotation": {"n": "5"}}, (), None, None, "ingest",
+                            "'annotation.n'"),
 }
 
 
