@@ -23,11 +23,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-# Flags every subcommand takes; they override config values.
-OVERRIDES = ("seed", "limit", "summarizer", "classifier", "nli")
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    # --config plus one flag per pipeline.OVERRIDES entry
     sub.add_argument("--config", required=True, help="path to the JSON pipeline config")
     sub.add_argument("--seed", type=int, default=None, help="override the split seed")
     sub.add_argument("--limit", type=int, default=None,
@@ -85,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = vars(build_parser().parse_args(argv))
-        config = pipeline.load_config(args.pop("config"), **{k: args.pop(k) for k in OVERRIDES})
+        overrides = {flag: args.pop(flag) for flag in pipeline.OVERRIDES}
+        config = pipeline.load_config(args.pop("config"), **overrides)
         printer, run = args.pop("printer", _print), args.pop("run")
         del args["command"]
         printer(run(config, **args))  # what remains are the command's own arguments

@@ -29,13 +29,20 @@ class BackendFailure(BackendError):
         self.detail = detail
 
 
-def call_backend(role: str, backend, method: str, *args):
-    """Return backend.<method>(*args), raising BackendFailure for any exception.
+def call_backend(role: str, identity: str, fn, *args):
+    """Return fn(*args), raising BackendFailure for any exception.
 
-    The one place a backend exception is wrapped; the message names the
-    role and the backend's identity: "<role> '<identity>': <exc>".
+    The one place a backend (method or registry factory) exception is wrapped;
+    the message names the role and the backend's identity: "<role> '<identity>': <exc>".
     """
     try:
-        return getattr(backend, method)(*args)
+        return fn(*args)
     except Exception as exc:
-        raise BackendFailure(f"{role} {backend.identity!r}: {exc}") from exc
+        raise BackendFailure(f"{role} {identity!r}: {exc}") from exc
+
+
+def check_int(key: str, value, least: int | None = None) -> None:
+    """Require an int (not a bool), at least `least` when given, naming the config key."""
+    bound = "" if least is None else f" >= {least}"
+    if not isinstance(value, int) or isinstance(value, bool) or (bound and value < least):
+        raise ValidationError(f"config key {key!r} must be an integer{bound}, got {value!r}")

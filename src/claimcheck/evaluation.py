@@ -139,7 +139,7 @@ def build_nli_prompt(claim: str, nle: NleText) -> str:
 
 
 def decode_nli(raw: str) -> NliVerdict:
-    verdict = _NLI_DECODE.get(raw.strip().casefold())
+    verdict = _NLI_DECODE.get(raw.strip().casefold()) if isinstance(raw, str) else None
     if verdict is None:
         raise UndecodableNliOutput(raw)
     return verdict
@@ -151,10 +151,9 @@ def evaluate_nli(
     """Run the entailment audit over (claim, explanation) pairs."""
     if not records:
         raise EmptyInput("no records to evaluate")
-    verdicts = []
-    for claim, nle in records:
-        prompt = build_nli_prompt(claim, nle)
-        verdicts.append(decode_nli(call_backend("NLI backend", nli_backend, "generate", prompt)))
+    verdicts = [decode_nli(call_backend("NLI backend", nli_backend.identity, nli_backend.generate,
+                                        build_nli_prompt(claim, nle)))
+                for claim, nle in records]
     return NliReport.from_verdicts(verdicts)
 
 

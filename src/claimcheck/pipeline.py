@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
 from hashlib import sha256
@@ -32,7 +32,7 @@ from .corpus import (
     split_corpus,
     EmptyEvidenceAfterFilter,
 )
-from .errors import BackendFailure, ValidationError, call_backend
+from .errors import BackendFailure, ValidationError, call_backend, check_int
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
@@ -113,6 +113,15 @@ NLI_BACKENDS: dict[str, Callable[[], verdict.Text2TextBackend]] = {
     "stub-nli": partial(verdict.MemorizingBackend, "stub-nli", evaluation.NLI_CHOICES),
 }
 
+# CLI flag (load_config keyword) -> the config key it overrides.
+OVERRIDES = {
+    "seed": "split_seed",
+    "limit": "limit",
+    "summarizer": "backends.summarizer",
+    "classifier": "backends.classifier",
+    "nli": "backends.nli",
+}
+# Environment variable -> the flag it stands in for.
 ENV_OVERRIDES = {
     "CLAIMCHECK_SUMMARIZER": "summarizer",
     "CLAIMCHECK_CLASSIFIER": "classifier",
@@ -120,18 +129,11 @@ ENV_OVERRIDES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendIds:
     summarizer: str = "stub-lead"
     classifier: str = "stub-memorizing"
     nli: str = "stub-nli"
-
-
-def _check_int(section: str, key: str, value, least: int | None = None) -> None:
-    """Require an int (not a bool), at least `least` when given, naming the config key."""
-    bound = "" if least is None else f" >= {least}"
-    if not isinstance(value, int) or isinstance(value, bool) or (bound and value < least):
-        raise ValidationError(f"config key '{section}.{key}' must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,8 @@ class ExplainSettings:
     granularity: str = "sentence"
 
     def __post_init__(self):
-        _check_int("explain", "records", self.records, 0)
-        _check_int("explain", "permutations", self.permutations, 1)
+        check_int("explain.records", self.records, 0)
+        check_int("explain.permutations", self.permutations, 1)
         if self.granularity not in ("sentence", "token"):
             raise ValidationError(
                 "config key 'explain.granularity' must be 'sentence' or 'token', "
@@ -158,11 +160,11 @@ class AnnotationSettings:
     system: str = "claimcheck"
 
     def __post_init__(self):
-        _check_int("annotation", "n", self.n, 0)
-        _check_int("annotation", "seed", self.seed)
+        check_int("annotation.n", self.n, 0)
+        check_int("annotation.seed", self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Single flat configuration for a pipeline run."""
 
@@ -178,6 +180,14 @@ class PipelineConfig:
     explain: ExplainSettings = field(default_factory=ExplainSettings)
     annotation: AnnotationSettings = field(default_factory=AnnotationSettings)
     limit: int | None = None  # fixture runs: keep only the first N records
+
+    def __post_init__(self):
+        if not (isinstance(self.ratios, tuple) and len(self.ratios) == 3
+                and all(type(r) in (int, float) for r in self.ratios)):
+            raise ValidationError(f"config key 'ratios' must be three numbers, got {self.ratios!r}")
+        check_int("split_seed", self.split_seed)
+        if self.limit is not None:
+            check_int("limit", self.limit, 0)
 
     @property
     def config_hash(self) -> str:
@@ -198,10 +208,10 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path, **overrides) -> PipelineConfig:
-    """Read a JSON config file, then apply env and keyword overrides.
+    """Read a JSON config file, apply the overrides, and build it.
 
-    Environment variables CLAIMCHECK_SUMMARIZER / _CLASSIFIER / _NLI
-    override the backend ids; keyword overrides (CLI flags) win over both.
+    Keyword overrides are OVERRIDES flags; ENV_OVERRIDES variables stand in
+    for the backend flags. Flags beat the environment, which beats the file.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -209,52 +219,38 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "corpus_path" not in raw or "output_dir" not in raw:
-        raise ValidationError("config must set corpus_path and output_dir")
 
-    backends = _section(raw, "backends", BackendIds)
-    for env_name, attr in ENV_OVERRIDES.items():
-        if os.environ.get(env_name):
-            setattr(backends, attr, os.environ[env_name])
+    env = {flag: os.environ[name] for name, flag in ENV_OVERRIDES.items() if os.environ.get(name)}
+    flags = {flag: value for flag, value in overrides.items() if value is not None}
+    for flag, value in {**env, **flags}.items():
+        if flag not in OVERRIDES:
+            raise ValidationError(f"unknown config override {flag!r}")
+        section, _, key = OVERRIDES[flag].rpartition(".")
+        target = raw.setdefault(section, {}) if section and isinstance(raw, dict) else raw
+        if isinstance(target, dict):  # otherwise _build rejects the section itself
+            target[key] = value
+    return _build(PipelineConfig, raw, f"config {path}")
+
+
+def _build(cls, raw, where: str):
+    """Build settings class `cls` from its config mapping `raw`.
+
+    Nested settings come from each field's default_factory and JSON lists
+    become tuples; an unknown or missing key is a ValidationError naming
+    `where`. Each class's __post_init__ checks the values.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {raw!r}")
+    nested = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
+    values = {
+        key: _build(nested[key], value, f"config key {key!r}") if key in nested
+        else tuple(value) if isinstance(value, list) else value
+        for key, value in raw.items()
+    }
     try:
-        ratios = tuple(raw.get("ratios", (0.70, 0.15, 0.15)))
+        return cls(**values)
     except TypeError as exc:
-        raise ValidationError(f"config key 'ratios' must be a list of three numbers: {exc}") from exc
-
-    config = PipelineConfig(
-        corpus_path=raw["corpus_path"],
-        output_dir=raw["output_dir"],
-        blocklist_path=raw.get("blocklist_path"),
-        corpus_format=raw.get("corpus_format", "json-lines"),
-        ratios=ratios,
-        split_seed=raw.get("split_seed", 42),
-        summary=_section(raw, "summary", rationale.SummaryConfig),
-        train=_section(raw, "train", verdict.TrainConfig),
-        backends=backends,
-        explain=_section(raw, "explain", ExplainSettings),
-        annotation=_section(raw, "annotation", AnnotationSettings),
-        limit=raw.get("limit"),
-    )
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in ("summarizer", "classifier", "nli"):
-            setattr(config.backends, key, value)
-        elif key == "seed":
-            config.split_seed = value
-        elif hasattr(config, key):
-            setattr(config, key, value)
-        else:
-            raise ValidationError(f"unknown config override {key!r}")
-    return config
-
-
-def _section(raw: dict, key: str, cls):
-    """Build a nested settings object from its config section."""
-    try:
-        return cls(**raw.get(key, {}))
-    except TypeError as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _create(registry: dict, backend_id: str, role: str):
@@ -262,7 +258,7 @@ def _create(registry: dict, backend_id: str, role: str):
     if factory is None:
         known = ", ".join(sorted(registry))
         raise ValidationError(f"unknown {role} backend {backend_id!r}; registered: {known}")
-    return factory()
+    return call_backend(role, backend_id, factory)
 
 
 def create_summarizer(backend_id: str) -> rationale.SummarizationBackend:
@@ -430,7 +426,7 @@ def _predict(config, config_hash, records, rationales, model):
     backend = create_classifier(model["backend_id"])
     if isinstance(backend, verdict.TrainableBackend):
         try:
-            call_backend("classifier", backend, "restore", model["state"])
+            call_backend("classifier", backend.identity, backend.restore, model["state"])
         except BackendFailure as exc:
             raise CorruptArtifact(config.artifact(MODEL_STATE),
                                   f"cannot restore the state: {exc.detail}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import ClaimRecord
-from .errors import BackendFailure, ValidationError, call_backend
+from .errors import BackendFailure, ValidationError, call_backend, check_int
 from .textutil import split_sentences, tokenize
 
 logger = logging.getLogger(__name__)
@@ -37,12 +37,9 @@ class SummaryConfig:
     backend_max_input: int = 1024
 
     def __post_init__(self):
-        if not (0 < self.min_tokens <= self.max_tokens):
-            raise ValidationError(
-                f"need 0 < min_tokens <= max_tokens, got ({self.min_tokens}, {self.max_tokens})"
-            )
-        if self.backend_max_input < self.max_tokens:
-            raise ValidationError("backend_max_input must be >= max_tokens")
+        check_int("summary.min_tokens", self.min_tokens, 1)
+        check_int("summary.max_tokens", self.max_tokens, self.min_tokens)
+        check_int("summary.backend_max_input", self.backend_max_input, self.max_tokens)
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def summarize_evidence(
             config.backend_max_input,
         )
         evidence = " ".join(tokens[: config.backend_max_input])
-    return call_backend("summarizer", backend, "summarize", evidence, config)
+    return call_backend("summarizer", backend.identity, backend.summarize, evidence, config)
 
 
 def generate_rationale(

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Sequence
 
 from .corpus import ClaimRecord, VerdictLabel
-from .errors import BackendError, EmptyInput, ValidationError, call_backend
+from .errors import BackendError, EmptyInput, ValidationError, call_backend, check_int
 from .rationale import Rationale
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
@@ -104,12 +104,12 @@ class TrainConfig:
     lr_schedule: str = "constant"
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.eval_every_steps < 1:
-            raise ValidationError("batch_size and eval_every_steps must be positive")
+        check_int("train.batch_size", self.batch_size, 1)
+        check_int("train.epochs", self.epochs, 0)
+        check_int("train.eval_every_steps", self.eval_every_steps, 1)
+        check_int("train.seed", self.seed)
         if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
+            raise ValidationError("config key 'train.learning_rate' must be positive")
 
 
 @dataclass
@@ -238,7 +238,7 @@ def decode_verdict(raw: str) -> VerdictLabel:
     Exact match after trim and case-fold against the two choice words or
     their positional aliases; anything else raises, carrying the raw text.
     """
-    label = _DECODE_TABLE.get(raw.strip().casefold())
+    label = _DECODE_TABLE.get(raw.strip().casefold()) if isinstance(raw, str) else None
     if label is None:
         raise UndecodableGeneration(raw)
     return label
@@ -247,7 +247,7 @@ def decode_verdict(raw: str) -> VerdictLabel:
 def classify(claim: str, rationale: Rationale, backend: Text2TextBackend) -> VerdictPrediction:
     """Prompt the backend with (claim, rationale) and decode its verdict."""
     prompt = build_copa_prompt(claim, rationale)
-    raw = call_backend("classifier", backend, "generate", prompt.text)
+    raw = call_backend("classifier", backend.identity, backend.generate, prompt.text)
     return VerdictPrediction(
         record_id=rationale.record_id,
         label=decode_verdict(raw),
@@ -279,7 +279,7 @@ def _validation_f1(
     if not validation_pairs:
         return None
     golds = [decode_verdict(target) for _, target in validation_pairs]
-    preds = [decode_verdict(call_backend("classifier", backend, "generate", prompt))
+    preds = [decode_verdict(call_backend("classifier", backend.identity, backend.generate, prompt))
              for prompt, _ in validation_pairs]
     return macro_f1(preds, golds)
 
@@ -300,7 +300,7 @@ def fine_tune(
     """
     if not pairs:
         raise EmptyTrainingSet("no training pairs")
-    call = partial(call_backend, "classifier", backend)
+    call = partial(call_backend, "classifier", backend.identity)
     log = TrainLog(
         optimizer=config.optimizer,
         learning_rate=config.learning_rate,
@@ -308,7 +308,7 @@ def fine_tune(
         lr_schedule=config.lr_schedule,
     )
     if config.epochs == 0:
-        return call("snapshot"), log
+        return call(backend.snapshot), log
 
     rng = random.Random(config.seed)
     step = 0
@@ -319,7 +319,7 @@ def fine_tune(
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = call("train_step", batch)
+            loss = call(backend.train_step, batch)
             step += 1
             if step % config.eval_every_steps == 0:
                 f1 = _validation_f1(backend, validation_pairs)
@@ -329,7 +329,7 @@ def fine_tune(
                 ):
                     log.best_validation_f1 = f1
                     log.best_step = step
-                    best_state = call("snapshot")
+                    best_state = call(backend.snapshot)
 
     final_f1 = _validation_f1(backend, validation_pairs)
     if not log.entries or log.entries[-1].step != step:
@@ -344,6 +344,6 @@ def fine_tune(
         best_state = None  # final state is the best; no restore needed
 
     if best_state is not None:
-        call("restore", best_state)
+        call(backend.restore, best_state)
         return best_state, log
-    return call("snapshot"), log
+    return call(backend.snapshot), log

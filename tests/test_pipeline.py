@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError
+import re
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,16 @@ def test_config_missing_keys_rejected(tmp_path):
         pipeline.load_config(path)
 
 
+def test_readme_quick_start_config_loads_as_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start.*?```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(block, encoding="utf-8")
+    config = pipeline.load_config(path)
+    defaults = pipeline.load_config(write_config(tmp_path / "min.json", "c.jsonl", "out"))
+    assert config.config_hash == defaults.config_hash
+
+
 @pytest.mark.parametrize("key, value", [
     ("records", -1), ("records", 2.5), ("records", True), ("permutations", 0),
     ("permutations", "200"), ("granularity", "paragraph"),
@@ -78,19 +89,34 @@ def test_config_invalid_explain_settings_name_the_key(tmp_path, corpus20_path, k
         pipeline.load_config(path)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("summary", "max_tokens", "120"), ("summary", "backend_max_input", 1024.0),
+    ("train", "batch_size", True), ("train", "seed", None), ("train", "eval_every_steps", 0),
+])
+def test_config_non_integer_settings_name_the_key(tmp_path, corpus20_path, section, key, value):
+    path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out",
+                        **{section: {key: value}})
+    with pytest.raises(ValidationError, match=f"'{section}.{key}'"):
+        pipeline.load_config(path)
+
+
 def test_settings_are_frozen(fixture_config):
-    with pytest.raises(FrozenInstanceError):
-        fixture_config.explain.records = -1
-    with pytest.raises(FrozenInstanceError):
-        fixture_config.annotation.n = -1
+    sections = [fixture_config] + [getattr(fixture_config, f.name) for f in fields(fixture_config)
+                                   if is_dataclass(f.default_factory)]
+    assert len(sections) == 6
+    for section in sections:
+        first = fields(section)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, first, getattr(section, first))
 
 
 def test_unknown_backend_id_is_validation_error(fixture_config):
-    fixture_config.backends.summarizer = "no-such-backend"
-    pipeline.stage_ingest(fixture_config)
-    pipeline.stage_split(fixture_config)
+    config = replace(fixture_config,
+                     backends=replace(fixture_config.backends, summarizer="no-such-backend"))
+    pipeline.stage_ingest(config)
+    pipeline.stage_split(config)
     with pytest.raises(ValidationError, match="no-such-backend"):
-        pipeline.stage_rationales(fixture_config)
+        pipeline.stage_rationales(config)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +195,7 @@ def test_ingest_drops_fully_blocklisted_records(tmp_path):
 
 
 def test_limit_restricts_ingest(fixture_config):
-    fixture_config.limit = 5
-    assert pipeline.stage_ingest(fixture_config)["total"] == 5
+    assert pipeline.stage_ingest(replace(fixture_config, limit=5))["total"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +255,20 @@ class OutOfMemoryClassifier(MemorizingBackend):
         raise RuntimeError("model OOM")
 
 
+def _missing_weights():
+    raise RuntimeError("weights missing")
+
+
+# case: (registry, config role, backend id, factory, failing command, error text)
 BACKEND_FAILURES = {
-    "undecodable NLI output": ("NLI_BACKENDS", "nli", JunkNliBackend, "eval-nli", "banana"),
-    "classifier raising in train": ("CLASSIFIER_BACKENDS", "classifier", OutOfMemoryClassifier,
-                                    "train", "classifier 'stub-oom': model OOM"),
+    "undecodable NLI output": ("NLI_BACKENDS", "nli", "stub-junk", JunkNliBackend, "eval-nli",
+                               "banana"),
+    "classifier raising in train": ("CLASSIFIER_BACKENDS", "classifier", "stub-oom",
+                                    OutOfMemoryClassifier, "train",
+                                    "classifier 'stub-oom': model OOM"),
+    "summarizer factory raising": ("SUMMARIZER_BACKENDS", "summarizer", "stub-no-weights",
+                                   _missing_weights, "rationales",
+                                   "summarizer 'stub-no-weights': weights missing"),
 }
 
 
@@ -241,9 +276,8 @@ BACKEND_FAILURES = {
 def test_cli_backend_failure_exits_two(case, tmp_path, corpus20_path, capsys, monkeypatch):
     # The failing backend is only reached at the failing command; the whole
     # run uses its config so the provenance hashes line up.
-    registry, role, backend, command, message = BACKEND_FAILURES[case]
-    backend_id = backend().identity
-    monkeypatch.setitem(getattr(pipeline, registry), backend_id, backend)
+    registry, role, backend_id, factory, command, message = BACKEND_FAILURES[case]
+    monkeypatch.setitem(getattr(pipeline, registry), backend_id, factory)
     config = cli_config(tmp_path, corpus20_path, backends={role: backend_id})
     commands = ["ingest", "split", "rationales", "train", "predict", "nle", "eval-nli"]
     for cmd in commands[: commands.index(command)]:
@@ -350,7 +384,8 @@ def _drop_last_row(path):
 
 UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
 
-# case: (config keys, commands run first, artifact to damage, damage, command, error text)
+# case: (config keys, commands run first, artifact to damage, damage, command and flags,
+#        error text)
 MALFORMED_INPUTS = {
     "empty splits": ({}, UPSTREAM[:2], pipeline.SPLITS, lambda p: p.write_text(""),
                      "rationales", "splits.json line 1"),
@@ -378,6 +413,16 @@ MALFORMED_INPUTS = {
                               "'annotation.n'"),
     "string annotation n": ({"annotation": {"n": "5"}}, (), None, None, "ingest",
                             "'annotation.n'"),
+    "misspelled split_seed": ({"split_sed": 7}, (), None, None, "ingest", "'split_sed'"),
+    "misspelled blocklist_path": ({"blocklist": "x.txt"}, (), None, None, "ingest",
+                                  "'blocklist'"),
+    "negative limit": ({"limit": -3}, (), None, None, "ingest", "'limit'"),
+    "string limit": ({"limit": "5"}, (), None, None, "ingest", "'limit'"),
+    "list split_seed": ({"split_seed": [1]}, (), None, None, "ingest", "'split_seed'"),
+    "non-numeric ratios": ({"ratios": ["a", "b", "c"]}, (), None, None, "ingest", "'ratios'"),
+    "fractional epochs": ({"train": {"epochs": 2.5}}, (), None, None, "ingest",
+                          "'train.epochs'"),
+    "negative limit flag": ({}, (), None, None, "ingest --limit -1", "'limit'"),
 }
 
 
@@ -390,6 +435,6 @@ def test_cli_malformed_input_exits_one(case, tmp_path, corpus20_path, capsys):
     if damage is not None:
         damage(tmp_path / "out" / artifact)
     capsys.readouterr()
-    assert main([command, "--config", str(config)]) == 1
+    assert main([*command.split(), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

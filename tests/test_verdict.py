@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from claimcheck.corpus import VerdictLabel, parse_corpus
 from claimcheck.errors import EmptyInput
+from claimcheck.evaluation import UndecodableNliOutput, decode_nli
 from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate
 from claimcheck.verdict import (
     EmptyTrainingSet,
@@ -86,6 +87,16 @@ def test_decode_rejects_anything_else():
     with pytest.raises(UndecodableGeneration) as exc_info:
         decode_verdict("maybe")
     assert exc_info.value.raw == "maybe"
+
+
+@pytest.mark.parametrize("raw", [None, 3, b"Supports"])
+@pytest.mark.parametrize("decode, error", [
+    (decode_verdict, UndecodableGeneration), (decode_nli, UndecodableNliOutput),
+])
+def test_non_string_generation_is_undecodable(decode, error, raw):
+    with pytest.raises(error) as exc_info:
+        decode(raw)
+    assert exc_info.value.raw is raw
 
 
 # ---------------------------------------------------------------------------
