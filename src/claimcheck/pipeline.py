@@ -1,12 +1,12 @@
 """Stage-wise pipeline engine.
 
 One table, COMMANDS, declares every stage: the artifacts it needs and the
-function that turns them into new artifacts. For each stage the engine
-checks that the needed artifacts exist, reads and decodes them, refusing
-artifacts produced under a different configuration, writes what the
-stage returns, and appends a manifest entry hashing every file the stage
-read. Artifact files carry no timestamps, so a rerun with the same config
-and inputs is byte-identical.
+function that turns them into new artifacts; ARTIFACTS declares each file.
+For each stage the engine checks that the needed artifacts exist, reads each
+one's bytes once, refusing artifacts of a different configuration, decodes
+them, writes what the stage returns, and appends a manifest entry with the
+sha256 of the bytes it decoded. Artifact files carry no timestamps, so a
+rerun with the same config and inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import attribution, evaluation, nle, rationale, verdict
 from .corpus import (
@@ -65,36 +65,7 @@ ANNOTATION_SUMMARY = "annotation_summary.json"
 REPORT = "report.json"
 MANIFEST = "manifest.jsonl"
 
-# Store kind of every provenance-stamped artifact.
-KINDS = {
-    CORPUS_CLEAN: "corpus",
-    CORPUS_STATS: "stats",
-    SPLITS: "splits",
-    RATIONALES: "rationales",
-    MODEL_STATE: "model",
-    TRAIN_LOG: "train-log",
-    PREDICTIONS: "predictions",
-    NLES: "nles",
-    HIGHLIGHTS: "highlights",
-    EVAL_F1: "eval-f1",
-    EVAL_NLI: "eval-nli",
-    EVAL_REPORT: "eval-report",
-    ANNOTATION_SUMMARY: "annotation-summary",
-    REPORT: "report",
-}
 SPLIT_NAMES = ("train", "validation", "test")
-
-# Keys every document artifact a stage reads must hold, with their JSON
-# types; _read rejects a document that lacks one.
-DOC_KEYS: dict[str, dict[str, type | tuple[type, ...]]] = {
-    CORPUS_STATS: {"total": int, "per_label": dict,
-                   "mean_claim_tokens": (int, float), "mean_evidence_tokens": (int, float)},
-    SPLITS: dict.fromkeys(SPLIT_NAMES, list),
-    MODEL_STATE: {"backend_id": str, "state": dict},
-    EVAL_F1: {"macro_f1": dict, "scored": dict},
-    EVAL_NLI: {"total": int, "counts": dict, "percentages": dict},
-    ANNOTATION_SUMMARY: {"per_system": dict, "per_annotator": dict},
-}
 
 # Published shape of the benchmark release; ingest prints a comparison
 # when the cleaned corpus reproduces it.
@@ -288,52 +259,74 @@ def append_manifest(config: PipelineConfig, stage: str, config_hash: str,
 
 
 # ---------------------------------------------------------------------------
-# Artifact decoding
+# Artifacts
 
 
-# Record stores decode into {key field: typed record}, in file order.
-_ROW_TYPES: dict[str, tuple[str, Callable[[dict], object]]] = {
-    CORPUS_CLEAN: ("id", ClaimRecord.from_row),
-    RATIONALES: ("record_id", rationale.Rationale.from_row),
-    PREDICTIONS: ("record_id", verdict.VerdictPrediction.from_row),
-    NLES: ("record_id", lambda row: nle.nle_from_row(row["record_id"], row["text"])),
+class Artifact(NamedTuple):
+    kind: str | None = None  # header kind; None: no header, the text is written as given
+    key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
+    from_row: Callable[[dict], object] | None = None
+    keys: Mapping[str, type | tuple[type, ...]] = {}  # documents: required keys, JSON types
+
+
+ARTIFACTS: dict[str, Artifact] = {
+    CORPUS_CLEAN: Artifact("corpus", "id", ClaimRecord.from_row),
+    CORPUS_STATS: Artifact("stats", keys={"total": int, "per_label": dict, "mean_claim_tokens":
+                                          (int, float), "mean_evidence_tokens": (int, float)}),
+    SPLITS: Artifact("splits", keys=dict.fromkeys(SPLIT_NAMES, list)),
+    RATIONALES: Artifact("rationales", "record_id", rationale.Rationale.from_row),
+    MODEL_STATE: Artifact("model", keys={"backend_id": str, "state": dict}),
+    TRAIN_LOG: Artifact("train-log"),
+    PREDICTIONS: Artifact("predictions", "record_id", verdict.VerdictPrediction.from_row),
+    NLES: Artifact("nles", "record_id", lambda r: nle.nle_from_row(r["record_id"], r["text"])),
+    HIGHLIGHTS: Artifact("highlights"),
+    HIGHLIGHTS_HTML: Artifact(),
+    EVAL_F1: Artifact("eval-f1", keys={"macro_f1": dict, "scored": dict}),
+    EVAL_NLI: Artifact("eval-nli", keys={"total": int, "counts": dict, "percentages": dict}),
+    EVAL_REPORT: Artifact("eval-report"),
+    ANNOTATION_TASKS: Artifact(),
+    ANNOTATION_SUMMARY: Artifact("annotation-summary",
+                                 keys={"per_system": dict, "per_annotator": dict}),
+    REPORT: Artifact("report"),
 }
 
 
-def _read(config: PipelineConfig, name: str, config_hash: str):
-    """Read, provenance-check, and decode one artifact of the output directory."""
-    path = config.artifact(name)
-    if name not in _ROW_TYPES:
-        doc = read_doc(path, KINDS[name], config_hash)
-        for key, kind in DOC_KEYS.get(name, {}).items():
+def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
+    """Read one artifact's bytes once; return their sha256 and the checked, decoded value."""
+    path, spec = config.artifact(name), ARTIFACTS[name]
+    if spec.key is None:
+        digest, doc = read_doc(path, spec.kind, config_hash)
+        for key, kind in spec.keys.items():
             if not isinstance(doc.get(key), kind):
                 raise CorruptArtifact(path, f"key {key!r} is missing or has the wrong type")
-        return doc
-    key, from_row = _ROW_TYPES[name]
+        return digest, doc
+    digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
-    for line, row in enumerate(read_records(path, KINDS[name], config_hash), start=2):
+    for line, row in rows:
         try:
-            decoded[row[key]] = from_row(row)
+            record_id, record = row[spec.key], spec.from_row(row)
+            repeated = record_id in decoded
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
-    return decoded
+        if repeated:
+            raise CorruptArtifact(path, f"repeated {spec.key} {record_id!r}", line)
+        decoded[record_id] = record
+    return digest, decoded
 
 
 def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> None:
-    path = config.artifact(name)
-    if name.endswith(".jsonl"):
-        write_records(path, KINDS[name], config_hash, payload)
-    elif name.endswith(".json"):
-        write_doc(path, KINDS[name], config_hash, payload)
-    else:
+    path, spec = config.artifact(name), ARTIFACTS[name]
+    if spec.kind is None:
         with atomic_open(path) as fh:
             fh.write(payload)
+    else:
+        (write_records if spec.key else write_doc)(path, spec.kind, config_hash, payload)
 
 
 # ---------------------------------------------------------------------------
 # Stage functions: fn(config, config_hash, *decoded needs, **command args)
 # returns (summary, {artifact file name: payload}) plus, for stages that read
-# files outside the output directory, {manifest key: path}.
+# files outside the output directory, {manifest key: sha256}.
 
 
 def _ingest(config: PipelineConfig, config_hash: str):
@@ -342,13 +335,13 @@ def _ingest(config: PipelineConfig, config_hash: str):
     if config.limit is not None:
         records = records[: config.limit]
 
-    sources = {"corpus": config.corpus_path}
+    sources = {"corpus": file_sha256(config.corpus_path)}
     dropped: list[str] = []
     if config.blocklist_path:
         blocklist = SourceBlocklist.from_file(config.blocklist_path)
         if not blocklist.outlets:
             raise ValidationError(f"blocklist {config.blocklist_path} is empty")
-        sources["blocklist"] = config.blocklist_path
+        sources["blocklist"] = file_sha256(config.blocklist_path)
         kept = []
         for record in records:
             try:
@@ -530,7 +523,7 @@ def _annotate_export(config, config_hash, records, splits, nles, n=None):
 
 def _annotate_aggregate(config, config_hash, files):
     payload = asdict(evaluation.aggregate_annotations(files))
-    return payload, {ANNOTATION_SUMMARY: payload}, {Path(f).name: f for f in files}
+    return payload, {ANNOTATION_SUMMARY: payload}, {Path(f).name: file_sha256(f) for f in files}
 
 
 def _report(config, config_hash, f1, nli):
@@ -538,9 +531,8 @@ def _report(config, config_hash, f1, nli):
     payload = {**_report_core(f1, nli), "annotation": None}
     sources = {}
     if config.artifact(ANNOTATION_SUMMARY).exists():
-        annotation = _read(config, ANNOTATION_SUMMARY, config_hash)
+        sources["annotation_summary"], annotation = _read(config, ANNOTATION_SUMMARY, config_hash)
         payload["annotation"] = {k: annotation[k] for k in ("per_system", "per_annotator")}
-        sources["annotation_summary"] = config.artifact(ANNOTATION_SUMMARY)
     return payload, {REPORT: payload}, sources
 
 
@@ -581,20 +573,21 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
 
 def run_command(config: PipelineConfig, name: str, **args) -> dict:
     """Run one table entry: check, read and decode its needs, write its
-    outputs, and stamp a manifest entry hashing every file it read."""
+    outputs, and stamp a manifest entry with the sha256 of every file it read."""
     stage = COMMANDS[name]
     for need in stage.needs:
         if not config.artifact(need).exists():
             raise MissingUpstreamArtifact(stage.name, config.artifact(need))
     config_hash = config.config_hash
-    inputs = [_read(config, need, config_hash) for need in stage.needs]
+    input_hashes, inputs = {}, []
+    for need in stage.needs:
+        input_hashes[Path(need).stem], value = _read(config, need, config_hash)
+        inputs.append(value)
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
     for output, payload in outputs.items():
         _write(config, output, config_hash, payload)
     if outputs:
-        input_hashes = {Path(n).stem: file_sha256(config.artifact(n)) for n in stage.needs}
-        for extra in sources:
-            input_hashes.update({key: file_sha256(path) for key, path in extra.items()})
+        input_hashes.update(*sources)
         append_manifest(config, stage.name, config_hash, input_hashes)
     return summary
 

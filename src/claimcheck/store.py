@@ -75,20 +75,23 @@ def write_records(path: str | Path, kind: str, config_hash: str, records: Iterab
             fh.write(_dump(record) + "\n")
 
 
-def _read_text(path: Path, kind: str) -> str:
-    if not path.exists():
-        raise MissingUpstreamArtifact(kind, path)
+def _read_text(path: Path) -> tuple[str, str]:
+    """Read a file's bytes once; return their sha256 and their UTF-8 text."""
+    data = path.read_bytes()
     try:
-        return path.read_text(encoding="utf-8")
+        return hashlib.sha256(data).hexdigest(), data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptArtifact(path, f"not UTF-8 text ({exc.reason})") from exc
 
 
-def read_records(path: str | Path, kind: str, config_hash: str) -> list[dict]:
+def read_records(path: str | Path, kind: str, config_hash: str) -> tuple[str, list]:
+    """Return the store's sha256 and its (file line number, record) pairs, skipping blank lines."""
     path = Path(path)
-    header, *lines = _read_text(path, kind).split("\n")
+    digest, text = _read_text(path)
+    header, *lines = text.split("\n")
     _check_header(path, _loads(path, header, 1), kind, config_hash)
-    return [_loads(path, line, number) for number, line in enumerate(lines, start=2) if line.strip()]
+    return digest, [(number, _loads(path, line, number))
+                    for number, line in enumerate(lines, start=2) if line.strip()]
 
 
 def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> None:
@@ -98,11 +101,13 @@ def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> N
         fh.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
-def read_doc(path: str | Path, kind: str, config_hash: str) -> dict:
+def read_doc(path: str | Path, kind: str, config_hash: str) -> tuple[str, dict]:
+    """Return the document's sha256 and the document."""
     path = Path(path)
-    doc = _loads(path, _read_text(path, kind), 1)
+    digest, text = _read_text(path)
+    doc = _loads(path, text, 1)
     _check_header(path, doc, kind, config_hash)
-    return doc
+    return digest, doc
 
 
 def _check_header(path: Path, header, kind: str, config_hash: str) -> None:
