@@ -46,3 +46,9 @@ def check_int(key: str, value, least: int | None = None) -> None:
     bound = "" if least is None else f" >= {least}"
     if not isinstance(value, int) or isinstance(value, bool) or (bound and value < least):
         raise ValidationError(f"config key {key!r} must be an integer{bound}, got {value!r}")
+
+
+def check_str(key: str, value) -> None:
+    """Require a string, naming the config key."""
+    if not isinstance(value, str):
+        raise ValidationError(f"config key {key!r} must be a string, got {value!r}")

@@ -32,7 +32,7 @@ from .corpus import (
     split_corpus,
     EmptyEvidenceAfterFilter,
 )
-from .errors import BackendFailure, ValidationError, call_backend, check_int
+from .errors import BackendFailure, ValidationError, call_backend, check_int, check_str
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
@@ -106,6 +106,10 @@ class BackendIds:
     classifier: str = "stub-memorizing"
     nli: str = "stub-nli"
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_str(f"backends.{f.name}", getattr(self, f.name))
+
 
 @dataclass(frozen=True)
 class ExplainSettings:
@@ -153,6 +157,10 @@ class PipelineConfig:
     limit: int | None = None  # fixture runs: keep only the first N records
 
     def __post_init__(self):
+        check_str("corpus_path", self.corpus_path)
+        check_str("output_dir", self.output_dir)
+        if self.blocklist_path is not None:
+            check_str("blocklist_path", self.blocklist_path)
         if not (isinstance(self.ratios, tuple) and len(self.ratios) == 3
                 and all(type(r) in (int, float) for r in self.ratios)):
             raise ValidationError(f"config key 'ratios' must be three numbers, got {self.ratios!r}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -202,11 +203,14 @@ def test_limit_restricts_ingest(fixture_config):
 # CLI surface
 
 
-def cli_config(tmp_path, corpus_path, **extra):
+def cli_config(tmp_path, corpus, **extra):
+    """Write a config with the default blocklist; `extra` keys replace any key, paths included."""
     out = tmp_path / "out"
     out.mkdir(exist_ok=True)
-    return write_config(tmp_path / "config.json", corpus_path, out,
-                        blocklist_path=str(default_blocklist_path()), **extra)
+    path = write_config(tmp_path / "config.json", corpus, out,
+                        blocklist_path=str(default_blocklist_path()))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **extra}))
+    return path
 
 
 def test_cli_ingest_prints_stats(tmp_path, corpus20_path, capsys):
@@ -348,6 +352,31 @@ def test_manifest_hashes_exactly_each_stages_declared_inputs(fixture_config):
         assert entry["input_hashes"] == expected, entry["stage"]
 
 
+def test_manifest_hashes_the_bytes_the_stage_decoded(fixture_config, monkeypatch):
+    pipeline.stage_ingest(fixture_config)
+    corpus = fixture_config.artifact(pipeline.CORPUS_CLEAN)
+    original = corpus.read_bytes()
+    split = pipeline.COMMANDS["split"]
+
+    def split_then_edit_input(config, config_hash, records):
+        result = split.fn(config, config_hash, records)
+        corpus.write_bytes(original + b"\n")  # the file changes after it was decoded
+        return result
+
+    monkeypatch.setitem(pipeline.COMMANDS, "split", split._replace(fn=split_then_edit_input))
+    pipeline.stage_split(fixture_config)
+    entry = json.loads(fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()[-1])
+    assert entry["input_hashes"]["corpus_clean"] == hashlib.sha256(original).hexdigest()
+
+
+def test_file_sha256_hashes_only_inputs_from_outside_the_output_dir(fixture_config, monkeypatch):
+    hashed = []
+    monkeypatch.setattr(pipeline, "file_sha256",
+                        lambda path: hashed.append(path) or file_sha256(path))
+    pipeline.run_all(fixture_config)
+    assert hashed == [fixture_config.corpus_path, fixture_config.blocklist_path]
+
+
 # ---------------------------------------------------------------------------
 # Malformed inputs end as exit 1 with an error line, never a traceback
 
@@ -380,6 +409,20 @@ def _set_model_state(state):
 
 def _drop_last_row(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _blank_line_then_drop_claim_of_file_line_7(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(2, "\n")
+    row = json.loads(lines[6])
+    del row["claim"]
+    lines[6] = json.dumps(row) + "\n"
+    path.write_text("".join(lines))
+
+
+def _repeat_last_row(path):
+    text = path.read_text()
+    path.write_text(text + text.splitlines(keepends=True)[-1])
 
 
 UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
@@ -423,6 +466,17 @@ MALFORMED_INPUTS = {
     "fractional epochs": ({"train": {"epochs": 2.5}}, (), None, None, "ingest",
                           "'train.epochs'"),
     "negative limit flag": ({}, (), None, None, "ingest --limit -1", "'limit'"),
+    "row after a blank line missing claim": ({}, UPSTREAM[:1], pipeline.CORPUS_CLEAN,
+                                             _blank_line_then_drop_claim_of_file_line_7, "split",
+                                             "corpus_clean.jsonl line 7: bad record"),
+    "repeated rationale": ({}, UPSTREAM[:3], pipeline.RATIONALES, _repeat_last_row, "train",
+                           "rationales.jsonl line 22: repeated record_id"),
+    "integer output_dir": ({"output_dir": 5}, (), None, None, "ingest", "'output_dir'"),
+    "list corpus_path": ({"corpus_path": []}, (), None, None, "ingest", "'corpus_path'"),
+    "integer blocklist_path": ({"blocklist_path": 7}, (), None, None, "ingest",
+                               "'blocklist_path'"),
+    "object summarizer id": ({"backends": {"summarizer": {}}}, (), None, None, "rationales",
+                             "'backends.summarizer'"),
 }
 
 
