@@ -5,8 +5,10 @@ function that turns them into new artifacts; ARTIFACTS declares each file.
 For each stage the engine checks that the needed artifacts exist, reads each
 one's bytes once, refusing artifacts of a different configuration, decodes
 them, writes what the stage returns, and appends a manifest entry with the
-sha256 of the bytes it decoded. Artifact files carry no timestamps, so a
-rerun with the same config and inputs is byte-identical.
+sha256 of the bytes it decoded. Stages get read-only inputs. Within run_all a
+RunTable decodes each artifact once, and a later reader gets the decoded value
+only if the file's bytes still hash the same. Artifact files carry no
+timestamps, so a rerun with the same config and inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import attribution, evaluation, nle, rationale, verdict
 from .corpus import (
@@ -299,15 +303,15 @@ ARTIFACTS: dict[str, Artifact] = {
 }
 
 
-def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
-    """Read one artifact's bytes once; return their sha256 and the checked, decoded value."""
+def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
+    """Read one artifact's bytes once; return their sha256 and the checked, read-only value."""
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.key is None:
         digest, doc = read_doc(path, spec.kind, config_hash)
         for key, kind in spec.keys.items():
             if not isinstance(doc.get(key), kind):
                 raise CorruptArtifact(path, f"key {key!r} is missing or has the wrong type")
-        return digest, doc
+        return digest, MappingProxyType(doc)
     digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
     for line, row in rows:
@@ -319,7 +323,7 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, obj
         if repeated:
             raise CorruptArtifact(path, f"repeated {spec.key} {record_id!r}", line)
         decoded[record_id] = record
-    return digest, decoded
+    return digest, MappingProxyType(decoded)
 
 
 def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> None:
@@ -579,17 +583,48 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
 )}
 
 
-def run_command(config: PipelineConfig, name: str, **args) -> dict:
-    """Run one table entry: check, read and decode its needs, write its
-    outputs, and stamp a manifest entry with the sha256 of every file it read."""
+class RunTable:
+    """The decoded artifacts of one run_all, keyed by (name, sha256 of the bytes, config hash).
+
+    A later reader re-hashes the file and gets the held value only under the same
+    key; other bytes are decoded and checked afresh, so a file rewritten between
+    commands is never hidden. An entry is dropped after its last reader in `commands`.
+    """
+
+    def __init__(self, commands: Iterable[str]):
+        self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
+        self.entries: dict[tuple[str, str, str], tuple[str, Mapping]] = {}
+
+    def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
+        """Like _read: the sha256 of the bytes read and the read-only value."""
+        held = [key for key in self.entries if key[0] == name]
+        hit = None
+        if held:  # the file may have changed since it was decoded
+            digest = sha256(config.artifact(name).read_bytes()).hexdigest()
+            hit = self.entries.get((name, digest, config_hash))
+        for key in held:
+            del self.entries[key]
+        digest, value = hit or _read(config, name, config_hash)
+        self.readers[name] -= 1
+        if self.readers[name] > 0:
+            self.entries[name, digest, config_hash] = digest, value
+        return digest, value
+
+
+def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
+                **args) -> dict:
+    """Run one table entry: check, read and decode its needs (through `table` if
+    given), write its outputs, and stamp a manifest entry with the sha256 of every
+    file it read."""
     stage = COMMANDS[name]
     for need in stage.needs:
         if not config.artifact(need).exists():
             raise MissingUpstreamArtifact(stage.name, config.artifact(need))
     config_hash = config.config_hash
+    read = _read if table is None else table.read
     input_hashes, inputs = {}, []
     for need in stage.needs:
-        input_hashes[Path(need).stem], value = _read(config, need, config_hash)
+        input_hashes[Path(need).stem], value = read(config, need, config_hash)
         inputs.append(value)
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
     for output, payload in outputs.items():
@@ -600,21 +635,25 @@ def run_command(config: PipelineConfig, name: str, **args) -> dict:
     return summary
 
 
-def stage_eval(config: PipelineConfig) -> dict:
-    """Both evaluation halves, then the eval report that merges them."""
-    run_command(config, "eval-f1")
-    run_command(config, "eval-nli")
-    return run_command(config, "eval-report")
+def _run_commands(config: PipelineConfig, names: tuple[str, ...],
+                  table: RunTable | None = None) -> dict:
+    """Run the named commands in order; return the last one's summary."""
+    for name in names:
+        summary = run_command(config, name, table=table)
+    return summary
 
 
 stage_ingest = partial(run_command, name="ingest")
 
-# run_all order after ingest; each value is f(config).
-STAGES: dict[str, Callable[[PipelineConfig], dict]] = {
-    **{name: partial(run_command, name=name)
-       for name in ("split", "rationales", "train", "predict", "nle", "explain")},
-    "eval": stage_eval,
+# run_all's steps after ingest, in order, and the commands each runs: eval runs
+# both evaluation halves, then the eval report that merges them.
+STEPS: dict[str, tuple[str, ...]] = {
+    **{name: (name,) for name in ("split", "rationales", "train", "predict", "nle", "explain")},
+    "eval": ("eval-f1", "eval-nli", "eval-report"),
 }
+# Each value is f(config, table=None).
+STAGES: dict[str, Callable[..., dict]] = {
+    step: partial(_run_commands, names=names) for step, names in STEPS.items()}
 stage_split = STAGES["split"]
 stage_rationales = STAGES["rationales"]
 
@@ -627,8 +666,9 @@ def run_stage(config: PipelineConfig, stage: str) -> dict:
 
 
 def run_all(config: PipelineConfig) -> dict[str, dict]:
-    """Ingest followed by every stage, in dependency order."""
+    """Ingest followed by every stage, in dependency order, sharing one RunTable."""
+    table = RunTable(name for names in STEPS.values() for name in names)
     summaries = {"ingest": stage_ingest(config)}
-    for stage in STAGES:
-        summaries[stage] = run_stage(config, stage)
+    for stage in STEPS:
+        summaries[stage] = STAGES[stage](config, table=table)
     return summaries

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -12,7 +13,12 @@ from claimcheck import pipeline
 from claimcheck.cli import main
 from claimcheck.corpus import default_blocklist_path
 from claimcheck.errors import ValidationError
-from claimcheck.store import ArtifactMismatch, MissingUpstreamArtifact, file_sha256
+from claimcheck.store import (
+    ArtifactMismatch,
+    CorruptArtifact,
+    MissingUpstreamArtifact,
+    file_sha256,
+)
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
 from helpers import make_rows, write_config, write_corpus
@@ -375,6 +381,133 @@ def test_file_sha256_hashes_only_inputs_from_outside_the_output_dir(fixture_conf
                         lambda path: hashed.append(path) or file_sha256(path))
     pipeline.run_all(fixture_config)
     assert hashed == [fixture_config.corpus_path, fixture_config.blocklist_path]
+
+
+# ---------------------------------------------------------------------------
+# run_all decodes each artifact once, and never hides a rewrite
+
+
+def _run_all_reads():
+    """artifact name -> how many commands of run_all read it."""
+    return Counter(need for names in pipeline.STEPS.values() for name in names
+                   for need in pipeline.COMMANDS[name].needs)
+
+
+def test_run_all_decodes_each_artifact_once(fixture_config, monkeypatch):
+    decoded = Counter()
+    for reader in ("read_records", "read_doc"):
+        original = getattr(pipeline, reader)
+        monkeypatch.setattr(pipeline, reader, lambda path, *rest, original=original:
+                            decoded.update([Path(path).name]) or original(path, *rest))
+    pipeline.run_all(fixture_config)
+    assert max(_run_all_reads().values()) > 1  # several commands read the same file
+    assert decoded == dict.fromkeys(_run_all_reads(), 1)
+
+
+def test_run_table_holds_an_artifact_only_until_its_last_reader(fixture_config, monkeypatch):
+    tables, held = [], {}
+
+    class RecordingTable(pipeline.RunTable):
+        def __init__(self, commands):
+            super().__init__(commands)
+            tables.append(self)
+
+        def read(self, config, name, config_hash):
+            result = super().read(config, name, config_hash)
+            held.setdefault(name, []).append(any(key[0] == name for key in self.entries))
+            return result
+
+    monkeypatch.setattr(pipeline, "RunTable", RecordingTable)
+    pipeline.run_all(fixture_config)
+    assert {name: len(after_each_read) for name, after_each_read in held.items()} \
+        == _run_all_reads()
+    for name, after_each_read in held.items():
+        assert after_each_read == [True] * (len(after_each_read) - 1) + [False], name
+    assert len(tables) == 1 and tables[0].entries == {}
+
+
+def _damage_corpus_after(command, damage, monkeypatch):
+    """Make `command` damage corpus_clean.jsonl once it has written its own outputs."""
+    stage = pipeline.COMMANDS[command]
+
+    def run_then_damage(config, config_hash, *inputs):
+        result = stage.fn(config, config_hash, *inputs)
+        damage(config.artifact(pipeline.CORPUS_CLEAN))
+        return result
+
+    monkeypatch.setitem(pipeline.COMMANDS, command, stage._replace(fn=run_then_damage))
+
+
+def test_run_all_decodes_an_artifact_rewritten_between_commands(fixture_config, monkeypatch):
+    def edit_first_claim(path):
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        row = json.loads(first)
+        row["claim"] = "an edited claim."
+        path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
+        edited.update(id=row["id"], digest=hashlib.sha256(path.read_bytes()).hexdigest())
+
+    edited, seen = {}, {}
+    eval_nli = pipeline.COMMANDS["eval-nli"]
+
+    def record_claims(config, config_hash, records, splits, nles):
+        seen.update({i: r.claim for i, r in records.items()})
+        return eval_nli.fn(config, config_hash, records, splits, nles)
+
+    _damage_corpus_after("nle", edit_first_claim, monkeypatch)
+    monkeypatch.setitem(pipeline.COMMANDS, "eval-nli", eval_nli._replace(fn=record_claims))
+    pipeline.run_all(fixture_config)
+    assert seen[edited["id"]] == "an edited claim."
+    entries = [json.loads(line) for line in
+               fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()]
+    stamped = {e["stage"]: e["input_hashes"].get("corpus_clean") for e in entries}
+    assert stamped["eval-nli"] == stamped["explain"] == edited["digest"]
+    assert stamped["predict"] != edited["digest"]
+
+
+def test_run_all_rejects_an_artifact_truncated_between_commands(fixture_config, monkeypatch):
+    _damage_corpus_after("nle", _cut_in_half, monkeypatch)
+    with pytest.raises(CorruptArtifact, match="corpus_clean.jsonl line"):
+        pipeline.run_all(fixture_config)
+
+
+def test_stages_get_read_only_inputs(fixture_config, monkeypatch):
+    eval_f1 = pipeline.COMMANDS["eval-f1"]
+
+    def assign_into_inputs(config, config_hash, records, splits, predictions):
+        for store in (records, predictions):
+            with pytest.raises(TypeError):
+                store["c99999"] = next(iter(store.values()))
+        with pytest.raises(TypeError):
+            splits["test"] = []
+        assigned.append(True)
+        return eval_f1.fn(config, config_hash, records, splits, predictions)
+
+    assigned = []
+    monkeypatch.setitem(pipeline.COMMANDS, "eval-f1", eval_f1._replace(fn=assign_into_inputs))
+    pipeline.run_all(fixture_config)
+    pipeline.STAGES["eval"](fixture_config)  # the path without a table
+    assert assigned == [True, True]
+
+
+def test_run_all_matches_stages_run_one_by_one_through_the_cli(fixture_config, tmp_path):
+    pipeline.run_all(fixture_config)
+    out = tmp_path / "cli-out"
+    config = write_config(tmp_path / "cli.json", fixture_config.corpus_path, out,
+                          blocklist_path=fixture_config.blocklist_path)
+    assert main(["ingest", "--config", str(config)]) == 0
+    for stage in pipeline.STAGES:
+        assert main(["run", "--stage", stage, "--config", str(config)]) == 0
+
+    def artifacts(directory):
+        return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())
+                if p.name != pipeline.MANIFEST}
+
+    def stamps(directory):
+        return [(e["stage"], e["input_hashes"]) for e in map(
+            json.loads, (Path(directory) / pipeline.MANIFEST).read_text().splitlines())]
+
+    assert artifacts(out) == artifacts(fixture_config.output_dir)
+    assert stamps(out) == stamps(fixture_config.output_dir)
 
 
 # ---------------------------------------------------------------------------
