@@ -36,7 +36,14 @@ from .corpus import (
     split_corpus,
     EmptyEvidenceAfterFilter,
 )
-from .errors import BackendFailure, ValidationError, call_backend, check_int, check_str
+from .errors import (
+    BackendFailure,
+    ValidationError,
+    call_backend,
+    check_int,
+    check_str,
+    config_value,
+)
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
@@ -128,7 +135,7 @@ class ExplainSettings:
         if self.granularity not in ("sentence", "token"):
             raise ValidationError(
                 "config key 'explain.granularity' must be 'sentence' or 'token', "
-                f"got {self.granularity!r}"
+                f"got {config_value(self.granularity)}"
             )
 
 
@@ -167,7 +174,8 @@ class PipelineConfig:
             check_str("blocklist_path", self.blocklist_path)
         if not (isinstance(self.ratios, tuple) and len(self.ratios) == 3
                 and all(type(r) in (int, float) for r in self.ratios)):
-            raise ValidationError(f"config key 'ratios' must be three numbers, got {self.ratios!r}")
+            raise ValidationError("config key 'ratios' must be three numbers, "
+                                  f"got {config_value(self.ratios)}")
         check_int("split_seed", self.split_seed)
         if self.limit is not None:
             check_int("limit", self.limit, 0)
@@ -223,7 +231,7 @@ def _build(cls, raw, where: str):
     `where`. Each class's __post_init__ checks the values.
     """
     if not isinstance(raw, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {raw!r}")
+        raise ValidationError(f"{where} must be a JSON object, got {config_value(raw)}")
     nested = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
     values = {
         key: _build(nested[key], value, f"config key {key!r}") if key in nested

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Sequence
 
 from .corpus import ClaimRecord, VerdictLabel
-from .errors import BackendError, EmptyInput, ValidationError, call_backend, check_int
+from .errors import BackendError, EmptyInput, ValidationError, call_backend, check_int, check_number
 from .rationale import Rationale
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
@@ -108,8 +108,8 @@ class TrainConfig:
         check_int("train.epochs", self.epochs, 0)
         check_int("train.eval_every_steps", self.eval_every_steps, 1)
         check_int("train.seed", self.seed)
-        if self.learning_rate <= 0:
-            raise ValidationError("config key 'train.learning_rate' must be positive")
+        check_number("train.learning_rate", self.learning_rate, positive=True)
+        check_number("train.weight_decay", self.weight_decay)
 
 
 @dataclass

@@ -610,6 +610,14 @@ MALFORMED_INPUTS = {
                                "'blocklist_path'"),
     "object summarizer id": ({"backends": {"summarizer": {}}}, (), None, None, "rationales",
                              "'backends.summarizer'"),
+    "empty list corpus_path quoted as written": ({"corpus_path": []}, (), None, None, "ingest",
+                                                 "'corpus_path' must be a string, got []"),
+    "mixed ratios quoted as written": ({"ratios": ["a", 1, None]}, (), None, None, "ingest",
+                                       "'ratios' must be three numbers, got [\"a\", 1, null]"),
+    "boolean learning_rate": ({"train": {"learning_rate": True}}, (), None, None, "ingest",
+                              "'train.learning_rate' must be a positive number, got true"),
+    "boolean weight_decay": ({"train": {"weight_decay": False}}, (), None, None, "ingest",
+                             "'train.weight_decay' must be a number, got false"),
 }
 
 
