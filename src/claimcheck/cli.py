@@ -38,10 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="claimcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for stage in pipeline.COMMANDS.values():
-        if stage.help:
-            cmd = sub.add_parser(stage.name, help=stage.help)
-            _add_common(cmd)
-            cmd.set_defaults(run=partial(pipeline.run_command, name=stage.name))
+        cmd = sub.add_parser(stage.name, help=stage.help)
+        _add_common(cmd)
+        cmd.set_defaults(run=partial(pipeline.run_command, name=stage.name))
     sub.choices["ingest"].set_defaults(printer=_print_ingest)
     sub.choices["annotate-export"].add_argument("--n", type=int, default=None,
                                                 help="number of tasks to sample")

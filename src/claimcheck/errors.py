@@ -5,6 +5,10 @@ code 2; everything raised by the library derives from one of them.
 """
 
 import json
+from dataclasses import is_dataclass
+from functools import cache
+from types import UnionType
+from typing import Callable, Literal, Union, get_args, get_origin, get_type_hints
 
 
 class PipelineError(Exception):
@@ -48,23 +52,48 @@ def config_value(value) -> str:
     return json.dumps(value, ensure_ascii=False, default=repr)
 
 
-def check_int(key: str, value, least: int | None = None) -> None:
-    """Require an int (not a bool), at least `least` when given, naming the config key."""
-    bound = "" if least is None else f" >= {least}"
-    if not isinstance(value, int) or isinstance(value, bool) or (bound and value < least):
-        raise ValidationError(f"config key {key!r} must be an integer{bound}, "
+_hints = cache(get_type_hints)  # settings class -> its field annotations, resolved
+
+
+def check_fields(settings, section: str = "") -> None:
+    """Check each field of dataclass `settings` against its annotation, the config's type schema.
+
+    A mismatch is a ValidationError naming the key `section.field`. A bool is never an int or
+    a float; a float field takes an int. `X | None`, tuples of one scalar type, `Literal` of
+    strings and nested settings classes are understood; another annotation is a TypeError."""
+    for name, hint in _hints(type(settings)).items():
+        (fits, wanted), value = _rule(hint), getattr(settings, name)
+        if not fits(value):
+            key = f"{section}.{name}" if section else name
+            raise ValidationError(f"config key {key!r} must be {wanted}, got {config_value(value)}")
+
+
+@cache
+def _rule(hint) -> tuple[Callable[[object], bool], str]:
+    """(does a value fit annotation `hint`, what the value must be)"""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return lambda v: isinstance(v, str) and v in args, " or ".join(map(config_value, args))
+    if origin in (Union, UnionType):
+        rules = [_rule(arg) for arg in args]
+        return lambda v: any(fits(v) for fits, _ in rules), " or ".join(w for _, w in rules)
+    if origin is tuple and set(args) in ({str}, {int}, {float}):  # e.g. "three numbers"
+        fits, wanted = _rule(args[0])
+        count = ("no", "one", "two", "three")[len(args)] if len(args) < 4 else len(args)
+        return (lambda v: isinstance(v, tuple) and len(v) == len(args) and all(map(fits, v)),
+                f"{count} {wanted.split()[-1]}s")
+    if is_dataclass(hint):
+        return lambda v: isinstance(v, hint), f"{hint.__name__} settings"
+    scalars = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
+               type(None): (type(None), "null")}
+    if hint not in scalars:
+        raise TypeError(f"check_fields cannot check a value against {hint!r}")
+    kind, wanted = scalars[hint]
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool), wanted
+
+
+def check_range(key: str, value, least, strict: bool = False) -> None:
+    """Require a value check_fields has typed to be >= `least`, or > `least` if `strict`."""
+    if not (value > least if strict else value >= least):
+        raise ValidationError(f"config key {key!r} must be {'>' if strict else '>='} {least}, "
                               f"got {config_value(value)}")
-
-
-def check_number(key: str, value, positive: bool = False) -> None:
-    """Require an int or float (not a bool), positive when asked, naming the config key."""
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or (positive and not value > 0)):
-        kind = "a positive number" if positive else "a number"
-        raise ValidationError(f"config key {key!r} must be {kind}, got {config_value(value)}")
-
-
-def check_str(key: str, value) -> None:
-    """Require a string, naming the config key."""
-    if not isinstance(value, str):
-        raise ValidationError(f"config key {key!r} must be a string, got {config_value(value)}")

@@ -23,7 +23,7 @@ from functools import partial
 from hashlib import sha256
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 from . import attribution, evaluation, nle, rationale, verdict
 from .corpus import (
@@ -40,8 +40,8 @@ from .errors import (
     BackendFailure,
     ValidationError,
     call_backend,
-    check_int,
-    check_str,
+    check_fields,
+    check_range,
     config_value,
 )
 from .store import (
@@ -73,7 +73,6 @@ EVAL_NLI = "eval_nli.json"
 EVAL_REPORT = "eval_report.json"
 ANNOTATION_TASKS = "annotation_tasks.tsv"
 ANNOTATION_SUMMARY = "annotation_summary.json"
-REPORT = "report.json"
 MANIFEST = "manifest.jsonl"
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -118,8 +117,7 @@ class BackendIds:
     nli: str = "stub-nli"
 
     def __post_init__(self):
-        for f in fields(self):
-            check_str(f"backends.{f.name}", getattr(self, f.name))
+        check_fields(self, "backends")
 
 
 @dataclass(frozen=True)
@@ -127,16 +125,12 @@ class ExplainSettings:
     records: int = 3  # how many test records to attribute
     permutations: int = 200
     seed: int = 7
-    granularity: str = "sentence"
+    granularity: Literal["sentence", "token"] = "sentence"
 
     def __post_init__(self):
-        check_int("explain.records", self.records, 0)
-        check_int("explain.permutations", self.permutations, 1)
-        if self.granularity not in ("sentence", "token"):
-            raise ValidationError(
-                "config key 'explain.granularity' must be 'sentence' or 'token', "
-                f"got {config_value(self.granularity)}"
-            )
+        check_fields(self, "explain")
+        check_range("explain.records", self.records, 0)
+        check_range("explain.permutations", self.permutations, 1)
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,8 @@ class AnnotationSettings:
     system: str = "claimcheck"
 
     def __post_init__(self):
-        check_int("annotation.n", self.n, 0)
-        check_int("annotation.seed", self.seed)
+        check_fields(self, "annotation")
+        check_range("annotation.n", self.n, 0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ class PipelineConfig:
     corpus_path: str
     output_dir: str
     blocklist_path: str | None = None
-    corpus_format: str = "json-lines"
+    corpus_format: Literal["json-lines", "delimited"] = "json-lines"
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
     split_seed: int = 42
     summary: rationale.SummaryConfig = field(default_factory=rationale.SummaryConfig)
@@ -168,17 +162,9 @@ class PipelineConfig:
     limit: int | None = None  # fixture runs: keep only the first N records
 
     def __post_init__(self):
-        check_str("corpus_path", self.corpus_path)
-        check_str("output_dir", self.output_dir)
-        if self.blocklist_path is not None:
-            check_str("blocklist_path", self.blocklist_path)
-        if not (isinstance(self.ratios, tuple) and len(self.ratios) == 3
-                and all(type(r) in (int, float) for r in self.ratios)):
-            raise ValidationError("config key 'ratios' must be three numbers, "
-                                  f"got {config_value(self.ratios)}")
-        check_int("split_seed", self.split_seed)
+        check_fields(self)
         if self.limit is not None:
-            check_int("limit", self.limit, 0)
+            check_range("limit", self.limit, 0)
 
     @property
     def config_hash(self) -> str:
@@ -307,7 +293,6 @@ ARTIFACTS: dict[str, Artifact] = {
     ANNOTATION_TASKS: Artifact(),
     ANNOTATION_SUMMARY: Artifact("annotation-summary",
                                  keys={"per_system": dict, "per_annotator": dict}),
-    REPORT: Artifact("report"),
 }
 
 
@@ -518,17 +503,6 @@ def _eval_nli(config, config_hash, records, splits, nles):
     return payload, {EVAL_NLI: payload}
 
 
-def _report_core(f1: dict, nli: dict, **between) -> dict:
-    """The {macro_f1, nli} core shared by eval_report.json and report.json."""
-    return {"macro_f1": f1["macro_f1"], **between,
-            "nli": {k: nli[k] for k in ("total", "counts", "percentages")}}
-
-
-def _eval_report(config, config_hash, f1, nli):
-    payload = _report_core(f1, nli, scored=f1["scored"])
-    return payload, {EVAL_REPORT: payload}
-
-
 def _annotate_export(config, config_hash, records, splits, nles, n=None):
     items = [(i, records[i].claim, nles[i].text) for i in splits["test"] if i in nles]
     tasks, text = evaluation.render_annotation_tasks(
@@ -548,12 +522,13 @@ def _annotate_aggregate(config, config_hash, files):
 
 def _report(config, config_hash, f1, nli):
     """Merge the evaluation artifacts (and annotation means, if present)."""
-    payload = {**_report_core(f1, nli), "annotation": None}
+    payload = {"macro_f1": f1["macro_f1"], "scored": f1["scored"],
+               "nli": {k: nli[k] for k in ("total", "counts", "percentages")}}
     sources = {}
     if config.artifact(ANNOTATION_SUMMARY).exists():
         sources["annotation_summary"], annotation = _read(config, ANNOTATION_SUMMARY, config_hash)
         payload["annotation"] = {k: annotation[k] for k in ("per_system", "per_annotator")}
-    return payload, {REPORT: payload}, sources
+    return payload, {EVAL_REPORT: payload}, sources
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +539,7 @@ class Stage(NamedTuple):
     name: str
     needs: tuple[str, ...]  # artifacts read, decoded and passed to fn in this order
     fn: Callable[..., tuple]
-    help: str | None  # CLI help; None for steps that only run inside another stage
+    help: str  # CLI help
 
 
 COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
@@ -583,7 +558,6 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
           "score predictions with macro-F1 per split"),
     Stage("eval-nli", (CORPUS_CLEAN, SPLITS, NLES), _eval_nli,
           "audit test-split explanations with entailment checks"),
-    Stage("eval-report", (EVAL_F1, EVAL_NLI), _eval_report, None),
     Stage("annotate-export", (CORPUS_CLEAN, SPLITS, NLES), _annotate_export,
           "export a seeded sample of annotation tasks"),
     Stage("annotate-aggregate", (), _annotate_aggregate, "aggregate filled annotation files"),
@@ -654,10 +628,10 @@ def _run_commands(config: PipelineConfig, names: tuple[str, ...],
 stage_ingest = partial(run_command, name="ingest")
 
 # run_all's steps after ingest, in order, and the commands each runs: eval runs
-# both evaluation halves, then the eval report that merges them.
+# both evaluation halves, then the report that merges them.
 STEPS: dict[str, tuple[str, ...]] = {
     **{name: (name,) for name in ("split", "rationales", "train", "predict", "nle", "explain")},
-    "eval": ("eval-f1", "eval-nli", "eval-report"),
+    "eval": ("eval-f1", "eval-nli", "report"),
 }
 # Each value is f(config, table=None).
 STAGES: dict[str, Callable[..., dict]] = {

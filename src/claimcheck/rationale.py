@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import ClaimRecord
-from .errors import BackendFailure, ValidationError, call_backend, check_int
+from .errors import BackendFailure, ValidationError, call_backend, check_fields, check_range
 from .textutil import split_sentences, tokenize
 
 logger = logging.getLogger(__name__)
@@ -37,9 +37,10 @@ class SummaryConfig:
     backend_max_input: int = 1024
 
     def __post_init__(self):
-        check_int("summary.min_tokens", self.min_tokens, 1)
-        check_int("summary.max_tokens", self.max_tokens, self.min_tokens)
-        check_int("summary.backend_max_input", self.backend_max_input, self.max_tokens)
+        check_fields(self, "summary")
+        check_range("summary.min_tokens", self.min_tokens, 1)
+        check_range("summary.max_tokens", self.max_tokens, self.min_tokens)
+        check_range("summary.backend_max_input", self.backend_max_input, self.max_tokens)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from functools import partial
 from typing import Sequence
 
 from .corpus import ClaimRecord, VerdictLabel
-from .errors import BackendError, EmptyInput, ValidationError, call_backend, check_int, check_number
+from .errors import (BackendError, EmptyInput, ValidationError, call_backend, check_fields,
+                     check_range)
 from .rationale import Rationale
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
@@ -104,12 +105,11 @@ class TrainConfig:
     lr_schedule: str = "constant"
 
     def __post_init__(self):
-        check_int("train.batch_size", self.batch_size, 1)
-        check_int("train.epochs", self.epochs, 0)
-        check_int("train.eval_every_steps", self.eval_every_steps, 1)
-        check_int("train.seed", self.seed)
-        check_number("train.learning_rate", self.learning_rate, positive=True)
-        check_number("train.weight_decay", self.weight_decay)
+        check_fields(self, "train")
+        check_range("train.batch_size", self.batch_size, 1)
+        check_range("train.epochs", self.epochs, 0)
+        check_range("train.eval_every_steps", self.eval_every_steps, 1)
+        check_range("train.learning_rate", self.learning_rate, 0, strict=True)
 
 
 @dataclass
@@ -182,7 +182,9 @@ class MemorizingBackend(TrainableBackend):
         self._programmed[prompt_digest(prompt)] = output
 
     def generate(self, prompt: str) -> str:
-        digest = prompt_digest(prompt)
+        return self._respond(prompt_digest(prompt))
+
+    def _respond(self, digest: str) -> str:
         if digest in self._programmed:
             return self._programmed[digest]
         if digest in self._memory:
@@ -190,9 +192,9 @@ class MemorizingBackend(TrainableBackend):
         return self.choices[int(digest, 16) % len(self.choices)]
 
     def train_step(self, batch: Sequence[tuple[str, str]]) -> float:
-        wrong = sum(1 for prompt, target in batch if self.generate(prompt) != target)
-        for prompt, target in batch:
-            self._memory[prompt_digest(prompt)] = target
+        pairs = [(prompt_digest(prompt), target) for prompt, target in batch]
+        wrong = sum(1 for digest, target in pairs if self._respond(digest) != target)
+        self._memory.update(pairs)
         return wrong / len(batch)
 
     def snapshot(self) -> dict:

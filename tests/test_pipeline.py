@@ -6,8 +6,11 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Literal, get_type_hints
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from claimcheck import pipeline
 from claimcheck.cli import main
@@ -105,6 +108,73 @@ def test_config_non_integer_settings_name_the_key(tmp_path, corpus20_path, secti
                         **{section: {key: value}})
     with pytest.raises(ValidationError, match=f"'{section}.{key}'"):
         pipeline.load_config(path)
+
+
+# The JSON types a config value may have, per settings annotation, decided here apart from
+# errors.check_fields. A field whose annotation is missing fails the schema fuzz test below.
+JSON_TYPES = {
+    str: {"string"}, int: {"int"}, float: {"int", "float"},
+    str | None: {"string", "null"}, int | None: {"int", "null"},
+    tuple[float, float, float]: {"list"},
+    Literal["sentence", "token"]: {"string"}, Literal["json-lines", "delimited"]: {"string"},
+}
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-2, 2000),
+    "float": st.floats(-2.0, 2000.0),
+    "string": st.sampled_from(["token", "delimited"]) | st.text(max_size=8),
+    "list": st.lists(st.integers(0, 1) | st.floats(0.0, 1.0), max_size=4),
+    "object": st.dictionaries(st.sampled_from(["n", "x"]), st.integers(0, 3), max_size=2),
+}
+CONFIG_HINTS = get_type_hints(pipeline.PipelineConfig)
+# (section or "", field name, annotation) for every field of PipelineConfig and of its sections
+SETTINGS_FIELDS = [("", name, hint) for name, hint in CONFIG_HINTS.items()] + [
+    (section, name, hint) for section, cls in CONFIG_HINTS.items() if is_dataclass(cls)
+    for name, hint in get_type_hints(cls).items()]
+
+
+def _expect_built_or_named(build, key: str, section: str, fits: bool, value) -> None:
+    """`build()` returns settings only for a value whose JSON type fits; otherwise, or when a
+    fitting value fails a range check, it raises a ValidationError naming the key (a range
+    check across two fields of one section may name the other one)."""
+    try:
+        build()
+    except ValidationError as exc:
+        named = f"'{key}'" in str(exc) or (fits and section and f"'{section}." in str(exc))
+        assert named, f"{key} = {value!r}: {exc}"
+        return
+    assert fits, f"{key} = {value!r} was accepted"
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_schema_fuzz_every_key_with_every_json_type(tmp_path, monkeypatch, data):
+    for name in pipeline.ENV_OVERRIDES:
+        monkeypatch.delenv(name, raising=False)
+    assert len({section for section, _, _ in SETTINGS_FIELDS}) == 1 + 5
+    base = {"corpus_path": "c.jsonl", "output_dir": "out"}
+    default = pipeline.PipelineConfig(**base)
+    path = tmp_path / "config.json"
+    for section, name, hint in SETTINGS_FIELDS:
+        key = f"{section}.{name}" if section else name
+        json_types = {"object"} if is_dataclass(hint) else JSON_TYPES[hint]
+        for json_type, values in JSON_VALUES.items():
+            value = data.draw(values, label=f"{key} as {json_type}")
+            path.write_text(json.dumps({**base, **({section: {name: value}} if section
+                                                   else {name: value})}))
+            _expect_built_or_named(lambda: pipeline.load_config(path), key, section,
+                                   json_type in json_types, value)
+            # through replace, a JSON value is never a settings section and a list no tuple
+            in_replace = json_type in json_types and json_type not in ("object", "list")
+
+            def build():
+                if not section:
+                    return replace(default, **{name: value})
+                changed = replace(getattr(default, section), **{name: value})
+                return replace(default, **{section: changed})
+            _expect_built_or_named(build, key, section, in_replace, value)
 
 
 def test_settings_are_frozen(fixture_config):
@@ -336,7 +406,7 @@ def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
     assert main(["annotate-aggregate", "--config", str(config), str(filled_path)]) == 0
     capsys.readouterr()
     assert main(["report", "--config", str(config)]) == 0
-    report = json.loads((tmp_path / "out" / pipeline.REPORT).read_text())
+    report = json.loads((tmp_path / "out" / pipeline.EVAL_REPORT).read_text())
     assert report["annotation"]["per_system"]["claimcheck"]["fluency"] == 5.0
     assert "macro_f1" in report and "nli" in report
 
@@ -347,7 +417,7 @@ def test_manifest_hashes_exactly_each_stages_declared_inputs(fixture_config):
     entries = [json.loads(line) for line in (out / pipeline.MANIFEST).read_text().splitlines()]
     assert [e["stage"] for e in entries] == [
         "ingest", "split", "rationales", "train", "predict", "nle", "explain",
-        "eval-f1", "eval-nli", "eval-report",
+        "eval-f1", "eval-nli", "report",
     ]
     for entry in entries:
         expected = {Path(name).stem: file_sha256(out / name)
@@ -615,9 +685,20 @@ MALFORMED_INPUTS = {
     "mixed ratios quoted as written": ({"ratios": ["a", 1, None]}, (), None, None, "ingest",
                                        "'ratios' must be three numbers, got [\"a\", 1, null]"),
     "boolean learning_rate": ({"train": {"learning_rate": True}}, (), None, None, "ingest",
-                              "'train.learning_rate' must be a positive number, got true"),
+                              "'train.learning_rate' must be a number, got true"),
     "boolean weight_decay": ({"train": {"weight_decay": False}}, (), None, None, "ingest",
                              "'train.weight_decay' must be a number, got false"),
+    "list explain seed": ({"explain": {"seed": [1]}}, (), None, None, "ingest",
+                          "'explain.seed' must be an integer, got [1]"),
+    "object train loss": ({"train": {"loss": {}}}, (), None, None, "ingest",
+                          "'train.loss' must be a string, got {}"),
+    "null lr_schedule": ({"train": {"lr_schedule": None}}, (), None, None, "ingest",
+                         "'train.lr_schedule' must be a string, got null"),
+    "object annotation system": ({"annotation": {"system": {}}}, (), None, None, "ingest",
+                                 "'annotation.system' must be a string, got {}"),
+    "unknown corpus_format": ({"corpus_format": "csv"}, (), None, None, "ingest",
+                              "'corpus_format' must be \"json-lines\" or \"delimited\", "
+                              "got \"csv\""),
 }
 
 
