@@ -27,7 +27,7 @@ from .textutil import split_paragraphs, stats_tokenize
 
 logger = logging.getLogger(__name__)
 
-# Stable serialization order for diffable line-delimited artifacts.
+# The seven fields of a corpus row, each required (ClaimRecord declares them in this order).
 FIELD_ORDER = ("id", "claim", "date", "source", "verdict", "evidence", "url")
 
 REQUIRED_NONEMPTY = ("id", "claim", "verdict", "evidence")
@@ -96,21 +96,6 @@ class ClaimRecord:
     verdict: VerdictLabel
     evidence: str
     url: str
-
-    def to_row(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "date": self.date,
-            "source": self.source,
-            "verdict": self.verdict.value,
-            "evidence": self.evidence,
-            "url": self.url,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "ClaimRecord":
-        return cls(**{**row, "verdict": VerdictLabel(row["verdict"])})
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ code 2; everything raised by the library derives from one of them.
 """
 
 import json
+import math
 from dataclasses import is_dataclass
 from functools import cache
 from types import UnionType
@@ -48,46 +49,49 @@ def call_backend(role: str, identity: str, fn, *args):
 
 
 def config_value(value) -> str:
-    """Quote a config value as the JSON config spells it, a tuple made from a list as the list."""
+    """Quote a value as a JSON file spells it, a tuple made from a list as the list."""
     return json.dumps(value, ensure_ascii=False, default=repr)
 
 
-_hints = cache(get_type_hints)  # settings class -> its field annotations, resolved
+field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved
 
 
 def check_fields(settings, section: str = "") -> None:
     """Check each field of dataclass `settings` against its annotation, the config's type schema.
 
     A mismatch is a ValidationError naming the key `section.field`. A bool is never an int or
-    a float; a float field takes an int. `X | None`, tuples of one scalar type, `Literal` of
-    strings and nested settings classes are understood; another annotation is a TypeError."""
-    for name, hint in _hints(type(settings)).items():
-        (fits, wanted), value = _rule(hint), getattr(settings, name)
+    a float; a float is finite and may be an int. `X | None`, tuples of one scalar type,
+    `Literal` of strings and nested settings classes are understood, others are a TypeError."""
+    for name, hint in field_hints(type(settings)).items():
+        (fits, wanted), value = value_rule(hint), getattr(settings, name)
         if not fits(value):
             key = f"{section}.{name}" if section else name
             raise ValidationError(f"config key {key!r} must be {wanted}, got {config_value(value)}")
 
 
 @cache
-def _rule(hint) -> tuple[Callable[[object], bool], str]:
-    """(does a value fit annotation `hint`, what the value must be)"""
+def value_rule(hint) -> tuple[Callable[[object], bool], str]:
+    """(does a JSON value fit annotation `hint`, what it must be), for config, rows and docs"""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Literal:
         return lambda v: isinstance(v, str) and v in args, " or ".join(map(config_value, args))
     if origin in (Union, UnionType):
-        rules = [_rule(arg) for arg in args]
+        rules = [value_rule(arg) for arg in args]
         return lambda v: any(fits(v) for fits, _ in rules), " or ".join(w for _, w in rules)
     if origin is tuple and set(args) in ({str}, {int}, {float}):  # e.g. "three numbers"
-        fits, wanted = _rule(args[0])
+        fits, wanted = value_rule(args[0])
         count = ("no", "one", "two", "three")[len(args)] if len(args) < 4 else len(args)
         return (lambda v: isinstance(v, tuple) and len(v) == len(args) and all(map(fits, v)),
                 f"{count} {wanted.split()[-1]}s")
     if is_dataclass(hint):
         return lambda v: isinstance(v, hint), f"{hint.__name__} settings"
-    scalars = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
-               type(None): (type(None), "null")}
+    if hint is float:  # a finite number: JSON's non-standard NaN and Infinity are not
+        return (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                and (isinstance(v, int) or math.isfinite(v))), "a number"
+    scalars = {str: (str, "a string"), int: (int, "an integer"), type(None): (type(None), "null"),
+               list: (list, "a list"), dict: (dict, "an object")}
     if hint not in scalars:
-        raise TypeError(f"check_fields cannot check a value against {hint!r}")
+        raise TypeError(f"cannot check a value against {hint!r}")
     kind, wanted = scalars[hint]
     return lambda v: isinstance(v, kind) and not isinstance(v, bool), wanted
 

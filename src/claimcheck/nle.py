@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import VerdictLabel
-from .errors import ValidationError
+from .errors import ValidationError, config_value
 from .rationale import Rationale
 from .verdict import VerdictPrediction
 
@@ -70,5 +70,8 @@ def parse_nle(text: str) -> tuple[str, str]:
 
 def nle_from_row(record_id: str, text: str) -> NleText:
     """Rebuild an NleText from its stored (record_id, text) row."""
+    if not (isinstance(record_id, str) and isinstance(text, str)):
+        raise ValidationError(f"record_id and text must be strings, got {config_value(record_id)}"
+                              f" and {config_value(text)}")
     word, rationale_text = parse_nle(text)
     return NleText(record_id=record_id, text=text, verdict_word=word, rationale_text=rationale_text)

@@ -43,14 +43,17 @@ from .errors import (
     check_fields,
     check_range,
     config_value,
+    value_rule,
 )
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
     atomic_open,
     file_sha256,
+    from_row,
     read_doc,
     read_records,
+    to_row,
     write_doc,
     write_records,
 )
@@ -272,18 +275,18 @@ class Artifact(NamedTuple):
     kind: str | None = None  # header kind; None: no header, the text is written as given
     key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
     from_row: Callable[[dict], object] | None = None
-    keys: Mapping[str, type | tuple[type, ...]] = {}  # documents: required keys, JSON types
+    keys: Mapping[str, type] = {}  # documents: each required key and its annotation
 
 
 ARTIFACTS: dict[str, Artifact] = {
-    CORPUS_CLEAN: Artifact("corpus", "id", ClaimRecord.from_row),
+    CORPUS_CLEAN: Artifact("corpus", "id", partial(from_row, ClaimRecord)),
     CORPUS_STATS: Artifact("stats", keys={"total": int, "per_label": dict, "mean_claim_tokens":
-                                          (int, float), "mean_evidence_tokens": (int, float)}),
+                                          float, "mean_evidence_tokens": float}),
     SPLITS: Artifact("splits", keys=dict.fromkeys(SPLIT_NAMES, list)),
-    RATIONALES: Artifact("rationales", "record_id", rationale.Rationale.from_row),
+    RATIONALES: Artifact("rationales", "record_id", partial(from_row, rationale.Rationale)),
     MODEL_STATE: Artifact("model", keys={"backend_id": str, "state": dict}),
     TRAIN_LOG: Artifact("train-log"),
-    PREDICTIONS: Artifact("predictions", "record_id", verdict.VerdictPrediction.from_row),
+    PREDICTIONS: Artifact("predictions", "record_id", partial(from_row, verdict.VerdictPrediction)),
     NLES: Artifact("nles", "record_id", lambda r: nle.nle_from_row(r["record_id"], r["text"])),
     HIGHLIGHTS: Artifact("highlights"),
     HIGHLIGHTS_HTML: Artifact(),
@@ -301,18 +304,22 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Map
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.key is None:
         digest, doc = read_doc(path, spec.kind, config_hash)
-        for key, kind in spec.keys.items():
-            if not isinstance(doc.get(key), kind):
-                raise CorruptArtifact(path, f"key {key!r} is missing or has the wrong type")
+        for key, hint in spec.keys.items():
+            fits, wanted = value_rule(hint)
+            if key not in doc or not fits(doc[key]):
+                got = config_value(doc[key]) if key in doc else "nothing"
+                raise CorruptArtifact(path, f"key {key!r} must be {wanted}, got {got}")
         return digest, MappingProxyType(doc)
     digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
     for line, row in rows:
-        try:
-            record_id, record = row[spec.key], spec.from_row(row)
-            repeated = record_id in decoded
+        try:  # a row may repeat the header's config hash as a stamp
+            record_id, stamp = row[spec.key], row.pop("config_hash", config_hash)
+            record, repeated = spec.from_row(row), record_id in decoded
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
+        if stamp != config_hash:
+            raise CorruptArtifact(path, f"stamped with config {stamp!r}, not the header's", line)
         if repeated:
             raise CorruptArtifact(path, f"repeated {spec.key} {record_id!r}", line)
         decoded[record_id] = record
@@ -368,7 +375,7 @@ def _ingest(config: PipelineConfig, config_hash: str):
     }
     matches_benchmark = stats.total == BENCHMARK_TOTAL and stats.per_label == BENCHMARK_PER_LABEL
     summary = {**stats_payload, "matches_benchmark": matches_benchmark}
-    outputs = {CORPUS_CLEAN: (r.to_row() for r in records), CORPUS_STATS: stats_payload}
+    outputs = {CORPUS_CLEAN: map(to_row, records), CORPUS_STATS: stats_payload}
     return summary, outputs, sources
 
 
@@ -391,7 +398,7 @@ def _rationales(config, config_hash, records, _splits):
     # splits is read only to check that it was made under this config
     backend = create_summarizer(config.backends.summarizer)
     result = rationale.batch_generate(list(records.values()), backend, config.summary)
-    rows = [r.to_row(config_hash) for r in result.rationales.values()]
+    rows = [{**to_row(r), "config_hash": config_hash} for r in result.rationales.values()]
     return {"generated": len(rows), "failures": result.failures}, {RATIONALES: rows}
 
 
@@ -408,8 +415,6 @@ def _train(config, config_hash, records, splits, rationales):
         )
     state, log = verdict.fine_tune(pairs, config.train, backend, validation_pairs)
 
-    train_log = asdict(log)
-    train_log["entries"] = train_log.pop("entries")  # stored after the settings
     summary = {
         "pairs": len(pairs),
         "steps": log.final_step,
@@ -417,7 +422,7 @@ def _train(config, config_hash, records, splits, rationales):
         "final_validation_f1": log.final_validation_f1,
     }
     model = {"backend_id": config.backends.classifier, "state": state}
-    return summary, {MODEL_STATE: model, TRAIN_LOG: train_log}
+    return summary, {MODEL_STATE: model, TRAIN_LOG: asdict(log)}
 
 
 def _predict(config, config_hash, records, rationales, model):
@@ -429,7 +434,7 @@ def _predict(config, config_hash, records, rationales, model):
             raise CorruptArtifact(config.artifact(MODEL_STATE),
                                   f"cannot restore the state: {exc.detail}") from exc
 
-    rows = [verdict.classify(r.claim, rationales[r.id], backend).to_row()
+    rows = [to_row(verdict.classify(r.claim, rationales[r.id], backend))
             for r in records.values() if r.id in rationales]
     skipped = [i for i in records if i not in rationales]
     if skipped:
@@ -566,30 +571,26 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
 
 
 class RunTable:
-    """The decoded artifacts of one run_all, keyed by (name, sha256 of the bytes, config hash).
+    """The decoded artifacts of one run_all: name -> (sha256 of the bytes, config hash, value).
 
-    A later reader re-hashes the file and gets the held value only under the same
-    key; other bytes are decoded and checked afresh, so a file rewritten between
+    A later reader re-hashes the file and gets the held value only if both hashes are
+    the same; other bytes are decoded and checked afresh, so a file rewritten between
     commands is never hidden. An entry is dropped after its last reader in `commands`.
     """
 
     def __init__(self, commands: Iterable[str]):
         self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
-        self.entries: dict[tuple[str, str, str], tuple[str, Mapping]] = {}
+        self.entries: dict[str, tuple[str, str, Mapping]] = {}
 
     def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
         """Like _read: the sha256 of the bytes read and the read-only value."""
-        held = [key for key in self.entries if key[0] == name]
-        hit = None
-        if held:  # the file may have changed since it was decoded
-            digest = sha256(config.artifact(name).read_bytes()).hexdigest()
-            hit = self.entries.get((name, digest, config_hash))
-        for key in held:
-            del self.entries[key]
-        digest, value = hit or _read(config, name, config_hash)
+        digest, held_hash, value = self.entries.pop(name, (None, None, None))
+        if (held_hash != config_hash  # the file may have changed since it was decoded
+                or sha256(config.artifact(name).read_bytes()).hexdigest() != digest):
+            digest, value = _read(config, name, config_hash)
         self.readers[name] -= 1
         if self.readers[name] > 0:
-            self.entries[name, digest, config_hash] = digest, value
+            self.entries[name] = digest, config_hash, value
         return digest, value
 
 

@@ -52,25 +52,6 @@ class Rationale:
     token_length: int
     backend_id: str
 
-    def to_row(self, config_hash: str) -> dict:
-        """Store row; config_hash stamps the configuration that generated it."""
-        return {
-            "record_id": self.record_id,
-            "text": self.text,
-            "token_length": self.token_length,
-            "backend_id": self.backend_id,
-            "config_hash": config_hash,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "Rationale":
-        return cls(
-            record_id=row["record_id"],
-            text=row["text"],
-            token_length=row["token_length"],
-            backend_id=row["backend_id"],
-        )
-
 
 class SummarizationBackend(ABC):
     """Abstractive summarizer plug-in point.

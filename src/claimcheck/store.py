@@ -8,6 +8,9 @@ byte-identical (timestamps live only in the run manifest).
 Writes go to a temporary file in the same directory that replaces the
 artifact only once it is complete, so a write that fails part-way leaves
 the previous artifact, or none, never a truncated one.
+
+A record dataclass's annotations are its row schema: to_row and from_row
+encode and decode every record class.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Literal, TextIO
 
-from .errors import ValidationError
+from .errors import ValidationError, config_value, field_hints, value_rule
 
 
 class MissingUpstreamArtifact(ValidationError):
@@ -39,6 +44,37 @@ class CorruptArtifact(ValidationError):
     def __init__(self, path: Path, detail: str, line: int | None = None):
         where = path.name if line is None else f"{path.name} line {line}"
         super().__init__(f"{where}: {detail}; rerun the stage that writes it")
+
+
+@cache
+def _plan(cls) -> tuple[dict[str, dict], dict]:
+    """Record dataclass `cls`'s enum fields, each with its {value: member} map, and each field
+    with its value_rule; a row holds an enum field as one of its members' values."""
+    hints = field_hints(cls)
+    enums = {name: {member.value: member for member in hint} for name, hint in hints.items()
+             if isinstance(hint, type) and issubclass(hint, Enum)}
+    return enums, {name: value_rule(Literal[tuple(enums[name])] if name in enums else hint)
+                   for name, hint in hints.items()}
+
+
+def to_row(record) -> dict:
+    """A record dataclass as its store row: its fields in order, an enum field by its value."""
+    row = {**vars(record)}
+    for name in _plan(type(record))[0]:
+        row[name] = row[name].value
+    return row
+
+
+def from_row(cls, row: dict):
+    """Decode a store row into record dataclass `cls`. A value that does not fit its field's
+    annotation is a ValidationError; a missing field is a KeyError, an unknown one a TypeError."""
+    enums, rules = _plan(cls)
+    for name, (fits, wanted) in rules.items():
+        if not fits(row[name]):
+            raise ValidationError(f"field {name!r} must be {wanted}, got {config_value(row[name])}")
+    if enums:
+        row = {**row, **{name: members[row[name]] for name, members in enums.items()}}
+    return cls(**row)
 
 
 def _dump(obj: dict) -> str:

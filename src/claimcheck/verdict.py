@@ -73,18 +73,6 @@ class VerdictPrediction:
     raw_generation: str
     prompt_hash: str
 
-    def to_row(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "label": self.label.value,
-            "raw_generation": self.raw_generation,
-            "prompt_hash": self.prompt_hash,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "VerdictPrediction":
-        return cls(**{**row, "label": VerdictLabel(row["label"])})
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -121,9 +109,8 @@ class TrainLogEntry:
 
 @dataclass
 class TrainLog:
-    """Training trace: periodic validation entries plus optimizer settings."""
+    """Training trace: optimizer settings plus periodic validation entries."""
 
-    entries: list[TrainLogEntry] = field(default_factory=list)
     optimizer: str = "adamw"
     learning_rate: float = 2e-5
     weight_decay: float = 0.01
@@ -132,6 +119,7 @@ class TrainLog:
     best_validation_f1: float | None = None
     final_step: int = 0
     final_validation_f1: float | None = None
+    entries: list[TrainLogEntry] = field(default_factory=list)
 
 
 class Text2TextBackend(ABC):

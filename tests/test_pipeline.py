@@ -484,7 +484,7 @@ def test_run_table_holds_an_artifact_only_until_its_last_reader(fixture_config, 
 
         def read(self, config, name, config_hash):
             result = super().read(config, name, config_hash)
-            held.setdefault(name, []).append(any(key[0] == name for key in self.entries))
+            held.setdefault(name, []).append(name in self.entries)
             return result
 
     monkeypatch.setattr(pipeline, "RunTable", RecordingTable)
@@ -602,11 +602,16 @@ def _drop_backend_id(path):
     path.write_text(json.dumps(doc))
 
 
-def _set_model_state(state):
+def _set_key(key, value):
     def damage(path):
-        doc = json.loads(path.read_text())
-        doc["state"] = state
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    return damage
+
+
+def _set_in_first_row(**values):
+    def damage(path):
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(header + json.dumps({**json.loads(first), **values}) + "\n" + "".join(rest))
     return damage
 
 
@@ -651,9 +656,9 @@ MALFORMED_INPUTS = {
                                        "predict", "model_state.json: key 'backend_id'"),
     "negative explain records": ({"explain": {"records": -1}}, (), None, None, "ingest",
                                  "'explain.records'"),
-    "model state without memory": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _set_model_state({}),
+    "model state without memory": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _set_key("state", {}),
                                    "predict", "model_state.json: cannot restore the state"),
-    "model state null": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _set_model_state(None),
+    "model state null": ({}, UPSTREAM[:4], pipeline.MODEL_STATE, _set_key("state", None),
                          "predict", "model_state.json: key 'state'"),
     "negative annotation n": ({"annotation": {"n": -2}}, (), None, None, "ingest",
                               "'annotation.n'"),
@@ -699,6 +704,41 @@ MALFORMED_INPUTS = {
     "unknown corpus_format": ({"corpus_format": "csv"}, (), None, None, "ingest",
                               "'corpus_format' must be \"json-lines\" or \"delimited\", "
                               "got \"csv\""),
+    "infinite learning_rate": ({"train": {"learning_rate": float("inf")}}, (), None, None,
+                               "ingest", "'train.learning_rate' must be a number, got Infinity"),
+    "NaN weight_decay": ({"train": {"weight_decay": float("nan")}}, (), None, None, "ingest",
+                         "'train.weight_decay' must be a number, got NaN"),
+    "integer claim": ({}, UPSTREAM[:4], pipeline.CORPUS_CLEAN, _set_in_first_row(claim=5),
+                      "predict", "corpus_clean.jsonl line 2: bad record (ValidationError: "
+                      "field 'claim' must be a string, got 5)"),
+    "null claim": ({}, (*UPSTREAM, "nle"), pipeline.CORPUS_CLEAN, _set_in_first_row(claim=None),
+                   "eval-nli", "corpus_clean.jsonl line 2: bad record (ValidationError: "
+                   "field 'claim' must be a string, got null)"),
+    "integer evidence before rationales": ({}, UPSTREAM[:2], pipeline.CORPUS_CLEAN,
+                                           _set_in_first_row(evidence=7), "rationales",
+                                           "corpus_clean.jsonl line 2: bad record "
+                                           "(ValidationError: field 'evidence' must be"),
+    "integer evidence before explain": ({}, UPSTREAM[:3], pipeline.CORPUS_CLEAN,
+                                        _set_in_first_row(evidence=7), "explain",
+                                        "corpus_clean.jsonl line 2: bad record "
+                                        "(ValidationError: field 'evidence' must be"),
+    "integer rationale text": ({}, UPSTREAM[:4], pipeline.RATIONALES, _set_in_first_row(text=3),
+                               "predict", "rationales.jsonl line 2: bad record "
+                               "(ValidationError: field 'text' must be a string, got 3)"),
+    "integer explanation text": ({}, (*UPSTREAM, "nle"), pipeline.NLES, _set_in_first_row(text=5),
+                                 "eval-nli", "nles.jsonl line 2: bad record (ValidationError: "
+                                 "record_id and text must be strings"),
+    "null rationale text": ({}, UPSTREAM, pipeline.RATIONALES, _set_in_first_row(text=None),
+                            "nle", "rationales.jsonl line 2: bad record "
+                            "(ValidationError: field 'text' must be a string, got null)"),
+    "integer record id": ({}, UPSTREAM[:1], pipeline.CORPUS_CLEAN, _set_in_first_row(id=3),
+                          "split", "corpus_clean.jsonl line 2: bad record "
+                          "(ValidationError: field 'id' must be a string, got 3)"),
+    "boolean stats total": ({}, UPSTREAM[:1], pipeline.CORPUS_STATS, _set_key("total", True),
+                            "stats", "corpus_stats.json: key 'total' must be an integer, got true"),
+    "rationale stamped by another config": ({}, UPSTREAM[:4], pipeline.RATIONALES,
+                                            _set_in_first_row(config_hash="0" * 64), "predict",
+                                            "rationales.jsonl line 2: stamped with config"),
 }
 
 
