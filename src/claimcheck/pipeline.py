@@ -276,6 +276,7 @@ class Artifact(NamedTuple):
     key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
     from_row: Callable[[dict], object] | None = None
     keys: Mapping[str, type] = {}  # documents: each required key and its annotation
+    stamped: bool = False  # record stores: each row ends with the header's config hash
 
 
 ARTIFACTS: dict[str, Artifact] = {
@@ -283,11 +284,12 @@ ARTIFACTS: dict[str, Artifact] = {
     CORPUS_STATS: Artifact("stats", keys={"total": int, "per_label": dict, "mean_claim_tokens":
                                           float, "mean_evidence_tokens": float}),
     SPLITS: Artifact("splits", keys=dict.fromkeys(SPLIT_NAMES, list)),
-    RATIONALES: Artifact("rationales", "record_id", partial(from_row, rationale.Rationale)),
+    RATIONALES: Artifact("rationales", "record_id", partial(from_row, rationale.Rationale),
+                         stamped=True),
     MODEL_STATE: Artifact("model", keys={"backend_id": str, "state": dict}),
     TRAIN_LOG: Artifact("train-log"),
     PREDICTIONS: Artifact("predictions", "record_id", partial(from_row, verdict.VerdictPrediction)),
-    NLES: Artifact("nles", "record_id", lambda r: nle.nle_from_row(r["record_id"], r["text"])),
+    NLES: Artifact("nles", "record_id", lambda row: nle.nle_from_row(**row)),
     HIGHLIGHTS: Artifact("highlights"),
     HIGHLIGHTS_HTML: Artifact(),
     EVAL_F1: Artifact("eval-f1", keys={"macro_f1": dict, "scored": dict}),
@@ -313,8 +315,9 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Map
     digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
     for line, row in rows:
-        try:  # a row may repeat the header's config hash as a stamp
-            record_id, stamp = row[spec.key], row.pop("config_hash", config_hash)
+        try:
+            record_id = row[spec.key]
+            stamp = row.pop("config_hash") if spec.stamped else config_hash
             record, repeated = spec.from_row(row), record_id in decoded
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
@@ -331,6 +334,9 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> None
     if spec.kind is None:
         with atomic_open(path) as fh:
             fh.write(payload)
+    elif spec.stamped:
+        write_records(path, spec.kind, config_hash,
+                      ({**row, "config_hash": config_hash} for row in payload))
     else:
         (write_records if spec.key else write_doc)(path, spec.kind, config_hash, payload)
 
@@ -398,7 +404,7 @@ def _rationales(config, config_hash, records, _splits):
     # splits is read only to check that it was made under this config
     backend = create_summarizer(config.backends.summarizer)
     result = rationale.batch_generate(list(records.values()), backend, config.summary)
-    rows = [{**to_row(r), "config_hash": config_hash} for r in result.rationales.values()]
+    rows = [to_row(r) for r in result.rationales.values()]
     return {"generated": len(rows), "failures": result.failures}, {RATIONALES: rows}
 
 
@@ -650,6 +656,8 @@ def run_stage(config: PipelineConfig, stage: str) -> dict:
 
 def run_all(config: PipelineConfig) -> dict[str, dict]:
     """Ingest followed by every stage, in dependency order, sharing one RunTable."""
+    if config.artifact(ANNOTATION_SUMMARY).exists():  # report reads it; refuse a stale one first
+        _read(config, ANNOTATION_SUMMARY, config.config_hash)
     table = RunTable(name for names in STEPS.values() for name in names)
     summaries = {"ingest": stage_ingest(config)}
     for stage in STEPS:

@@ -109,12 +109,12 @@ class TrainLogEntry:
 
 @dataclass
 class TrainLog:
-    """Training trace: optimizer settings plus periodic validation entries."""
+    """Training trace: optimizer settings (from TrainConfig) plus periodic validation entries."""
 
-    optimizer: str = "adamw"
-    learning_rate: float = 2e-5
-    weight_decay: float = 0.01
-    lr_schedule: str = "constant"
+    optimizer: str
+    learning_rate: float
+    weight_decay: float
+    lr_schedule: str
     best_step: int | None = None
     best_validation_f1: float | None = None
     final_step: int = 0
@@ -260,20 +260,6 @@ def make_training_pairs(
     return pairs
 
 
-def _validation_f1(
-    backend: Text2TextBackend, validation_pairs: Sequence[tuple[str, str]] | None
-) -> float | None:
-    # Imported here to avoid a module cycle: evaluation builds on verdict types.
-    from .evaluation import macro_f1
-
-    if not validation_pairs:
-        return None
-    golds = [decode_verdict(target) for _, target in validation_pairs]
-    preds = [decode_verdict(call_backend("classifier", backend.identity, backend.generate, prompt))
-             for prompt, _ in validation_pairs]
-    return macro_f1(preds, golds)
-
-
 def fine_tune(
     pairs: Sequence[tuple[str, str]],
     config: TrainConfig,
@@ -283,57 +269,46 @@ def fine_tune(
     """Run the fine-tuning loop and return (backend state, TrainLog).
 
     Batches are reshuffled each epoch from config.seed. Validation
-    macro-F1 is recorded every config.eval_every_steps steps and once at
-    the end; the state kept is the checkpoint with the best validation
-    score (final state when validation is absent or never beaten). Prompts
-    are never truncated here; length handling belongs to the backend.
+    macro-F1 is recorded every config.eval_every_steps steps and after the
+    last step, each state once; a strictly better score keeps a snapshot of
+    that state, and the state returned is the best kept one (the final state
+    when validation is absent). Prompts are never truncated here; length
+    handling belongs to the backend.
     """
+    # Imported here to avoid a module cycle: evaluation builds on verdict types.
+    from .evaluation import macro_f1
+
     if not pairs:
         raise EmptyTrainingSet("no training pairs")
     call = partial(call_backend, "classifier", backend.identity)
-    log = TrainLog(
-        optimizer=config.optimizer,
-        learning_rate=config.learning_rate,
-        weight_decay=config.weight_decay,
-        lr_schedule=config.lr_schedule,
-    )
-    if config.epochs == 0:
-        return call(backend.snapshot), log
-
+    log = TrainLog(config.optimizer, config.learning_rate, config.weight_decay, config.lr_schedule)
+    golds = [decode_verdict(target) for _, target in validation_pairs or ()]
+    starts = range(0, len(pairs), config.batch_size)
+    last_step = config.epochs * len(starts)
     rng = random.Random(config.seed)
     step = 0
-    loss = 0.0
     best_state: dict | None = None
     for _ in range(config.epochs):
         order = list(pairs)
         rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss = call(backend.train_step, batch)
+        for start in starts:
+            loss = call(backend.train_step, order[start : start + config.batch_size])
             step += 1
-            if step % config.eval_every_steps == 0:
-                f1 = _validation_f1(backend, validation_pairs)
-                log.entries.append(TrainLogEntry(step, loss, f1))
-                if f1 is not None and (
-                    log.best_validation_f1 is None or f1 > log.best_validation_f1
-                ):
-                    log.best_validation_f1 = f1
-                    log.best_step = step
-                    best_state = call(backend.snapshot)
+            if step % config.eval_every_steps and step != last_step:
+                continue
+            f1 = None
+            if golds:
+                preds = [decode_verdict(call(backend.generate, prompt))
+                         for prompt, _ in validation_pairs]
+                f1 = macro_f1(preds, golds)
+            log.entries.append(TrainLogEntry(step, loss, f1))
+            log.final_step, log.final_validation_f1 = step, f1  # the last step is validated
+            if f1 is not None and (log.best_validation_f1 is None or f1 > log.best_validation_f1):
+                log.best_step, log.best_validation_f1 = step, f1
+                best_state = call(backend.snapshot)
 
-    final_f1 = _validation_f1(backend, validation_pairs)
-    if not log.entries or log.entries[-1].step != step:
-        log.entries.append(TrainLogEntry(step, loss, final_f1))
-    log.final_step = step
-    log.final_validation_f1 = final_f1
-    if final_f1 is not None and (
-        log.best_validation_f1 is None or final_f1 > log.best_validation_f1
-    ):
-        log.best_validation_f1 = final_f1
-        log.best_step = step
-        best_state = None  # final state is the best; no restore needed
-
-    if best_state is not None:
+    if best_state is None:
+        return call(backend.snapshot), log
+    if log.best_step != step:
         call(backend.restore, best_state)
-        return best_state, log
-    return call(backend.snapshot), log
+    return best_state, log

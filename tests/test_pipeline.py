@@ -21,6 +21,7 @@ from claimcheck.store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
     file_sha256,
+    write_doc,
 )
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
@@ -580,6 +581,17 @@ def test_run_all_matches_stages_run_one_by_one_through_the_cli(fixture_config, t
     assert stamps(out) == stamps(fixture_config.output_dir)
 
 
+def test_run_all_refuses_a_stale_annotation_summary_before_writing(fixture_config):
+    pipeline.run_all(fixture_config)
+    write_doc(fixture_config.artifact(pipeline.ANNOTATION_SUMMARY), "annotation-summary",
+              fixture_config.config_hash, {"per_system": {}, "per_annotator": {}})
+    kept = {name: fixture_config.artifact(name).read_bytes()
+            for name in (pipeline.CORPUS_CLEAN, pipeline.MANIFEST)}
+    with pytest.raises(ArtifactMismatch, match="annotation_summary.json"):
+        pipeline.run_all(replace(fixture_config, split_seed=7))
+    assert {name: fixture_config.artifact(name).read_bytes() for name in kept} == kept
+
+
 # ---------------------------------------------------------------------------
 # Malformed inputs end as exit 1 with an error line, never a traceback
 
@@ -613,6 +625,21 @@ def _set_in_first_row(**values):
         header, first, *rest = path.read_text().splitlines(keepends=True)
         path.write_text(header + json.dumps({**json.loads(first), **values}) + "\n" + "".join(rest))
     return damage
+
+
+def _drop_from_first_row(key):
+    def damage(path):
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        row = json.loads(first)
+        del row[key]
+        path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
+    return damage
+
+
+def _stamp_first_row(path):
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    stamp = {"config_hash": json.loads(header)["config_hash"]}
+    path.write_text(header + json.dumps({**json.loads(first), **stamp}) + "\n" + "".join(rest))
 
 
 def _drop_last_row(path):
@@ -739,6 +766,15 @@ MALFORMED_INPUTS = {
     "rationale stamped by another config": ({}, UPSTREAM[:4], pipeline.RATIONALES,
                                             _set_in_first_row(config_hash="0" * 64), "predict",
                                             "rationales.jsonl line 2: stamped with config"),
+    "rationale without its stamp": ({}, UPSTREAM, pipeline.RATIONALES,
+                                    _drop_from_first_row("config_hash"), "nle",
+                                    "rationales.jsonl line 2: bad record "
+                                    "(KeyError: 'config_hash')"),
+    "stamp on a cleaned row": ({}, UPSTREAM[:1], pipeline.CORPUS_CLEAN, _stamp_first_row, "split",
+                               "corpus_clean.jsonl line 2: bad record (TypeError"),
+    "explanation with an extra field": ({}, (*UPSTREAM, "nle"), pipeline.NLES,
+                                        _set_in_first_row(verdict="made up"), "eval-nli",
+                                        "nles.jsonl line 2: bad record (TypeError"),
 }
 
 

@@ -256,6 +256,52 @@ def test_fine_tune_keeps_best_validation_checkpoint():
     assert backend.generate("v1") == "Supports"  # backend restored to it
 
 
+class CountingBackend(MemorizingBackend):
+    def __init__(self):
+        super().__init__()
+        self.generate_calls = 0
+
+    def generate(self, prompt):
+        self.generate_calls += 1
+        return super().generate(prompt)
+
+
+def test_fine_tune_validates_each_state_once():
+    # 8 pairs at batch 8 is one step per epoch, so the last of 4 steps is a periodic one.
+    backend = CountingBackend()
+    validation = [("v1", "Supports"), ("v2", "Refutes")]
+    _, log = fine_tune(separable_pairs(), TrainConfig(epochs=4, eval_every_steps=2, seed=0),
+                       backend, validation)
+    assert [e.step for e in log.entries] == [2, 4]
+    assert backend.generate_calls == len(log.entries) * len(validation)
+
+
+class ImprovingBackend(DegradingBackend):
+    """Scripted stub whose validation answers are right only after the last step."""
+
+    restores = 0
+
+    def generate(self, prompt):
+        return "Supports" if self.steps < 5 or prompt != "v3" else "Refutes"
+
+    def restore(self, state):
+        self.restores += 1
+        super().restore(state)
+
+
+def test_fine_tune_keeps_the_final_state_when_it_scores_best():
+    backend = ImprovingBackend()
+    validation = [("v1", "Supports"), ("v2", "Supports"), ("v3", "Refutes")]
+    state, log = fine_tune([("train prompt", "Supports")],
+                           TrainConfig(batch_size=1, epochs=5, eval_every_steps=2, seed=0),
+                           backend, validation)
+    assert [e.step for e in log.entries] == [2, 4, 5]
+    assert log.best_step == log.final_step == 5
+    assert log.best_validation_f1 == log.final_validation_f1 == pytest.approx(1.0)
+    assert backend.restores == 0
+    assert state == backend.snapshot()
+
+
 def test_train_config_defaults():
     config = TrainConfig()
     assert (config.batch_size, config.learning_rate, config.epochs, config.eval_every_steps) == \
