@@ -4,11 +4,13 @@ One table, COMMANDS, declares every stage: the artifacts it needs and the
 function that turns them into new artifacts; ARTIFACTS declares each file.
 For each stage the engine checks that the needed artifacts exist, reads each
 one's bytes once, refusing artifacts of a different configuration, decodes
-them, writes what the stage returns, and appends a manifest entry with the
-sha256 of the bytes it decoded. Stages get read-only inputs. Within run_all a
-RunTable decodes each artifact once, and a later reader gets the decoded value
-only if the file's bytes still hash the same. Artifact files carry no
-timestamps, so a rerun with the same config and inputs is byte-identical.
+them, encodes and writes what the stage returns, and appends a manifest entry
+with the sha256 of the bytes it decoded and of the bytes it wrote. Stages get
+read-only inputs. Within run_all a RunTable holds each artifact from its write,
+as the value decoding its bytes would give, so the run decodes nothing it wrote;
+a later reader gets the held value only if the file's bytes still hash the same.
+Artifact files carry no timestamps, so a rerun with the same config and inputs
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .errors import (
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
-    atomic_open,
     file_sha256,
     from_row,
     read_doc,
@@ -56,6 +57,7 @@ from .store import (
     to_row,
     write_doc,
     write_records,
+    write_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -254,11 +256,12 @@ def create_nli(backend_id: str) -> verdict.Text2TextBackend:
 
 
 def append_manifest(config: PipelineConfig, stage: str, config_hash: str,
-                    input_hashes: dict[str, str]) -> None:
+                    input_hashes: dict[str, str], output_hashes: dict[str, str]) -> None:
     entry = {
         "stage": stage,
         "config_hash": config_hash,
         "input_hashes": input_hashes,
+        "output_hashes": output_hashes,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     path = config.artifact(MANIFEST)
@@ -275,6 +278,7 @@ class Artifact(NamedTuple):
     kind: str | None = None  # header kind; None: no header, the text is written as given
     key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
     from_row: Callable[[dict], object] | None = None
+    to_row: Callable[[object], dict] = to_row  # record stores: a record's row
     keys: Mapping[str, type] = {}  # documents: each required key and its annotation
     stamped: bool = False  # record stores: each row ends with the header's config hash
 
@@ -289,7 +293,8 @@ ARTIFACTS: dict[str, Artifact] = {
     MODEL_STATE: Artifact("model", keys={"backend_id": str, "state": dict}),
     TRAIN_LOG: Artifact("train-log"),
     PREDICTIONS: Artifact("predictions", "record_id", partial(from_row, verdict.VerdictPrediction)),
-    NLES: Artifact("nles", "record_id", lambda row: nle.nle_from_row(**row)),
+    NLES: Artifact("nles", "record_id", lambda row: nle.nle_from_row(**row),
+                   lambda e: {"record_id": e.record_id, "text": e.text}),
     HIGHLIGHTS: Artifact("highlights"),
     HIGHLIGHTS_HTML: Artifact(),
     EVAL_F1: Artifact("eval-f1", keys={"macro_f1": dict, "scored": dict}),
@@ -329,22 +334,31 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Map
     return digest, MappingProxyType(decoded)
 
 
-def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> None:
+def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tuple[str, object]:
+    """Encode and write one artifact; return the sha256 of the bytes written and the value.
+
+    The value is what _read returns for those bytes: a read-only {key: record} for a
+    store of records, the read-only document with its header for a document, and
+    the text itself for a file without a header.
+    """
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.kind is None:
-        with atomic_open(path) as fh:
-            fh.write(payload)
-    elif spec.stamped:
-        write_records(path, spec.kind, config_hash,
-                      ({**row, "config_hash": config_hash} for row in payload))
-    else:
-        (write_records if spec.key else write_doc)(path, spec.kind, config_hash, payload)
+        return write_text(path, (payload,)), payload
+    if spec.key is None:
+        return (write_doc(path, spec.kind, config_hash, payload),
+                MappingProxyType({"kind": spec.kind, "config_hash": config_hash, **payload}))
+    records = MappingProxyType({getattr(record, spec.key): record for record in payload})
+    rows = map(spec.to_row, records.values())
+    if spec.stamped:
+        rows = ({**row, "config_hash": config_hash} for row in rows)
+    return write_records(path, spec.kind, config_hash, rows), records
 
 
 # ---------------------------------------------------------------------------
 # Stage functions: fn(config, config_hash, *decoded needs, **command args)
 # returns (summary, {artifact file name: payload}) plus, for stages that read
-# files outside the output directory, {manifest key: sha256}.
+# files outside the output directory, {manifest key: sha256}. A store's payload
+# is its records, a document's its keys after the header, a plain file's its text.
 
 
 def _ingest(config: PipelineConfig, config_hash: str):
@@ -381,7 +395,7 @@ def _ingest(config: PipelineConfig, config_hash: str):
     }
     matches_benchmark = stats.total == BENCHMARK_TOTAL and stats.per_label == BENCHMARK_PER_LABEL
     summary = {**stats_payload, "matches_benchmark": matches_benchmark}
-    outputs = {CORPUS_CLEAN: map(to_row, records), CORPUS_STATS: stats_payload}
+    outputs = {CORPUS_CLEAN: records, CORPUS_STATS: stats_payload}
     return summary, outputs, sources
 
 
@@ -404,8 +418,8 @@ def _rationales(config, config_hash, records, _splits):
     # splits is read only to check that it was made under this config
     backend = create_summarizer(config.backends.summarizer)
     result = rationale.batch_generate(list(records.values()), backend, config.summary)
-    rows = [to_row(r) for r in result.rationales.values()]
-    return {"generated": len(rows), "failures": result.failures}, {RATIONALES: rows}
+    generated = list(result.rationales.values())
+    return {"generated": len(generated), "failures": result.failures}, {RATIONALES: generated}
 
 
 def _train(config, config_hash, records, splits, rationales):
@@ -440,22 +454,21 @@ def _predict(config, config_hash, records, rationales, model):
             raise CorruptArtifact(config.artifact(MODEL_STATE),
                                   f"cannot restore the state: {exc.detail}") from exc
 
-    rows = [to_row(verdict.classify(r.claim, rationales[r.id], backend))
-            for r in records.values() if r.id in rationales]
+    predictions = [verdict.classify(r.claim, rationales[r.id], backend)
+                   for r in records.values() if r.id in rationales]
     skipped = [i for i in records if i not in rationales]
     if skipped:
         logger.warning("no rationale for %d records; skipped: %s", len(skipped), ", ".join(skipped))
-    return {"predicted": len(rows), "skipped": skipped}, {PREDICTIONS: rows}
+    return {"predicted": len(predictions), "skipped": skipped}, {PREDICTIONS: predictions}
 
 
 def _nle(config, config_hash, rationales, predictions):
-    rows = []
+    explanations = []
     for prediction in predictions.values():
         if prediction.record_id not in rationales:
             raise verdict.MissingRationale(prediction.record_id)
-        explanation = nle.compose_nle(prediction, rationales[prediction.record_id])
-        rows.append({"record_id": explanation.record_id, "text": explanation.text})
-    return {"explanations": len(rows)}, {NLES: rows}
+        explanations.append(nle.compose_nle(prediction, rationales[prediction.record_id]))
+    return {"explanations": len(explanations)}, {NLES: explanations}
 
 
 def _explain(config, config_hash, records, splits, rationales):
@@ -577,11 +590,13 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
 
 
 class RunTable:
-    """The decoded artifacts of one run_all: name -> (sha256 of the bytes, config hash, value).
+    """The artifacts one run_all holds: name -> (sha256 of the bytes, config hash, value).
 
-    A later reader re-hashes the file and gets the held value only if both hashes are
-    the same; other bytes are decoded and checked afresh, so a file rewritten between
-    commands is never hidden. An entry is dropped after its last reader in `commands`.
+    Each artifact is held from its write, as the value _write returned, so nothing the
+    run wrote is decoded again. A later reader re-hashes the file and gets the held value
+    only if both hashes are the same; other bytes are decoded and checked afresh, so a
+    file rewritten after its write is never hidden. An artifact is held only if a
+    command in `commands` reads it, and is dropped after its last reader.
     """
 
     def __init__(self, commands: Iterable[str]):
@@ -591,20 +606,24 @@ class RunTable:
     def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
         """Like _read: the sha256 of the bytes read and the read-only value."""
         digest, held_hash, value = self.entries.pop(name, (None, None, None))
-        if (held_hash != config_hash  # the file may have changed since it was decoded
+        if (held_hash != config_hash  # the file may have changed since it was held
                 or sha256(config.artifact(name).read_bytes()).hexdigest() != digest):
             digest, value = _read(config, name, config_hash)
         self.readers[name] -= 1
+        self.hold(name, digest, config_hash, value)
+        return digest, value
+
+    def hold(self, name: str, digest: str, config_hash: str, value) -> None:
+        """Hold `name`'s value, if a later command reads it."""
         if self.readers[name] > 0:
             self.entries[name] = digest, config_hash, value
-        return digest, value
 
 
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
                 **args) -> dict:
     """Run one table entry: check, read and decode its needs (through `table` if
-    given), write its outputs, and stamp a manifest entry with the sha256 of every
-    file it read."""
+    given), write its outputs (held in `table`), and stamp a manifest entry with the
+    sha256 of every file it read and wrote."""
     stage = COMMANDS[name]
     for need in stage.needs:
         if not config.artifact(need).exists():
@@ -616,11 +635,14 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         input_hashes[Path(need).stem], value = read(config, need, config_hash)
         inputs.append(value)
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
+    output_hashes = {}
     for output, payload in outputs.items():
-        _write(config, output, config_hash, payload)
+        output_hashes[output], value = _write(config, output, config_hash, payload)
+        if table is not None:
+            table.hold(output, output_hashes[output], config_hash, value)
     if outputs:
         input_hashes.update(*sources)
-        append_manifest(config, stage.name, config_hash, input_hashes)
+        append_manifest(config, stage.name, config_hash, input_hashes, output_hashes)
     return summary
 
 
@@ -659,7 +681,7 @@ def run_all(config: PipelineConfig) -> dict[str, dict]:
     if config.artifact(ANNOTATION_SUMMARY).exists():  # report reads it; refuse a stale one first
         _read(config, ANNOTATION_SUMMARY, config.config_hash)
     table = RunTable(name for names in STEPS.values() for name in names)
-    summaries = {"ingest": stage_ingest(config)}
+    summaries = {"ingest": stage_ingest(config, table=table)}
     for stage in STEPS:
         summaries[stage] = STAGES[stage](config, table=table)
     return summaries

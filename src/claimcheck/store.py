@@ -7,7 +7,8 @@ byte-identical (timestamps live only in the run manifest).
 
 Writes go to a temporary file in the same directory that replaces the
 artifact only once it is complete, so a write that fails part-way leaves
-the previous artifact, or none, never a truncated one.
+the previous artifact, or none, never a truncated one. Every writer returns
+the sha256 of the bytes it wrote, hashed as they are written.
 
 A record dataclass's annotations are its row schema: to_row and from_row
 encode and decode every record class.
@@ -18,11 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager
 from enum import Enum
 from functools import cache
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, TextIO
+from typing import Iterable, Literal
 
 from .errors import ValidationError, config_value, field_hints, value_rule
 
@@ -81,6 +82,9 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
+_DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+
+
 def _loads(path: Path, text: str, first_line: int):
     try:
         return json.loads(text)
@@ -89,26 +93,35 @@ def _loads(path: Path, text: str, first_line: int):
                               first_line + exc.lineno - 1) from exc
 
 
-@contextmanager
-def atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Open a text file for writing that appears at `path` only when closed cleanly."""
+# Text chunks (store lines) encoded, hashed and written together.
+WRITE_BATCH = 256
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> str:
+    """Write the text `chunks` as UTF-8 to a file that appears at `path` only once complete;
+    return the sha256 of the bytes written. Chunks are encoded and hashed in batches, so the
+    whole file is never held as one string."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest, chunks = hashlib.sha256(), iter(chunks)
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            yield fh
+        with tmp.open("wb") as fh:
+            for batch in iter(lambda: list(islice(chunks, WRITE_BATCH)), []):
+                data = "".join(batch).encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return digest.hexdigest()
 
 
-def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> None:
-    """Write a line-delimited store: one header line, then one record per line."""
-    with atomic_open(path) as fh:
-        fh.write(_dump({"kind": kind, "config_hash": config_hash}) + "\n")
-        for record in records:
-            fh.write(_dump(record) + "\n")
+def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> str:
+    """Write a line-delimited store: one header line, then one record per line. Returns the
+    file's sha256."""
+    header = {"kind": kind, "config_hash": config_hash}
+    return write_text(path, (_dump(row) + "\n" for row in chain((header,), records)))
 
 
 def _read_text(path: Path) -> tuple[str, str]:
@@ -130,11 +143,11 @@ def read_records(path: str | Path, kind: str, config_hash: str) -> tuple[str, li
                     for number, line in enumerate(lines, start=2) if line.strip()]
 
 
-def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> None:
-    """Write a single-document JSON artifact with embedded provenance."""
+def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> str:
+    """Write a single-document JSON artifact with embedded provenance. Returns the file's
+    sha256."""
     doc = {"kind": kind, "config_hash": config_hash, **payload}
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+    return write_text(path, chain(_DOC_ENCODER.iterencode(doc), ("\n",)))
 
 
 def read_doc(path: str | Path, kind: str, config_hash: str) -> tuple[str, dict]:

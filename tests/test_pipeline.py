@@ -455,7 +455,7 @@ def test_file_sha256_hashes_only_inputs_from_outside_the_output_dir(fixture_conf
 
 
 # ---------------------------------------------------------------------------
-# run_all decodes each artifact once, and never hides a rewrite
+# run_all decodes nothing it wrote, and never hides a rewrite
 
 
 def _run_all_reads():
@@ -464,15 +464,52 @@ def _run_all_reads():
                    for need in pipeline.COMMANDS[name].needs)
 
 
-def test_run_all_decodes_each_artifact_once(fixture_config, monkeypatch):
-    decoded = Counter()
+def test_run_all_decodes_nothing_it_wrote(fixture_config, monkeypatch):
+    decoded, read = Counter(), Counter()
     for reader in ("read_records", "read_doc"):
         original = getattr(pipeline, reader)
         monkeypatch.setattr(pipeline, reader, lambda path, *rest, original=original:
                             decoded.update([Path(path).name]) or original(path, *rest))
+    table_read = pipeline.RunTable.read
+    monkeypatch.setattr(pipeline.RunTable, "read", lambda self, config, name, config_hash:
+                        read.update([name]) or table_read(self, config, name, config_hash))
     pipeline.run_all(fixture_config)
     assert max(_run_all_reads().values()) > 1  # several commands read the same file
-    assert decoded == dict.fromkeys(_run_all_reads(), 1)
+    assert read == _run_all_reads()
+    assert decoded == {}
+
+
+def test_run_all_holds_what_decoding_the_written_bytes_gives(fixture_config, monkeypatch):
+    held = {}
+    write = pipeline._write
+    monkeypatch.setattr(pipeline, "_write", lambda config, name, config_hash, payload:
+                        held.setdefault(name, write(config, name, config_hash, payload)))
+    pipeline.run_all(fixture_config)
+    with_header = {name for name, spec in pipeline.ARTIFACTS.items() if spec.kind is not None}
+    assert set(held) & with_header == with_header - {pipeline.ANNOTATION_SUMMARY}
+    assert {pipeline.CORPUS_CLEAN, pipeline.CORPUS_STATS} <= set(held)  # ingest's included
+    config_hash = fixture_config.config_hash
+    for name in sorted(set(held) & with_header):
+        digest, value = pipeline._read(fixture_config, name, config_hash)
+        assert held[name][0] == digest, name
+        assert held[name][1] == value, name
+        assert type(held[name][1]) is type(value), name
+        for key, item in value.items():
+            assert type(held[name][1][key]) is type(item), (name, key)
+
+
+def test_manifest_output_hashes_are_the_digests_of_the_files_written(fixture_config):
+    pipeline.run_all(fixture_config)
+    entries = [json.loads(line) for line in
+               fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()]
+    assert [e["stage"] for e in entries] == [
+        "ingest", *(name for names in pipeline.STEPS.values() for name in names)]
+    for entry in entries:
+        assert entry["output_hashes"], entry["stage"]
+        for name, digest in entry["output_hashes"].items():
+            assert digest == file_sha256(fixture_config.artifact(name)), (entry["stage"], name)
+    written = {p.name for p in Path(fixture_config.output_dir).iterdir()} - {pipeline.MANIFEST}
+    assert {name for e in entries for name in e["output_hashes"]} == written
 
 
 def test_run_table_holds_an_artifact_only_until_its_last_reader(fixture_config, monkeypatch):
@@ -509,13 +546,59 @@ def _damage_corpus_after(command, damage, monkeypatch):
     monkeypatch.setitem(pipeline.COMMANDS, command, stage._replace(fn=run_then_damage))
 
 
+def _edit_first_claim(path):
+    """Rewrite the first cleaned record's claim in place; return the record's id."""
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    row = json.loads(first)
+    row["claim"] = "an edited claim."
+    path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
+    return row["id"]
+
+
+def _damage_corpus_once_ingest_wrote_it(damage, monkeypatch):
+    """Make `damage` hit corpus_clean.jsonl after ingest writes it, before split reads it."""
+    append_manifest = pipeline.append_manifest
+
+    def append_then_damage(config, stage, *rest):
+        append_manifest(config, stage, *rest)
+        if stage == "ingest":
+            damage(config.artifact(pipeline.CORPUS_CLEAN))
+
+    monkeypatch.setattr(pipeline, "append_manifest", append_then_damage)
+
+
+def test_run_all_decodes_an_artifact_edited_between_its_write_and_first_read(
+        fixture_config, monkeypatch):
+    edited, seen = [], {}
+    split = pipeline.COMMANDS["split"]
+
+    def record_claims(config, config_hash, records):
+        seen.update({i: r.claim for i, r in records.items()})
+        return split.fn(config, config_hash, records)
+
+    _damage_corpus_once_ingest_wrote_it(lambda path: edited.append(_edit_first_claim(path)),
+                                        monkeypatch)
+    monkeypatch.setitem(pipeline.COMMANDS, "split", split._replace(fn=record_claims))
+    pipeline.run_all(fixture_config)
+    assert seen[edited[0]] == "an edited claim."
+    entries = {e["stage"]: e for e in map(
+        json.loads, fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines())}
+    on_disk = file_sha256(fixture_config.artifact(pipeline.CORPUS_CLEAN))
+    assert entries["split"]["input_hashes"]["corpus_clean"] == on_disk
+    assert entries["ingest"]["output_hashes"][pipeline.CORPUS_CLEAN] != on_disk
+
+
+def test_run_all_rejects_an_artifact_truncated_between_its_write_and_first_read(
+        fixture_config, monkeypatch):
+    _damage_corpus_once_ingest_wrote_it(_cut_in_half, monkeypatch)
+    with pytest.raises(CorruptArtifact, match="corpus_clean.jsonl line"):
+        pipeline.run_all(fixture_config)
+
+
 def test_run_all_decodes_an_artifact_rewritten_between_commands(fixture_config, monkeypatch):
     def edit_first_claim(path):
-        header, first, *rest = path.read_text().splitlines(keepends=True)
-        row = json.loads(first)
-        row["claim"] = "an edited claim."
-        path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
-        edited.update(id=row["id"], digest=hashlib.sha256(path.read_bytes()).hexdigest())
+        edited.update(id=_edit_first_claim(path),
+                      digest=hashlib.sha256(path.read_bytes()).hexdigest())
 
     edited, seen = {}, {}
     eval_nli = pipeline.COMMANDS["eval-nli"]
