@@ -46,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                 help="number of tasks to sample")
     sub.choices["annotate-aggregate"].add_argument("files", nargs="+",
                                                    help="filled annotation files")
-
-    run_cmd = sub.add_parser("run", help="run one named pipeline stage")
-    _add_common(run_cmd)
-    run_cmd.add_argument("--stage", required=True, choices=sorted(pipeline.STAGES),
-                         help="stage to run (upstream artifacts must exist)")
-    run_cmd.set_defaults(run=pipeline.run_stage)
     return parser
 
 

@@ -208,30 +208,34 @@ def parse_corpus(path: str | Path, format: str = "json-lines") -> list[ClaimReco
     if format not in ("json-lines", "delimited"):
         raise ValidationError(f"unknown corpus format {format!r}")
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read corpus {path}: {exc}") from exc
-
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
-    if format == "json-lines":
-        for row_num, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise UnreadableFile(f"{path}: row {row_num} is not valid JSON: {exc}") from exc
-            records.append(_record_from_mapping(row_num, row, seen_ids))
-    else:
-        lines = text.splitlines()
-        if not lines:
-            return []
-        delimiter = "\t" if "\t" in lines[0] else ","
-        reader = csv.DictReader(lines, delimiter=delimiter)
-        for row_num, row in enumerate(reader, start=2):
-            records.append(_record_from_mapping(row_num, row, seen_ids))
+    try:
+        if format == "json-lines":
+            with path.open(encoding="utf-8") as fh:
+                # A text file's lines end at "\n" only; a JSON string may hold U+2028,
+                # U+0085 and the other breaks that str.splitlines also splits on.
+                for row_num, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise UnreadableFile(
+                            f"{path}: row {row_num} is not valid JSON: {exc}") from exc
+                    records.append(_record_from_mapping(row_num, row, seen_ids))
+            return records
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"cannot read corpus {path}: {exc}") from exc
+
+    lines = text.splitlines()
+    if not lines:
+        return []
+    delimiter = "\t" if "\t" in lines[0] else ","
+    reader = csv.DictReader(lines, delimiter=delimiter)
+    for row_num, row in enumerate(reader, start=2):
+        records.append(_record_from_mapping(row_num, row, seen_ids))
     return records
 
 

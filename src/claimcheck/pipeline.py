@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
-from hashlib import sha256
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
@@ -50,8 +49,11 @@ from .errors import (
 from .store import (
     CorruptArtifact,
     MissingUpstreamArtifact,
+    digest,
     file_sha256,
     from_row,
+    os_errors,
+    read_bytes,
     read_doc,
     read_records,
     to_row,
@@ -182,8 +184,7 @@ class PipelineConfig:
         payload = asdict(self)
         for key in ("corpus_path", "blocklist_path", "output_dir"):
             payload.pop(key)
-        canonical = json.dumps(payload, sort_keys=True)
-        return sha256(canonical.encode("utf-8")).hexdigest()
+        return digest(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def artifact(self, name: str) -> Path:
         return Path(self.output_dir) / name
@@ -265,9 +266,10 @@ def append_manifest(config: PipelineConfig, stage: str, config_hash: str,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     path = config.artifact(MANIFEST)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    with os_errors("write", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -590,56 +592,59 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
 
 
 class RunTable:
-    """The artifacts one run_all holds: name -> (sha256 of the bytes, config hash, value).
+    """The artifacts one run holds: name -> (sha256 of the bytes, config hash, value).
 
-    Each artifact is held from its write, as the value _write returned, so nothing the
-    run wrote is decoded again. A later reader re-hashes the file and gets the held value
-    only if both hashes are the same; other bytes are decoded and checked afresh, so a
-    file rewritten after its write is never hidden. An artifact is held only if a
-    command in `commands` reads it, and is dropped after its last reader.
+    Every command reads its needs through a RunTable. run_all shares one across its
+    commands, so each artifact is held from its write, as the value _write returned,
+    and nothing the run wrote is decoded again; a single command gets an empty one,
+    which holds nothing. A reader re-hashes the file and gets the held value only if
+    both hashes are the same; other bytes are decoded and checked afresh, so a file
+    rewritten after its write is never hidden. An artifact is held only if a command
+    in `commands` reads it, and is dropped after its last reader.
     """
 
-    def __init__(self, commands: Iterable[str]):
+    def __init__(self, commands: Iterable[str] = ()):
         self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
         self.entries: dict[str, tuple[str, str, Mapping]] = {}
 
     def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
         """Like _read: the sha256 of the bytes read and the read-only value."""
-        digest, held_hash, value = self.entries.pop(name, (None, None, None))
+        sha, held_hash, value = self.entries.pop(name, (None, None, None))
         if (held_hash != config_hash  # the file may have changed since it was held
-                or sha256(config.artifact(name).read_bytes()).hexdigest() != digest):
-            digest, value = _read(config, name, config_hash)
+                or digest(read_bytes(config.artifact(name))) != sha):
+            sha, value = _read(config, name, config_hash)
         self.readers[name] -= 1
-        self.hold(name, digest, config_hash, value)
-        return digest, value
+        self.hold(name, sha, config_hash, value)
+        return sha, value
 
-    def hold(self, name: str, digest: str, config_hash: str, value) -> None:
+    def hold(self, name: str, sha: str, config_hash: str, value) -> None:
         """Hold `name`'s value, if a later command reads it."""
         if self.readers[name] > 0:
-            self.entries[name] = digest, config_hash, value
+            self.entries[name] = sha, config_hash, value
 
 
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
                 **args) -> dict:
-    """Run one table entry: check, read and decode its needs (through `table` if
-    given), write its outputs (held in `table`), and stamp a manifest entry with the
-    sha256 of every file it read and wrote."""
-    stage = COMMANDS[name]
+    """Run one COMMANDS entry: check its needs exist, read and decode them through
+    `table` (run_all's, or an empty one), write its outputs and hold them in `table`,
+    and stamp a manifest entry with the sha256 of every file it read and wrote."""
+    stage = COMMANDS.get(name)
+    if stage is None:
+        raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
     for need in stage.needs:
         if not config.artifact(need).exists():
             raise MissingUpstreamArtifact(stage.name, config.artifact(need))
     config_hash = config.config_hash
-    read = _read if table is None else table.read
+    table = table or RunTable()
     input_hashes, inputs = {}, []
     for need in stage.needs:
-        input_hashes[Path(need).stem], value = read(config, need, config_hash)
+        input_hashes[Path(need).stem], value = table.read(config, need, config_hash)
         inputs.append(value)
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
     output_hashes = {}
     for output, payload in outputs.items():
         output_hashes[output], value = _write(config, output, config_hash, payload)
-        if table is not None:
-            table.hold(output, output_hashes[output], config_hash, value)
+        table.hold(output, output_hashes[output], config_hash, value)
     if outputs:
         input_hashes.update(*sources)
         append_manifest(config, stage.name, config_hash, input_hashes, output_hashes)
@@ -665,15 +670,6 @@ STEPS: dict[str, tuple[str, ...]] = {
 # Each value is f(config, table=None).
 STAGES: dict[str, Callable[..., dict]] = {
     step: partial(_run_commands, names=names) for step, names in STEPS.items()}
-stage_split = STAGES["split"]
-stage_rationales = STAGES["rationales"]
-
-
-def run_stage(config: PipelineConfig, stage: str) -> dict:
-    """Run one named stage; upstream artifacts must already exist."""
-    if stage not in STAGES:
-        raise ValidationError(f"unknown stage {stage!r}; stages: {', '.join(STAGES)}")
-    return STAGES[stage](config)
 
 
 def run_all(config: PipelineConfig) -> dict[str, dict]:

@@ -8,7 +8,9 @@ byte-identical (timestamps live only in the run manifest).
 Writes go to a temporary file in the same directory that replaces the
 artifact only once it is complete, so a write that fails part-way leaves
 the previous artifact, or none, never a truncated one. Every writer returns
-the sha256 of the bytes it wrote, hashed as they are written.
+the sha256 of the bytes it wrote, hashed as they are written; every other
+sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
+read. A file that cannot be read or written is a ValidationError naming it.
 
 A record dataclass's annotations are its row schema: to_row and from_row
 encode and decode every record class.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from enum import Enum
 from functools import cache
 from itertools import chain, islice
@@ -93,6 +96,26 @@ def _loads(path: Path, text: str, first_line: int):
                               first_line + exc.lineno - 1) from exc
 
 
+def digest(data: bytes) -> str:
+    """The sha256 of `data`, as hex."""
+    return hashlib.sha256(data).hexdigest()
+
+
+@contextmanager
+def os_errors(verb: str, path: str | Path):
+    """Turn an OSError on `path` into a ValidationError naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot {verb} {path}: {exc}") from exc
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """A file's bytes."""
+    with os_errors("read", path):
+        return Path(path).read_bytes()
+
+
 # Text chunks (store lines) encoded, hashed and written together.
 WRITE_BATCH = 256
 
@@ -102,19 +125,20 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> str:
     return the sha256 of the bytes written. Chunks are encoded and hashed in batches, so the
     whole file is never held as one string."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest, chunks = hashlib.sha256(), iter(chunks)
-    try:
-        with tmp.open("wb") as fh:
-            for batch in iter(lambda: list(islice(chunks, WRITE_BATCH)), []):
-                data = "".join(batch).encode("utf-8")
-                digest.update(data)
-                fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return digest.hexdigest()
+    hasher, chunks = hashlib.sha256(), iter(chunks)
+    with os_errors("write", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("wb") as fh:
+                for batch in iter(lambda: list(islice(chunks, WRITE_BATCH)), []):
+                    data = "".join(batch).encode("utf-8")
+                    hasher.update(data)
+                    fh.write(data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return hasher.hexdigest()
 
 
 def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> str:
@@ -126,9 +150,9 @@ def write_records(path: str | Path, kind: str, config_hash: str, records: Iterab
 
 def _read_text(path: Path) -> tuple[str, str]:
     """Read a file's bytes once; return their sha256 and their UTF-8 text."""
-    data = path.read_bytes()
+    data = read_bytes(path)
     try:
-        return hashlib.sha256(data).hexdigest(), data.decode("utf-8")
+        return digest(data), data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptArtifact(path, f"not UTF-8 text ({exc.reason})") from exc
 
@@ -136,11 +160,11 @@ def _read_text(path: Path) -> tuple[str, str]:
 def read_records(path: str | Path, kind: str, config_hash: str) -> tuple[str, list]:
     """Return the store's sha256 and its (file line number, record) pairs, skipping blank lines."""
     path = Path(path)
-    digest, text = _read_text(path)
+    sha, text = _read_text(path)
     header, *lines = text.split("\n")
     _check_header(path, _loads(path, header, 1), kind, config_hash)
-    return digest, [(number, _loads(path, line, number))
-                    for number, line in enumerate(lines, start=2) if line.strip()]
+    return sha, [(number, _loads(path, line, number))
+                 for number, line in enumerate(lines, start=2) if line.strip()]
 
 
 def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> str:
@@ -153,10 +177,10 @@ def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> s
 def read_doc(path: str | Path, kind: str, config_hash: str) -> tuple[str, dict]:
     """Return the document's sha256 and the document."""
     path = Path(path)
-    digest, text = _read_text(path)
+    sha, text = _read_text(path)
     doc = _loads(path, text, 1)
     _check_header(path, doc, kind, config_hash)
-    return digest, doc
+    return sha, doc
 
 
 def _check_header(path: Path, header, kind: str, config_hash: str) -> None:
@@ -172,8 +196,4 @@ def _check_header(path: Path, header, kind: str, config_hash: str) -> None:
 
 
 def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return digest(read_bytes(path))

@@ -117,6 +117,23 @@ def test_parse_nonexistent_file(tmp_path):
         parse_corpus(tmp_path / "nope.jsonl")
 
 
+def test_parse_keeps_unicode_line_breaks_inside_json_strings(tmp_path):
+    rows = make_rows(2, 1)
+    rows[0]["evidence"] = "First part.\u2028Second part.\u0085Third part."
+    path = write_corpus(tmp_path / "c.jsonl", rows)
+    assert "\u2028" in path.read_text(encoding="utf-8")  # raw, not escaped
+    records = parse_corpus(path)
+    assert [r.id for r in records] == [row["id"] for row in rows]
+    assert records[0].evidence == rows[0]["evidence"]
+
+
+def test_parse_non_utf8_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "\xff"}\n')
+    with pytest.raises(UnreadableFile, match="cannot read corpus"):
+        parse_corpus(path)
+
+
 def test_parse_delimited_tsv(tmp_path):
     rows = make_rows(3, 2)
     header = "\t".join(rows[0].keys())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from claimcheck import pipeline
-from claimcheck.cli import main
+from claimcheck.cli import build_parser, main
 from claimcheck.corpus import default_blocklist_path
 from claimcheck.errors import ValidationError
 from claimcheck.store import (
@@ -192,9 +193,9 @@ def test_unknown_backend_id_is_validation_error(fixture_config):
     config = replace(fixture_config,
                      backends=replace(fixture_config.backends, summarizer="no-such-backend"))
     pipeline.stage_ingest(config)
-    pipeline.stage_split(config)
+    pipeline.run_command(config, "split")
     with pytest.raises(ValidationError, match="no-such-backend"):
-        pipeline.stage_rationales(config)
+        pipeline.run_command(config, "rationales")
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +205,12 @@ def test_unknown_backend_id_is_validation_error(fixture_config):
 def test_stage_requires_upstream_artifacts(fixture_config):
     pipeline.stage_ingest(fixture_config)
     with pytest.raises(MissingUpstreamArtifact):
-        pipeline.run_stage(fixture_config, "predict")
+        pipeline.run_command(fixture_config, "predict")
 
 
 def test_unknown_stage_rejected(fixture_config):
-    with pytest.raises(ValidationError):
-        pipeline.run_stage(fixture_config, "frobnicate")
+    with pytest.raises(ValidationError, match="'frobnicate'; commands: ingest, stats, split"):
+        pipeline.run_command(fixture_config, "frobnicate")
 
 
 def test_artifacts_from_other_config_rejected(tmp_path, corpus20_path):
@@ -220,12 +221,12 @@ def test_artifacts_from_other_config_rejected(tmp_path, corpus20_path):
     second = pipeline.load_config(write_config(tmp_path / "b.json", corpus20_path, out,
                                                split_seed=7))
     with pytest.raises(ArtifactMismatch):
-        pipeline.stage_split(second)
+        pipeline.run_command(second, "split")
 
 
 def test_manifest_records_stages_and_input_hashes(fixture_config):
     pipeline.stage_ingest(fixture_config)
-    pipeline.stage_split(fixture_config)
+    pipeline.run_command(fixture_config, "split")
     entries = [json.loads(line) for line in
                fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()]
     assert [e["stage"] for e in entries] == ["ingest", "split"]
@@ -377,10 +378,18 @@ def test_cli_bad_usage_exits_one(capsys):
 def test_cli_run_stage_flag(tmp_path, corpus20_path, capsys):
     config = cli_config(tmp_path, corpus20_path)
     assert main(["ingest", "--config", str(config)]) == 0
-    assert main(["run", "--config", str(config), "--stage", "split"]) == 0
+    assert main(["split", "--config", str(config)]) == 0
     assert (tmp_path / "out" / pipeline.SPLITS).exists()
     capsys.readouterr()
-    assert main(["run", "--config", str(config), "--stage", "predict"]) == 1  # DAG enforced
+    assert main(["predict", "--config", str(config)]) == 1  # DAG enforced
+    assert main(["run", "--config", str(config), "--stage", "split"]) == 1  # no such command
+
+
+def test_cli_subcommands_are_exactly_the_commands():
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(pipeline.COMMANDS)
 
 
 def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
@@ -441,7 +450,7 @@ def test_manifest_hashes_the_bytes_the_stage_decoded(fixture_config, monkeypatch
         return result
 
     monkeypatch.setitem(pipeline.COMMANDS, "split", split._replace(fn=split_then_edit_input))
-    pipeline.stage_split(fixture_config)
+    pipeline.run_command(fixture_config, "split")
     entry = json.loads(fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()[-1])
     assert entry["input_hashes"]["corpus_clean"] == hashlib.sha256(original).hexdigest()
 
@@ -649,8 +658,9 @@ def test_run_all_matches_stages_run_one_by_one_through_the_cli(fixture_config, t
     config = write_config(tmp_path / "cli.json", fixture_config.corpus_path, out,
                           blocklist_path=fixture_config.blocklist_path)
     assert main(["ingest", "--config", str(config)]) == 0
-    for stage in pipeline.STAGES:
-        assert main(["run", "--stage", stage, "--config", str(config)]) == 0
+    for names in pipeline.STEPS.values():
+        for name in names:
+            assert main([name, "--config", str(config)]) == 0
 
     def artifacts(directory):
         return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())
@@ -743,7 +753,14 @@ def _repeat_last_row(path):
     path.write_text(text + text.splitlines(keepends=True)[-1])
 
 
+def _directory_in_place(path):
+    path.unlink()
+    path.mkdir()
+
+
 UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
+# No directory can be made under this module, a regular file.
+UNDER_A_FILE = Path(__file__) / "out"
 
 # case: (config keys, commands run first, artifact to damage, damage, command and flags,
 #        error text)
@@ -858,6 +875,13 @@ MALFORMED_INPUTS = {
     "explanation with an extra field": ({}, (*UPSTREAM, "nle"), pipeline.NLES,
                                         _set_in_first_row(verdict="made up"), "eval-nli",
                                         "nles.jsonl line 2: bad record (TypeError"),
+    "output_dir under a regular file": ({"output_dir": str(UNDER_A_FILE)}, (), None, None,
+                                        "ingest", f"cannot write {UNDER_A_FILE}/corpus_clean.jsonl:"
+                                        " [Errno 20] Not a directory"),
+    "splits a directory": ({}, UPSTREAM[:2], pipeline.SPLITS, _directory_in_place, "rationales",
+                           "splits.json: [Errno 21] Is a directory"),
+    "manifest a directory": ({}, UPSTREAM[:1], pipeline.MANIFEST, _directory_in_place, "split",
+                             "manifest.jsonl: [Errno 21] Is a directory"),
 }
 
 
