@@ -26,9 +26,9 @@ from .errors import EmptyInput, ValidationError
 from .rationale import SummarizationBackend, SummaryConfig, generate_rationale, summarize_evidence
 from .textutil import split_sentences, token_f1, tokenize
 
-# A coalition value function: subset of feature indices -> real value.
-# Must be deterministic and defined on the empty set.
-CoalitionValueFn = Callable[[frozenset[int]], float]
+# A coalition value function: coalition bitmask (bit i set: feature i is in
+# the coalition) -> real value. Must be deterministic and defined on mask 0.
+CoalitionValueFn = Callable[[int], float]
 
 EXACT_FEATURE_LIMIT = 14  # 2^n subset enumeration guard
 EXACT_VALUE_CALL_BUDGET = 1 << 10  # attribute() enumerates exactly up to this many value calls
@@ -76,10 +76,6 @@ def evidence_features(evidence: str, granularity: str = "sentence") -> list[Feat
     return [Feature(index=i, text=span, granularity=granularity) for i, span in enumerate(spans)]
 
 
-def _subset(mask: int, n: int) -> frozenset[int]:
-    return frozenset(i for i in range(n) if mask >> i & 1)
-
-
 def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> AttributionResult:
     """Exact values by full subset enumeration; n is capped at 14."""
     n = len(features)
@@ -88,7 +84,7 @@ def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> At
     if n > EXACT_FEATURE_LIMIT:
         raise TooManyFeatures(n)
 
-    values = [value_fn(_subset(mask, n)) for mask in range(1 << n)]
+    values = [value_fn(mask) for mask in range(1 << n)]
     # weight[s] = s! (n-s-1)! / n!  for a coalition of size s joined by one player
     n_fact = math.factorial(n)
     weight = [math.factorial(s) * math.factorial(n - s - 1) / n_fact for s in range(n)]
@@ -101,10 +97,10 @@ def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> At
     phi = [0.0] * n
     for i in range(n):
         bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            phi[i] += mask_weight[mask] * (values[mask | bit] - values[mask])
+        # the masks without bit i, in ascending order
+        for block in range(0, 1 << n, bit << 1):
+            for mask in range(block, block + bit):
+                phi[i] += mask_weight[mask] * (values[mask | bit] - values[mask])
 
     return AttributionResult(
         features=tuple(features),
@@ -137,9 +133,10 @@ def sampled_shapley(
     cache: dict[int, float] = {}
 
     def value(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = value_fn(_subset(mask, n))
-        return cache[mask]
+        score = cache.get(mask)
+        if score is None:
+            score = cache[mask] = value_fn(mask)
+        return score
 
     rng = random.Random(seed)
     totals = [0.0] * n
@@ -187,10 +184,10 @@ def rationale_value_fn(
 ) -> CoalitionValueFn:
     """Value function scoring how well a feature coalition reproduces the rationale.
 
-    evaluate(S) summarizes the evidence restricted to the features in S
-    (everything else removed, order preserved) and returns the
+    evaluate(mask) summarizes the evidence restricted to the features whose
+    bits are set (everything else removed, order preserved) and returns the
     token-overlap F1 against the reference rationale of the full
-    evidence. evaluate(empty) is 0 by definition. Coalition perturbation
+    evidence. evaluate(0) is 0 by definition. Coalition perturbation
     is removal, not mask substitution, so any backend can be plugged in.
     Distinct coalitions often summarize alike, so each distinct summary
     is scored once.
@@ -199,10 +196,10 @@ def rationale_value_fn(
     reference = generate_rationale(record.evidence, backend, config, record_id=record.id).text
     scores: dict[str, float] = {}
 
-    def evaluate(subset: frozenset[int]) -> float:
-        if not subset:
+    def evaluate(mask: int) -> float:
+        if not mask:
             return 0.0
-        coalition_text = " ".join([texts[i] for i in sorted(subset)])
+        coalition_text = " ".join([text for i, text in enumerate(texts) if mask >> i & 1])
         summary = summarize_evidence(coalition_text, backend, config, record_id=record.id)
         score = scores.get(summary)
         if score is None:

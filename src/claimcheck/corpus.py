@@ -127,7 +127,7 @@ class SourceBlocklist:
         """Plain-text list, one outlet per line, '#' comments allowed."""
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UnreadableFile(f"cannot read blocklist {path}: {exc}") from exc
         names = [ln for ln in (ln.strip() for ln in lines) if ln and not ln.startswith("#")]
         return cls.from_names(names)

@@ -198,7 +198,7 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
@@ -270,6 +270,15 @@ def append_manifest(config: PipelineConfig, stage: str, config_hash: str,
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+
+
+def _check_manifest(config: PipelineConfig) -> None:
+    """Raise now if a manifest entry could not be appended later. Without an
+    output directory there is no artifact to replace, so nothing is checked."""
+    path = config.artifact(MANIFEST)
+    if path.parent.is_dir():
+        with os_errors("write", path):
+            path.open("a", encoding="utf-8").close()
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +636,8 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
                 **args) -> dict:
     """Run one COMMANDS entry: check its needs exist, read and decode them through
     `table` (run_all's, or an empty one), write its outputs and hold them in `table`,
-    and stamp a manifest entry with the sha256 of every file it read and wrote."""
+    and stamp a manifest entry with the sha256 of every file it read and wrote. The
+    manifest is checked appendable before the first output is written."""
     stage = COMMANDS.get(name)
     if stage is None:
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
@@ -641,6 +651,8 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         input_hashes[Path(need).stem], value = table.read(config, need, config_hash)
         inputs.append(value)
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
+    if outputs:  # new files must not stand without the entry that records them
+        _check_manifest(config)
     output_hashes = {}
     for output, payload in outputs.items():
         output_hashes[output], value = _write(config, output, config_hash, payload)

@@ -11,7 +11,6 @@ import re
 import string
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+|\n+")
@@ -42,24 +41,31 @@ def split_paragraphs(text: str) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _reference_counts(reference: str) -> tuple[int, Counter]:
-    """Token count and multiset of a reference; shared across calls, never mutated."""
+def _reference_counts(reference: str) -> tuple[int, dict[str, int]]:
+    """Token count and {token: count} of a reference; shared across calls, never mutated."""
     tokens = tokenize(reference)
-    return len(tokens), Counter(tokens)
+    return len(tokens), dict(Counter(tokens))
 
 
 def token_f1(candidate: str, reference: str) -> float:
     """Token-overlap F1 between two texts (multiset intersection).
 
     Attribution scores many candidates against one reference, so the
-    reference is tokenized and counted once.
+    reference is tokenized and counted once. Each call copies those counts
+    and spends them in one pass over the candidate's tokens: a token counts
+    toward the overlap while its reference count lasts.
     """
     ref_len, ref_counts = _reference_counts(reference)
     cand = tokenize(candidate)
     if not cand and not ref_len:
         return 1.0
-    counts = Counter(cand)
-    overlap = sum(map(min, counts.values(), map(ref_counts.get, counts, repeat(0))))
+    unspent = ref_counts.copy()
+    overlap = 0
+    for token in cand:
+        left = unspent.get(token)
+        if left:
+            unspent[token] = left - 1
+            overlap += 1
     if overlap == 0:
         return 0.0
     return 2.0 * overlap / (len(cand) + ref_len)

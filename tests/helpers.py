@@ -1,4 +1,4 @@
-"""Deterministic corpus factories shared by the test modules."""
+"""Deterministic corpus factories and a coalition-game adapter shared by the test modules."""
 
 from __future__ import annotations
 
@@ -59,6 +59,11 @@ def write_corpus(path: str | Path, rows: list[dict]) -> Path:
 def benchmark_shaped_rows(seed: int = 1) -> list[dict]:
     """A corpus with the published benchmark shape: 4006 rows, 2013/1993."""
     return make_rows(4006, 2013, seed=seed, sentences=(3, 4), sentence_tokens=(6, 9))
+
+
+def mask_game(game, n: int):
+    """Adapt a game on frozensets of feature indices to the Shapley kernels' bitmask argument."""
+    return lambda mask: game(frozenset(i for i in range(n) if mask >> i & 1))
 
 
 def write_config(path: str | Path, corpus_path: str | Path, output_dir: str | Path,

@@ -37,7 +37,7 @@ from claimcheck.textutil import tokenize
 from claimcheck.verdict import VerdictPrediction, build_copa_prompt
 
 from conftest import golden_text
-from helpers import benchmark_shaped_rows, make_rows, write_config, write_corpus
+from helpers import benchmark_shaped_rows, make_rows, mask_game, write_config, write_corpus
 
 S, R = VerdictLabel.SUPPORTS, VerdictLabel.REFUTES
 
@@ -131,13 +131,13 @@ def test_c04_shapley_axioms():
     start = time.monotonic()
     rng = random.Random(99)
     weights = [rng.uniform(-2, 2) for _ in range(10)]
-    result = exact_shapley(features_of(10), lambda s: sum(weights[i] for i in s))
+    result = exact_shapley(features_of(10), mask_game(lambda s: sum(weights[i] for i in s), 10))
     assert all(abs(p - w) <= 1e-9 for p, w in zip(result.phi, weights))
 
     for _ in range(100):
         n = rng.randint(1, 10)
         value_fn = random_game(n, rng)
-        res = exact_shapley(features_of(n), value_fn)
+        res = exact_shapley(features_of(n), mask_game(value_fn, n))
         assert abs(sum(res.phi) - (res.value_full - res.value_empty)) <= 1e-9
     assert time.monotonic() - start < 30
 
@@ -145,7 +145,7 @@ def test_c04_shapley_axioms():
 def test_c05_shapley_convergence():
     """Criterion 5: sampled (2000 permutations, fixed seed) vs exact, L-inf <= 0.05."""
     start = time.monotonic()
-    value_fn = random_game(8, random.Random(2024))
+    value_fn = mask_game(random_game(8, random.Random(2024)), 8)
     features = features_of(8)
     exact = exact_shapley(features, value_fn)
     sampled = sampled_shapley(features, value_fn, num_permutations=2000, seed=7)

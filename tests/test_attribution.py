@@ -23,6 +23,7 @@ from claimcheck.attribution import (
 )
 from claimcheck.corpus import ClaimRecord, VerdictLabel
 from claimcheck.rationale import LeadSummarizer, SummaryConfig, stub_summarize
+from helpers import mask_game
 
 
 def features_of(n):
@@ -82,7 +83,7 @@ HAND_GAME = {
 
 
 def test_exact_three_feature_hand_game():
-    result = exact_shapley(features_of(3), HAND_GAME.__getitem__)
+    result = exact_shapley(features_of(3), mask_game(HAND_GAME.__getitem__, 3))
     oracle = brute_force_shapley(3, HAND_GAME.__getitem__)
     assert result.phi == pytest.approx(oracle, abs=1e-12)
     assert result.phi == pytest.approx((1.5, 1.0, 0.5), abs=1e-12)
@@ -97,20 +98,20 @@ def test_exact_constant_game_gives_zero():
 
 def test_exact_additive_game_returns_weights():
     weights = [0.3, -1.2, 0.0, 4.5, 2.25]
-    result = exact_shapley(features_of(5), lambda s: sum(weights[i] for i in s))
+    result = exact_shapley(features_of(5), mask_game(lambda s: sum(weights[i] for i in s), 5))
     assert result.phi == pytest.approx(weights, abs=1e-9)
 
 
 def test_exact_symmetric_features_get_equal_phi():
     # v depends only on coalition size, so all features are symmetric.
-    result = exact_shapley(features_of(5), lambda s: math.sqrt(len(s)))
+    result = exact_shapley(features_of(5), mask_game(lambda s: math.sqrt(len(s)), 5))
     assert max(result.phi) - min(result.phi) < 1e-12
 
 
 def test_exact_null_player():
     # Feature 2 never changes the value.
     value_fn = lambda s: sum(1.0 for i in s if i != 2)
-    result = exact_shapley(features_of(4), value_fn)
+    result = exact_shapley(features_of(4), mask_game(value_fn, 4))
     assert result.phi[2] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -119,7 +120,7 @@ def test_exact_efficiency_on_random_games():
     for _ in range(30):
         n = rng.randint(1, 8)
         value_fn = random_game(n, rng)
-        result = exact_shapley(features_of(n), value_fn)
+        result = exact_shapley(features_of(n), mask_game(value_fn, n))
         assert sum(result.phi) == pytest.approx(result.value_full - result.value_empty, abs=1e-9)
 
 
@@ -133,7 +134,7 @@ def test_exact_agrees_with_permutation_oracle_on_random_games():
     for _ in range(5):
         n = rng.randint(2, 5)
         value_fn = random_game(n, rng)
-        result = exact_shapley(features_of(n), value_fn)
+        result = exact_shapley(features_of(n), mask_game(value_fn, n))
         assert result.phi == pytest.approx(brute_force_shapley(n, value_fn), abs=1e-12)
 
 
@@ -157,14 +158,16 @@ def test_exact_phi_bit_identical_to_bin_count_kernel():
     rng = random.Random(11)
     for n in list(range(1, 11)) * 2:
         value_fn = random_game(n, rng)
-        assert list(exact_shapley(features_of(n), value_fn).phi) == bin_count_shapley(n, value_fn)
+        phi = exact_shapley(features_of(n), mask_game(value_fn, n)).phi
+        assert list(phi) == bin_count_shapley(n, value_fn)
 
 
 def test_attribute_enumerates_exactly_within_the_value_call_budget():
     assert 1 << 10 == EXACT_VALUE_CALL_BUDGET
     game = lambda s: float(len(s))  # noqa: E731
-    assert attribute(features_of(10), game, num_permutations=3, seed=0).method == "exact"
-    result = attribute(features_of(11), game, num_permutations=3, seed=0)
+    assert attribute(features_of(10), mask_game(game, 10), num_permutations=3,
+                     seed=0).method == "exact"
+    result = attribute(features_of(11), mask_game(game, 11), num_permutations=3, seed=0)
     assert (result.method, result.num_permutations, result.seed) == ("sampled", 3, 0)
 
 
@@ -172,11 +175,45 @@ def test_attribute_enumerates_exactly_within_the_value_call_budget():
 # Sampled values
 
 
+def frozenset_sampled_shapley(n, value_fn, num_permutations, seed):
+    """The sampled kernel as written when value functions took frozensets of indices."""
+    cache = {}
+
+    def value(mask):
+        if mask not in cache:
+            cache[mask] = value_fn(frozenset(i for i in range(n) if mask >> i & 1))
+        return cache[mask]
+
+    rng = random.Random(seed)
+    totals = [0.0] * n
+    value_empty = value(0)
+    for _ in range(num_permutations):
+        order = list(range(n))
+        rng.shuffle(order)
+        mask = 0
+        previous = value_empty
+        for i in order:
+            mask |= 1 << i
+            current = value(mask)
+            totals[i] += current - previous
+            previous = current
+    return [t / num_permutations for t in totals]
+
+
+def test_sampled_phi_bit_identical_to_frozenset_kernel():
+    rng = random.Random(13)
+    for n in range(1, EXACT_FEATURE_LIMIT + 1):
+        value_fn = random_game(n, rng)
+        for num_permutations, seed in ((1, 0), (7, 3), (50, 11)):
+            result = sampled_shapley(features_of(n), mask_game(value_fn, n), num_permutations, seed)
+            assert list(result.phi) == frozenset_sampled_shapley(n, value_fn, num_permutations, seed)
+
+
 def test_sampled_single_permutation_is_its_marginals():
     seed = 17
     n = 4
     value_fn = HAND_GAME.__getitem__ if n == 3 else random_game(n, random.Random(0))
-    result = sampled_shapley(features_of(n), value_fn, num_permutations=1, seed=seed)
+    result = sampled_shapley(features_of(n), mask_game(value_fn, n), num_permutations=1, seed=seed)
     # Reproduce the permutation the estimator drew and its telescoping marginals.
     order = list(range(n))
     random.Random(seed).shuffle(order)
@@ -189,20 +226,20 @@ def test_sampled_single_permutation_is_its_marginals():
 
 
 def test_sampled_deterministic_given_seed():
-    value_fn = random_game(6, random.Random(2))
+    value_fn = mask_game(random_game(6, random.Random(2)), 6)
     a = sampled_shapley(features_of(6), value_fn, num_permutations=50, seed=5)
     b = sampled_shapley(features_of(6), value_fn, num_permutations=50, seed=5)
     assert a.phi == b.phi
 
 
 def test_sampled_efficiency_holds_by_construction():
-    value_fn = random_game(7, random.Random(3))
+    value_fn = mask_game(random_game(7, random.Random(3)), 7)
     result = sampled_shapley(features_of(7), value_fn, num_permutations=20, seed=9)
     assert sum(result.phi) == pytest.approx(result.value_full - result.value_empty, abs=1e-9)
 
 
 def test_sampled_converges_to_exact():
-    value_fn = random_game(8, random.Random(4))
+    value_fn = mask_game(random_game(8, random.Random(4)), 8)
     features = features_of(8)
     exact = exact_shapley(features, value_fn)
     sampled = sampled_shapley(features, value_fn, num_permutations=2000, seed=11)
@@ -225,20 +262,20 @@ def record_with(evidence, record_id="r1"):
 
 def test_value_fn_empty_coalition_is_zero():
     value_fn = rationale_value_fn(record_with("Water is wet."), BACKEND, SHORT_CONFIG)
-    assert value_fn(frozenset()) == 0.0
+    assert value_fn(0) == 0.0
 
 
 def test_value_fn_single_sentence_identity():
     # One sentence; the coalition containing it reproduces the reference
     # exactly, so token-overlap F1 is 1.0 (hand check: identical multisets).
     value_fn = rationale_value_fn(record_with("Water is wet."), BACKEND, SHORT_CONFIG)
-    assert value_fn(frozenset({0})) == pytest.approx(1.0)
+    assert value_fn(0b1) == pytest.approx(1.0)
 
 
 def test_value_fn_full_coalition_reproduces_reference():
     evidence = "First fact stated. Second fact follows. Third fact closes."
     value_fn = rationale_value_fn(record_with(evidence), BACKEND, SHORT_CONFIG)
-    assert value_fn(frozenset({0, 1, 2})) == pytest.approx(1.0)
+    assert value_fn(0b111) == pytest.approx(1.0)
 
 
 def test_value_fn_partial_coalition_hand_computed():
@@ -248,7 +285,18 @@ def test_value_fn_partial_coalition_hand_computed():
     evidence = "aa bb. cc dd."
     config = SummaryConfig(min_tokens=4, max_tokens=120)
     value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
-    assert value_fn(frozenset({0})) == pytest.approx(2 / 3)
+    assert value_fn(0b1) == pytest.approx(2 / 3)
+
+
+def test_value_fn_joins_set_bits_in_index_order():
+    # With a 2-token floor a summary is its text's first sentence. Mask 0b101
+    # is sentences 0 and 2 joined in that order, so it summarizes to sentence
+    # 0, the reference: F1 1.0. Sentences 2 then 0, or 1 and 3, would score 0.
+    evidence = "aa bb. cc dd. ee ff. gg hh."
+    config = SummaryConfig(min_tokens=2, max_tokens=120)
+    value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
+    summary, reference = stub_summarize("aa bb. ee ff.", config), stub_summarize(evidence, config)
+    assert value_fn(0b101) == attribution.token_f1(summary, reference) == 1.0
 
 
 def test_value_fn_scores_each_distinct_summary_once(monkeypatch):
@@ -272,7 +320,7 @@ def test_value_fn_scores_each_distinct_summary_once(monkeypatch):
     for mask in range(1, 1 << len(sentences)):
         subset = frozenset(i for i in range(len(sentences)) if mask >> i & 1)
         summary = stub_summarize(" ".join(sentences[i] for i in sorted(subset)), config)
-        assert value_fn(subset) == token_f1(summary, stub_summarize(evidence, config))
+        assert value_fn(mask) == token_f1(summary, stub_summarize(evidence, config))
     assert len(scored) == len(sentences)  # repeated coalitions are not rescored
 
 

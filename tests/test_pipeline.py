@@ -758,12 +758,25 @@ def _directory_in_place(path):
     path.mkdir()
 
 
+def _append_byte_0xff(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def _non_utf8_blocklist(config):
+    blocklist = config.with_name("blocklist.txt")
+    blocklist.write_bytes(b"Example Outlet\n\xff\n")
+    raw = {**json.loads(config.read_text()), "blocklist_path": str(blocklist)}
+    config.write_text(json.dumps(raw))
+
+
 UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
+# The config file cli_config writes, named from inside the output directory.
+CONFIG = "../config.json"
 # No directory can be made under this module, a regular file.
 UNDER_A_FILE = Path(__file__) / "out"
 
 # case: (config keys, commands run first, artifact to damage, damage, command and flags,
-#        error text)
+#        error text, artifacts the failing command must not have written...)
 MALFORMED_INPUTS = {
     "empty splits": ({}, UPSTREAM[:2], pipeline.SPLITS, lambda p: p.write_text(""),
                      "rationales", "splits.json line 1"),
@@ -881,13 +894,17 @@ MALFORMED_INPUTS = {
     "splits a directory": ({}, UPSTREAM[:2], pipeline.SPLITS, _directory_in_place, "rationales",
                            "splits.json: [Errno 21] Is a directory"),
     "manifest a directory": ({}, UPSTREAM[:1], pipeline.MANIFEST, _directory_in_place, "split",
-                             "manifest.jsonl: [Errno 21] Is a directory"),
+                             "manifest.jsonl: [Errno 21] Is a directory", pipeline.SPLITS),
+    "non-UTF-8 config": ({}, (), CONFIG, _append_byte_0xff, "ingest",
+                         "config.json: 'utf-8' codec can't decode byte 0xff"),
+    "non-UTF-8 blocklist": ({}, (), CONFIG, _non_utf8_blocklist, "ingest",
+                            "blocklist.txt: 'utf-8' codec can't decode byte 0xff"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_cli_malformed_input_exits_one(case, tmp_path, corpus20_path, capsys):
-    extra, upstream, artifact, damage, command, message = MALFORMED_INPUTS[case]
+    extra, upstream, artifact, damage, command, message, *unwritten = MALFORMED_INPUTS[case]
     config = cli_config(tmp_path, corpus20_path, **extra)
     for cmd in upstream:
         assert main([cmd, "--config", str(config)]) == 0
@@ -897,3 +914,4 @@ def test_cli_malformed_input_exits_one(case, tmp_path, corpus20_path, capsys):
     assert main([*command.split(), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not [name for name in unwritten if (tmp_path / "out" / name).exists()]

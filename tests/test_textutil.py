@@ -19,12 +19,21 @@ def counter_intersection_f1(candidate, reference):
     return 2.0 * overlap / (len(cand) + len(ref))
 
 
-# A five-word vocabulary makes repeated and shared tokens the common case;
-# empty and whitespace-only texts come out of the empty word list.
-texts = st.tuples(
-    st.lists(st.sampled_from(["aa", "bb", "cc", "Aa", "aa."]), max_size=12),
-    st.sampled_from([" ", "  ", "\n", " \t"]),
-).map(lambda parts: parts[1].join(parts[0]))
+def texts_from(words, max_size):
+    return st.tuples(
+        st.lists(st.sampled_from(words), max_size=max_size),
+        st.sampled_from([" ", "  ", "\n", " \t"]),
+    ).map(lambda parts: parts[1].join(parts[0]))
+
+
+# Every text of one example draws from one vocabulary. Five words make repeated
+# and shared tokens the common case; from 300 words most tokens are distinct.
+# Empty and whitespace-only texts come out of the empty word list.
+vocabulary = st.shared(st.sampled_from([
+    (("aa", "bb", "cc", "Aa", "aa."), 12),
+    (tuple(f"w{i}" for i in range(300)), 40),
+]), key="vocabulary")
+texts = vocabulary.flatmap(lambda words_and_size: texts_from(*words_and_size))
 
 
 def test_token_f1_empty_texts():
