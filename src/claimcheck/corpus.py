@@ -22,7 +22,8 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import UnreadableFile, ValidationError
+from .store import open_input
 from .textutil import split_paragraphs, stats_tokenize
 
 logger = logging.getLogger(__name__)
@@ -55,10 +56,6 @@ class DuplicateId(ValidationError):
     def __init__(self, record_id: str):
         super().__init__(f"duplicate record id {record_id!r}")
         self.record_id = record_id
-
-
-class UnreadableFile(ValidationError):
-    pass
 
 
 class UnsupportedLabel(ValidationError):
@@ -125,12 +122,8 @@ class SourceBlocklist:
     @classmethod
     def from_file(cls, path: str | Path) -> "SourceBlocklist":
         """Plain-text list, one outlet per line, '#' comments allowed."""
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UnreadableFile(f"cannot read blocklist {path}: {exc}") from exc
-        names = [ln for ln in (ln.strip() for ln in lines) if ln and not ln.startswith("#")]
-        return cls.from_names(names)
+        with open_input(path, "blocklist") as fh:
+            return cls.from_names(ln for ln in fh if not ln.lstrip().startswith("#"))
 
     def matches(self, paragraph: str) -> bool:
         folded = paragraph.casefold()
@@ -202,40 +195,30 @@ def _record_from_mapping(row_num: int, row: dict, seen_ids: set[str]) -> ClaimRe
 def parse_corpus(path: str | Path, format: str = "json-lines") -> list[ClaimRecord]:
     """Load a corpus file into validated records.
 
-    format is "json-lines" (one JSON object per line) or "delimited"
-    (CSV/TSV with a header row naming the seven fields).
+    format is "json-lines" (one JSON object per line) or "delimited" (CSV/TSV
+    with a header row naming the seven fields; quoted fields may hold line breaks).
     """
     if format not in ("json-lines", "delimited"):
         raise ValidationError(f"unknown corpus format {format!r}")
-    path = Path(path)
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
-    try:
-        if format == "json-lines":
-            with path.open(encoding="utf-8") as fh:
-                # A text file's lines end at "\n" only; a JSON string may hold U+2028,
-                # U+0085 and the other breaks that str.splitlines also splits on.
-                for row_num, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise UnreadableFile(
-                            f"{path}: row {row_num} is not valid JSON: {exc}") from exc
-                    records.append(_record_from_mapping(row_num, row, seen_ids))
+    with open_input(path, "corpus", "" if format == "delimited" else "\n") as fh:
+        if format == "delimited":
+            delimiter = "\t" if "\t" in fh.readline() else ","
+            fh.seek(0)
+            for row_num, row in enumerate(csv.DictReader(fh, delimiter=delimiter), start=2):
+                records.append(_record_from_mapping(row_num, row, seen_ids))
             return records
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableFile(f"cannot read corpus {path}: {exc}") from exc
-
-    lines = text.splitlines()
-    if not lines:
-        return []
-    delimiter = "\t" if "\t" in lines[0] else ","
-    reader = csv.DictReader(lines, delimiter=delimiter)
-    for row_num, row in enumerate(reader, start=2):
-        records.append(_record_from_mapping(row_num, row, seen_ids))
+        # Lines end at "\n" only; a JSON string may hold U+2028, U+0085 and the
+        # other breaks that str.splitlines also splits on.
+        for row_num, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise UnreadableFile(f"{path}: row {row_num} is not valid JSON: {exc}") from exc
+            records.append(_record_from_mapping(row_num, row, seen_ids))
     return records
 
 

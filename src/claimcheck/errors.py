@@ -28,6 +28,10 @@ class EmptyInput(ValidationError):
     """A required text argument was empty."""
 
 
+class UnreadableFile(ValidationError):
+    """An input file that cannot be opened, read or decoded."""
+
+
 class BackendFailure(BackendError):
     """Wraps any exception raised inside a backend plug-in."""
 

@@ -20,6 +20,7 @@ from typing import Sequence
 from .corpus import VerdictLabel
 from .errors import BackendError, EmptyInput, ValidationError, call_backend
 from .nle import NleText
+from .store import open_input, write_text
 from .verdict import Text2TextBackend
 
 
@@ -263,15 +264,14 @@ def export_annotation_tasks(
 ) -> list[AnnotationTask]:
     """Write the annotation file of render_annotation_tasks to `path`."""
     tasks, text = render_annotation_tasks(items, n, seed, system_id)
-    Path(path).write_text(text, encoding="utf-8")
+    write_text(path, (text,))
     return tasks
 
 
 def read_annotation_file(path: str | Path) -> list[dict[str, str]]:
     """Read a (possibly filled) annotation file back into row dicts."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    data_lines = [ln for ln in lines if not ln.startswith("#")]
-    return list(csv.DictReader(data_lines, delimiter="\t"))
+    with open_input(path, "annotation file", "") as fh:
+        return list(csv.DictReader((ln for ln in fh if not ln.startswith("#")), delimiter="\t"))
 
 
 @dataclass

@@ -52,6 +52,7 @@ from .store import (
     digest,
     file_sha256,
     from_row,
+    open_input,
     os_errors,
     read_bytes,
     read_doc,
@@ -196,12 +197,11 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     Keyword overrides are OVERRIDES flags; ENV_OVERRIDES variables stand in
     for the backend flags. Flags beat the environment, which beats the file.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    with open_input(path, "config") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
 
     env = {flag: os.environ[name] for name, flag in ENV_OVERRIDES.items() if os.environ.get(name)}
     flags = {flag: value for flag, value in overrides.items() if value is not None}
@@ -552,7 +552,7 @@ def _annotate_export(config, config_hash, records, splits, nles, n=None):
 
 def _annotate_aggregate(config, config_hash, files):
     payload = asdict(evaluation.aggregate_annotations(files))
-    return payload, {ANNOTATION_SUMMARY: payload}, {Path(f).name: file_sha256(f) for f in files}
+    return payload, {ANNOTATION_SUMMARY: payload}, {str(f): file_sha256(f) for f in files}
 
 
 def _report(config, config_hash, f1, nli):

@@ -10,7 +10,8 @@ artifact only once it is complete, so a write that fails part-way leaves
 the previous artifact, or none, never a truncated one. Every writer returns
 the sha256 of the bytes it wrote, hashed as they are written; every other
 sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
-read. A file that cannot be read or written is a ValidationError naming it.
+read, open_input the one way an input from outside the output directory is.
+A file that cannot be read or written is a ValidationError naming it.
 
 A record dataclass's annotations are its row schema: to_row and from_row
 encode and decode every record class.
@@ -28,7 +29,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Literal
 
-from .errors import ValidationError, config_value, field_hints, value_rule
+from .errors import UnreadableFile, ValidationError, config_value, field_hints, value_rule
 
 
 class MissingUpstreamArtifact(ValidationError):
@@ -114,6 +115,17 @@ def read_bytes(path: str | Path) -> bytes:
     """A file's bytes."""
     with os_errors("read", path):
         return Path(path).read_bytes()
+
+
+@contextmanager
+def open_input(path: str | Path, what: str, newline: str = "\n"):
+    """Yield a file from outside the output directory, open as UTF-8 text with lines ending at
+    `newline`; an OSError or UnicodeDecodeError opening or reading it is UnreadableFile."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"cannot read {what} {path}: {exc}") from exc
 
 
 # Text chunks (store lines) encoded, hashed and written together.

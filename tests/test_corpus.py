@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimcheck import pipeline
 from claimcheck.corpus import (
     BadRatios,
     ClaimRecord,
@@ -23,7 +26,7 @@ from claimcheck.corpus import (
     split_corpus,
 )
 
-from helpers import make_rows, write_corpus
+from helpers import make_rows, write_config, write_corpus
 
 
 def record(record_id="r1", claim="a claim", evidence="some evidence.", verdict=VerdictLabel.SUPPORTS):
@@ -143,6 +146,45 @@ def test_parse_delimited_tsv(tmp_path):
     records = parse_corpus(path, format="delimited")
     assert len(records) == 3
     assert records[2].verdict is VerdictLabel.REFUTES
+
+
+# Evidence holding a line break, paragraph breaks (one citing a blocklisted outlet)
+# and a raw U+2028, each of which a delimited file keeps inside a quoted field.
+BROKEN_EVIDENCE = (
+    "line one.\nline two.",
+    "First paragraph stands.\n\nAccording to CNN this happened.\n\nThird stays.",
+    "Before the break.\u2028After the break.",
+)
+
+
+def write_delimited(path, rows, delimiter):
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), delimiter=delimiter)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def test_delimited_quoted_line_breaks_parse_like_json_lines(tmp_path):
+    rows = make_rows(4, 2)
+    for row, evidence in zip(rows, BROKEN_EVIDENCE):
+        row["evidence"] = evidence
+    json_lines = parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
+    assert [r.evidence for r in json_lines[:3]] == list(BROKEN_EVIDENCE)
+    for name, delimiter in (("c.csv", ","), ("c.tsv", "\t")):
+        path = write_delimited(tmp_path / name, rows, delimiter)
+        assert parse_corpus(path, format="delimited") == json_lines, name
+
+    cleaned = {}
+    for corpus_format, corpus in (("json-lines", "c.jsonl"), ("delimited", "c.csv")):
+        out = tmp_path / corpus_format
+        config = pipeline.load_config(write_config(
+            tmp_path / f"{corpus_format}.json", tmp_path / corpus, out,
+            blocklist_path=str(default_blocklist_path()), corpus_format=corpus_format))
+        pipeline.stage_ingest(config)
+        cleaned[corpus_format] = pipeline._read(config, pipeline.CORPUS_CLEAN, config.config_hash)[1]
+    assert cleaned["delimited"] == cleaned["json-lines"]
+    assert cleaned["json-lines"]["c00001"].evidence == "First paragraph stands.\n\nThird stays."
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -239,6 +240,14 @@ def test_export_deterministic_given_seed(tmp_path):
     b = export_annotation_tasks(items_of(50), tmp_path / "b.tsv", n=10, seed=9)
     assert a == b
     assert (tmp_path / "a.tsv").read_text() == (tmp_path / "b.tsv").read_text()
+
+
+def test_export_under_a_regular_file_names_it_and_leaves_nothing(tmp_path):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "tasks.tsv"
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write {path}: ")):
+        export_annotation_tasks(items_of(5), path, n=2, seed=0)
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_export_sample_too_large(tmp_path):

@@ -26,6 +26,7 @@ from claimcheck.store import (
 )
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
+from conftest import FIXTURES
 from helpers import make_rows, write_config, write_corpus
 
 # Store hashes of the checked-in 20-record fixture under the default
@@ -421,6 +422,21 @@ def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
     assert "macro_f1" in report and "nli" in report
 
 
+def test_annotate_aggregate_hashes_each_filled_file_under_its_given_path(tmp_path, corpus20_path):
+    config = cli_config(tmp_path, corpus20_path)
+    header = "item_id\tclaim\tnle\tplausibility\tfluency\tcorrectness\tannotator_id\tsystem_id\n"
+    given = []
+    for folder, rating in (("a", "4"), ("b", "2")):
+        path = tmp_path / folder / "filled.tsv"
+        path.parent.mkdir()
+        path.write_text(f"{header}c1\tclaim\tnle\t{rating}\t{rating}\t{rating}\t{folder}\tsys\n")
+        given.append(str(path))
+    assert main(["annotate-aggregate", "--config", str(config), *given]) == 0
+    entry = json.loads((tmp_path / "out" / pipeline.MANIFEST).read_text().splitlines()[-1])
+    assert entry["input_hashes"] == {path: file_sha256(path) for path in given}
+    assert len(set(entry["input_hashes"].values())) == 2
+
+
 def test_manifest_hashes_exactly_each_stages_declared_inputs(fixture_config):
     pipeline.run_all(fixture_config)
     out = Path(fixture_config.output_dir)
@@ -774,6 +790,9 @@ UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
 CONFIG = "../config.json"
 # No directory can be made under this module, a regular file.
 UNDER_A_FILE = Path(__file__) / "out"
+# Filled annotation files that cannot be read: one missing, one holding the byte 0xff.
+MISSING_FILLED = FIXTURES / "missing_filled.tsv"
+NON_UTF8_FILLED = FIXTURES / "filled_not_utf8.tsv"
 
 # case: (config keys, commands run first, artifact to damage, damage, command and flags,
 #        error text, artifacts the failing command must not have written...)
@@ -899,6 +918,12 @@ MALFORMED_INPUTS = {
                          "config.json: 'utf-8' codec can't decode byte 0xff"),
     "non-UTF-8 blocklist": ({}, (), CONFIG, _non_utf8_blocklist, "ingest",
                             "blocklist.txt: 'utf-8' codec can't decode byte 0xff"),
+    "missing filled file": ({}, (), None, None, f"annotate-aggregate {MISSING_FILLED}",
+                            f"cannot read annotation file {MISSING_FILLED}: [Errno 2]",
+                            pipeline.ANNOTATION_SUMMARY),
+    "non-UTF-8 filled file": ({}, (), None, None, f"annotate-aggregate {NON_UTF8_FILLED}",
+                              f"cannot read annotation file {NON_UTF8_FILLED}: 'utf-8' codec "
+                              "can't decode byte 0xff", pipeline.ANNOTATION_SUMMARY),
 }
 
 
