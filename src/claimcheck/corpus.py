@@ -132,10 +132,18 @@ class SourceBlocklist:
 
 @dataclass(frozen=True)
 class CorpusSplits:
-    train: list[ClaimRecord]
-    validation: list[ClaimRecord]
-    test: list[ClaimRecord]
-    seed: int
+    seed: int  # the seed and ratios that drew the record ids of each split
+    ratios: tuple[float, ...]
+    train: tuple[str, ...]
+    validation: tuple[str, ...]
+    test: tuple[str, ...]
+
+    def __post_init__(self):
+        seen: set[str] = set()
+        for record_id in self.train + self.validation + self.test:
+            if record_id in seen:
+                raise ValidationError(f"record id {record_id!r} is listed twice")
+            seen.add(record_id)
 
     def sizes(self) -> tuple[int, int, int]:
         return (len(self.train), len(self.validation), len(self.test))
@@ -147,6 +155,12 @@ class CorpusStats:
     per_label: dict[VerdictLabel, int]
     mean_claim_tokens: float
     mean_evidence_tokens: float
+    dropped_ids: tuple[str, ...] = ()  # records dropped, their evidence fully blocklisted
+
+    def __post_init__(self):
+        if sum(self.per_label.values()) != self.total:
+            raise ValidationError(f"the per-label counts sum to {sum(self.per_label.values())}, "
+                                  f"not to the total {self.total}")
 
 
 def map_verdict_label(raw: str) -> VerdictLabel:
@@ -244,7 +258,7 @@ def split_corpus(
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
     seed: int = 42,
 ) -> CorpusSplits:
-    """Seeded shuffle then contiguous slicing into train/validation/test.
+    """Seeded shuffle then contiguous slicing of the record ids into train/validation/test.
 
     Cumulative rounding keeps every split within one record of its exact
     ratio share; the three splits partition the input.
@@ -253,17 +267,13 @@ def split_corpus(
         raise BadRatios(f"need three non-negative ratios, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must sum to 1.0, got {sum(ratios)!r}")
-    shuffled = list(records)
+    shuffled = [record.id for record in records]
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
     cut1 = round(n * ratios[0])
     cut2 = round(n * (ratios[0] + ratios[1]))
-    return CorpusSplits(
-        train=shuffled[:cut1],
-        validation=shuffled[cut1:cut2],
-        test=shuffled[cut2:],
-        seed=seed,
-    )
+    return CorpusSplits(seed, tuple(ratios), tuple(shuffled[:cut1]), tuple(shuffled[cut1:cut2]),
+                        tuple(shuffled[cut2:]))
 
 
 def compute_stats(records: Sequence[ClaimRecord]) -> CorpusStats:

@@ -11,7 +11,7 @@ import csv
 import io
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from statistics import fmean
@@ -111,8 +111,20 @@ def one_decimal_pct(count: int, total: int) -> float:
 
 @dataclass(frozen=True)
 class NliReport:
+    total: int
     counts: dict[NliVerdict, int]
     percentages: dict[NliVerdict, float]
+
+    def __post_init__(self):
+        counts = {label.value: count for label, count in self.counts.items()}
+        if (self.total < 1 or sum(counts.values()) != self.total
+                or min(counts.values(), default=0) < 0):
+            raise ValidationError(f"counts {counts} must be >= 0 and sum to the total "
+                                  f"{self.total}, which is at least 1")
+        if self.percentages != {label: one_decimal_pct(count, self.total)
+                                for label, count in self.counts.items()}:
+            raise ValidationError("each percentage must be its count's share of the total, "
+                                  "truncated to one decimal")
 
     @classmethod
     def from_verdicts(cls, verdicts: Sequence[NliVerdict]) -> "NliReport":
@@ -123,11 +135,7 @@ class NliReport:
             counts[verdict] += 1
         total = len(verdicts)
         percentages = {label: one_decimal_pct(counts[label], total) for label in NliVerdict}
-        return cls(counts=counts, percentages=percentages)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+        return cls(total=total, counts=counts, percentages=percentages)
 
 
 def build_nli_prompt(claim: str, nle: NleText) -> str:
@@ -274,14 +282,18 @@ def read_annotation_file(path: str | Path) -> list[dict[str, str]]:
         return list(csv.DictReader((ln for ln in fh if not ln.startswith("#")), delimiter="\t"))
 
 
-@dataclass
-class AnnotationSummary:
+@dataclass(frozen=True)
+class AnnotationMeans:
     """Mean ratings per criterion, grouped by system and by annotator."""
 
-    per_system: dict[str, dict[str, float]] = field(default_factory=dict)
-    per_annotator: dict[str, dict[str, float]] = field(default_factory=dict)
-    n_items: int = 0
-    n_annotators: int = 0
+    per_system: dict[str, dict[str, float]]
+    per_annotator: dict[str, dict[str, float]]
+
+
+@dataclass(frozen=True)
+class AnnotationSummary(AnnotationMeans):
+    n_items: int
+    n_annotators: int
 
 
 def _parse_rating(file: str, item: str, value: str) -> int:

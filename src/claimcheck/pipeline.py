@@ -19,16 +19,18 @@ import json
 import logging
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Literal, Mapping, NamedTuple
+from typing import Callable, Iterable, Literal, NamedTuple
 
 from . import attribution, evaluation, nle, rationale, verdict
 from .corpus import (
     ClaimRecord,
+    CorpusSplits,
+    CorpusStats,
     SourceBlocklist,
     VerdictLabel,
     compute_stats,
@@ -44,7 +46,6 @@ from .errors import (
     check_fields,
     check_range,
     config_value,
-    value_rule,
 )
 from .store import (
     CorruptArtifact,
@@ -82,8 +83,6 @@ EVAL_REPORT = "eval_report.json"
 ANNOTATION_TASKS = "annotation_tasks.tsv"
 ANNOTATION_SUMMARY = "annotation_summary.json"
 MANIFEST = "manifest.jsonl"
-
-SPLIT_NAMES = ("train", "validation", "test")
 
 # Published shape of the benchmark release; ingest prints a comparison
 # when the cleaned corpus reproduces it.
@@ -285,49 +284,84 @@ def _check_manifest(config: PipelineConfig) -> None:
 # Artifacts
 
 
+@dataclass(frozen=True)
+class ModelState:
+    backend_id: str
+    state: dict  # the classifier backend's snapshot
+
+
+@dataclass(frozen=True)
+class F1Report:
+    macro_f1: dict[str, float | None]  # per split; null for a split with no prediction
+    scored: dict[str, int]
+
+    def __post_init__(self):
+        for split, f1 in self.macro_f1.items():
+            if f1 is not None and not 0 <= f1 <= 1:
+                raise ValidationError(f"the macro-F1 of {split!r} is {f1}, not in [0, 1]")
+
+
+@dataclass(frozen=True)
+class HighlightRecord:
+    record_id: str
+    granularity: Literal["sentence", "token"]
+    method: Literal["exact", "sampled"]
+    features: tuple[str, ...]
+    phi: tuple[float, ...]
+    polarity: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Highlights:
+    records: tuple[HighlightRecord, ...]
+
+
+@dataclass(frozen=True)
+class EvalReport(F1Report):
+    nli: evaluation.NliReport
+    annotation: evaluation.AnnotationMeans | None = None  # present once annotations are aggregated
+
+
 class Artifact(NamedTuple):
     kind: str | None = None  # header kind; None: no header, the text is written as given
     key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
-    from_row: Callable[[dict], object] | None = None
-    to_row: Callable[[object], dict] = to_row  # record stores: a record's row
-    keys: Mapping[str, type] = {}  # documents: each required key and its annotation
+    from_row: Callable[..., object] | None = None  # a document, or a store's row, as its dataclass
+    to_row: Callable[[object], dict] = to_row
     stamped: bool = False  # record stores: each row ends with the header's config hash
 
 
 ARTIFACTS: dict[str, Artifact] = {
     CORPUS_CLEAN: Artifact("corpus", "id", partial(from_row, ClaimRecord)),
-    CORPUS_STATS: Artifact("stats", keys={"total": int, "per_label": dict, "mean_claim_tokens":
-                                          float, "mean_evidence_tokens": float}),
-    SPLITS: Artifact("splits", keys=dict.fromkeys(SPLIT_NAMES, list)),
+    CORPUS_STATS: Artifact("stats", None, partial(from_row, CorpusStats)),
+    SPLITS: Artifact("splits", None, partial(from_row, CorpusSplits)),
     RATIONALES: Artifact("rationales", "record_id", partial(from_row, rationale.Rationale),
                          stamped=True),
-    MODEL_STATE: Artifact("model", keys={"backend_id": str, "state": dict}),
-    TRAIN_LOG: Artifact("train-log"),
+    MODEL_STATE: Artifact("model", None, partial(from_row, ModelState)),
+    TRAIN_LOG: Artifact("train-log", None, partial(from_row, verdict.TrainLog)),
     PREDICTIONS: Artifact("predictions", "record_id", partial(from_row, verdict.VerdictPrediction)),
     NLES: Artifact("nles", "record_id", lambda row: nle.nle_from_row(**row),
                    lambda e: {"record_id": e.record_id, "text": e.text}),
-    HIGHLIGHTS: Artifact("highlights"),
+    HIGHLIGHTS: Artifact("highlights", None, partial(from_row, Highlights)),
     HIGHLIGHTS_HTML: Artifact(),
-    EVAL_F1: Artifact("eval-f1", keys={"macro_f1": dict, "scored": dict}),
-    EVAL_NLI: Artifact("eval-nli", keys={"total": int, "counts": dict, "percentages": dict}),
-    EVAL_REPORT: Artifact("eval-report"),
+    EVAL_F1: Artifact("eval-f1", None, partial(from_row, F1Report)),
+    EVAL_NLI: Artifact("eval-nli", None, partial(from_row, evaluation.NliReport)),
+    EVAL_REPORT: Artifact("eval-report", None, partial(from_row, EvalReport)),
     ANNOTATION_TASKS: Artifact(),
-    ANNOTATION_SUMMARY: Artifact("annotation-summary",
-                                 keys={"per_system": dict, "per_annotator": dict}),
+    ANNOTATION_SUMMARY: Artifact("annotation-summary", None,
+                                 partial(from_row, evaluation.AnnotationSummary)),
 }
 
 
-def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
+def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
     """Read one artifact's bytes once; return their sha256 and the checked, read-only value."""
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.key is None:
         digest, doc = read_doc(path, spec.kind, config_hash)
-        for key, hint in spec.keys.items():
-            fits, wanted = value_rule(hint)
-            if key not in doc or not fits(doc[key]):
-                got = config_value(doc[key]) if key in doc else "nothing"
-                raise CorruptArtifact(path, f"key {key!r} must be {wanted}, got {got}")
-        return digest, MappingProxyType(doc)
+        del doc["kind"], doc["config_hash"]  # read_doc has checked them
+        try:
+            return digest, spec.from_row(doc, "key")
+        except (TypeError, ValidationError) as exc:
+            raise CorruptArtifact(path, str(exc)) from exc
     digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
     for line, row in rows:
@@ -349,15 +383,13 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tupl
     """Encode and write one artifact; return the sha256 of the bytes written and the value.
 
     The value is what _read returns for those bytes: a read-only {key: record} for a
-    store of records, the read-only document with its header for a document, and
-    the text itself for a file without a header.
+    store of records, and the payload itself for a document or a file without a header.
     """
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.kind is None:
         return write_text(path, (payload,)), payload
     if spec.key is None:
-        return (write_doc(path, spec.kind, config_hash, payload),
-                MappingProxyType({"kind": spec.kind, "config_hash": config_hash, **payload}))
+        return write_doc(path, spec.kind, config_hash, spec.to_row(payload)), payload
     records = MappingProxyType({getattr(record, spec.key): record for record in payload})
     rows = map(spec.to_row, records.values())
     if spec.stamped:
@@ -369,7 +401,7 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tupl
 # Stage functions: fn(config, config_hash, *decoded needs, **command args)
 # returns (summary, {artifact file name: payload}) plus, for stages that read
 # files outside the output directory, {manifest key: sha256}. A store's payload
-# is its records, a document's its keys after the header, a plain file's its text.
+# is its records, a document's its dataclass value, a plain file's its text.
 
 
 def _ingest(config: PipelineConfig, config_hash: str):
@@ -396,33 +428,19 @@ def _ingest(config: PipelineConfig, config_hash: str):
                            len(dropped), ", ".join(dropped))
         records = kept
 
-    stats = compute_stats(records)
-    stats_payload = {
-        "total": stats.total,
-        "per_label": {label.value: count for label, count in stats.per_label.items()},
-        "mean_claim_tokens": stats.mean_claim_tokens,
-        "mean_evidence_tokens": stats.mean_evidence_tokens,
-        "dropped_ids": dropped,
-    }
+    stats = replace(compute_stats(records), dropped_ids=tuple(dropped))
     matches_benchmark = stats.total == BENCHMARK_TOTAL and stats.per_label == BENCHMARK_PER_LABEL
-    summary = {**stats_payload, "matches_benchmark": matches_benchmark}
-    outputs = {CORPUS_CLEAN: records, CORPUS_STATS: stats_payload}
-    return summary, outputs, sources
+    summary = {**to_row(stats), "matches_benchmark": matches_benchmark}
+    return summary, {CORPUS_CLEAN: records, CORPUS_STATS: stats}, sources
 
 
-def _stats(config, config_hash, stats):
-    return {k: stats[k] for k in
-            ("total", "per_label", "mean_claim_tokens", "mean_evidence_tokens")}, {}
+def _stats(config, config_hash, stats):  # the cleaned corpus; ingest names what it dropped
+    return {key: value for key, value in to_row(stats).items() if key != "dropped_ids"}, {}
 
 
 def _split(config, config_hash, records):
     splits = split_corpus(list(records.values()), config.ratios, config.split_seed)
-    payload = {
-        "seed": splits.seed,
-        "ratios": list(config.ratios),
-        **{name: [r.id for r in getattr(splits, name)] for name in SPLIT_NAMES},
-    }
-    return {"sizes": splits.sizes(), "seed": splits.seed}, {SPLITS: payload}
+    return {"sizes": splits.sizes(), "seed": splits.seed}, {SPLITS: splits}
 
 
 def _rationales(config, config_hash, records, _splits):
@@ -434,8 +452,8 @@ def _rationales(config, config_hash, records, _splits):
 
 
 def _train(config, config_hash, records, splits, rationales):
-    train_records = [records[i] for i in splits["train"] if i in rationales]
-    val_records = [records[i] for i in splits["validation"] if i in rationales]
+    train_records = [records[i] for i in splits.train if i in rationales]
+    val_records = [records[i] for i in splits.validation if i in rationales]
     pairs = verdict.make_training_pairs(train_records, rationales)
     validation_pairs = verdict.make_training_pairs(val_records, rationales) or None
 
@@ -452,15 +470,14 @@ def _train(config, config_hash, records, splits, rationales):
         "best_validation_f1": log.best_validation_f1,
         "final_validation_f1": log.final_validation_f1,
     }
-    model = {"backend_id": config.backends.classifier, "state": state}
-    return summary, {MODEL_STATE: model, TRAIN_LOG: asdict(log)}
+    return summary, {MODEL_STATE: ModelState(config.backends.classifier, state), TRAIN_LOG: log}
 
 
 def _predict(config, config_hash, records, rationales, model):
-    backend = create_classifier(model["backend_id"])
+    backend = create_classifier(model.backend_id)
     if isinstance(backend, verdict.TrainableBackend):
         try:
-            call_backend("classifier", backend.identity, backend.restore, model["state"])
+            call_backend("classifier", backend.identity, backend.restore, model.state)
         except BackendFailure as exc:
             raise CorruptArtifact(config.artifact(MODEL_STATE),
                                   f"cannot restore the state: {exc.detail}") from exc
@@ -485,7 +502,7 @@ def _nle(config, config_hash, rationales, predictions):
 def _explain(config, config_hash, records, splits, rationales):
     """Attribute rationale generation for the first few test records."""
     backend = create_summarizer(config.backends.summarizer)
-    target_ids = [i for i in splits["test"] if i in rationales][: config.explain.records]
+    target_ids = [i for i in splits.test if i in rationales][: config.explain.records]
     out_records = []
     docs = []
     for record_id in target_ids:
@@ -499,47 +516,39 @@ def _explain(config, config_hash, records, splits, rationales):
         )
         doc = attribution.export_highlights(result, title=f"record {record_id}")
         docs.append(doc)
-        out_records.append({
-            "record_id": record_id,
-            "granularity": config.explain.granularity,
-            "method": result.method,
-            "features": [f.text for f in result.features],
-            "phi": list(result.phi),
-            "polarity": [e.polarity for e in doc.entries],
-        })
+        out_records.append(HighlightRecord(record_id, config.explain.granularity, result.method,
+                                           tuple(f.text for f in result.features), result.phi,
+                                           tuple(e.polarity for e in doc.entries)))
     page = f"<!-- config_hash: {config_hash} -->\n{attribution.render_highlight_page(docs)}"
-    return {"explained": target_ids}, {HIGHLIGHTS: {"records": out_records}, HIGHLIGHTS_HTML: page}
+    return {"explained": target_ids}, {HIGHLIGHTS: Highlights(tuple(out_records)),
+                                       HIGHLIGHTS_HTML: page}
 
 
 def _eval_f1(config, config_hash, records, splits, predictions):
     """Macro-F1 of stored predictions against gold labels, per split."""
-    payload: dict = {"macro_f1": {}, "scored": {}}
+    macro_f1, scored = {}, {}
     for split_name in ("validation", "test"):
-        ids = [i for i in splits[split_name] if i in predictions]
-        missing = len(splits[split_name]) - len(ids)
+        ids = [i for i in getattr(splits, split_name) if i in predictions]
+        missing = len(getattr(splits, split_name)) - len(ids)
         if missing:
             logger.warning("%s split: %d records lack predictions", split_name, missing)
         golds = [records[i].verdict for i in ids]
         preds = [predictions[i].label for i in ids]
-        payload["macro_f1"][split_name] = evaluation.macro_f1(preds, golds) if ids else None
-        payload["scored"][split_name] = len(ids)
-    return payload, {EVAL_F1: payload}
+        macro_f1[split_name] = evaluation.macro_f1(preds, golds) if ids else None
+        scored[split_name] = len(ids)
+    report = F1Report(macro_f1, scored)
+    return to_row(report), {EVAL_F1: report}
 
 
 def _eval_nli(config, config_hash, records, splits, nles):
     """Entailment audit of the test-split explanations."""
-    pairs = [(records[i].claim, nles[i]) for i in splits["test"] if i in nles]
+    pairs = [(records[i].claim, nles[i]) for i in splits.test if i in nles]
     report = evaluation.evaluate_nli(pairs, create_nli(config.backends.nli))
-    payload = {
-        "total": report.total,
-        "counts": {label.value: report.counts[label] for label in evaluation.NliVerdict},
-        "percentages": {label.value: report.percentages[label] for label in evaluation.NliVerdict},
-    }
-    return payload, {EVAL_NLI: payload}
+    return to_row(report), {EVAL_NLI: report}
 
 
 def _annotate_export(config, config_hash, records, splits, nles, n=None):
-    items = [(i, records[i].claim, nles[i].text) for i in splits["test"] if i in nles]
+    items = [(i, records[i].claim, nles[i].text) for i in splits.test if i in nles]
     tasks, text = evaluation.render_annotation_tasks(
         items,
         n=config.annotation.n if n is None else n,
@@ -551,19 +560,18 @@ def _annotate_export(config, config_hash, records, splits, nles, n=None):
 
 
 def _annotate_aggregate(config, config_hash, files):
-    payload = asdict(evaluation.aggregate_annotations(files))
-    return payload, {ANNOTATION_SUMMARY: payload}, {str(f): file_sha256(f) for f in files}
+    summary = evaluation.aggregate_annotations(files)
+    return to_row(summary), {ANNOTATION_SUMMARY: summary}, {str(f): file_sha256(f) for f in files}
 
 
 def _report(config, config_hash, f1, nli):
     """Merge the evaluation artifacts (and annotation means, if present)."""
-    payload = {"macro_f1": f1["macro_f1"], "scored": f1["scored"],
-               "nli": {k: nli[k] for k in ("total", "counts", "percentages")}}
-    sources = {}
+    sources, means = {}, None
     if config.artifact(ANNOTATION_SUMMARY).exists():
         sources["annotation_summary"], annotation = _read(config, ANNOTATION_SUMMARY, config_hash)
-        payload["annotation"] = {k: annotation[k] for k in ("per_system", "per_annotator")}
-    return payload, {EVAL_REPORT: payload}, sources
+        means = evaluation.AnnotationMeans(annotation.per_system, annotation.per_annotator)
+    report = EvalReport(f1.macro_f1, f1.scored, nli, means)
+    return to_row(report), {EVAL_REPORT: report}, sources
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +622,10 @@ class RunTable:
 
     def __init__(self, commands: Iterable[str] = ()):
         self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
-        self.entries: dict[str, tuple[str, str, Mapping]] = {}
+        self.entries: dict[str, tuple[str, str, object]] = {}
+        self.covered: tuple = ()  # the last (splits, corpus records) found to cover each other
 
-    def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, Mapping]:
+    def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
         """Like _read: the sha256 of the bytes read and the read-only value."""
         sha, held_hash, value = self.entries.pop(name, (None, None, None))
         if (held_hash != config_hash  # the file may have changed since it was held
@@ -632,10 +641,22 @@ class RunTable:
             self.entries[name] = sha, config_hash, value
 
 
+def _check_split_ids(config: PipelineConfig, splits: CorpusSplits, records) -> None:
+    """Refuse splits whose three lists together do not hold exactly the cleaned corpus's ids."""
+    listed = {*splits.train, *splits.validation, *splits.test}
+    if listed == records.keys():
+        return
+    for ids, detail in ((listed - records.keys(), f"is not in {CORPUS_CLEAN}"),
+                        (records.keys() - listed, "is in no split")):
+        if ids:
+            raise CorruptArtifact(config.artifact(SPLITS), f"record id {min(ids)!r} {detail}")
+
+
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
                 **args) -> dict:
     """Run one COMMANDS entry: check its needs exist, read and decode them through
-    `table` (run_all's, or an empty one), write its outputs and hold them in `table`,
+    `table` (run_all's, or an empty one), check that splits.json covers exactly the
+    cleaned corpus when it reads both, write its outputs and hold them in `table`,
     and stamp a manifest entry with the sha256 of every file it read and wrote. The
     manifest is checked appendable before the first output is written."""
     stage = COMMANDS.get(name)
@@ -650,6 +671,11 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
     for need in stage.needs:
         input_hashes[Path(need).stem], value = table.read(config, need, config_hash)
         inputs.append(value)
+    if {SPLITS, CORPUS_CLEAN} <= set(stage.needs):
+        covered = inputs[stage.needs.index(SPLITS)], inputs[stage.needs.index(CORPUS_CLEAN)]
+        if covered != table.covered:  # run_all checks the pair it holds once
+            _check_split_ids(config, *covered)
+            table.covered = covered
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
     if outputs:  # new files must not stand without the entry that records them
         _check_manifest(config)

@@ -52,6 +52,11 @@ class Rationale:
     token_length: int
     backend_id: str
 
+    def __post_init__(self):
+        if self.token_length != len(tokenize(self.text)):
+            raise ValidationError(f"token_length {self.token_length} is not the "
+                                  f"{len(tokenize(self.text))} tokens of the text")
+
 
 class SummarizationBackend(ABC):
     """Abstractive summarizer plug-in point.

@@ -13,21 +13,23 @@ sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
 read, open_input the one way an input from outside the output directory is.
 A file that cannot be read or written is a ValidationError naming it.
 
-A record dataclass's annotations are its row schema: to_row and from_row
-encode and decode every record class.
+A dataclass's annotations are its row schema: to_row and from_row encode
+and decode every record class and every document class.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable, Literal, get_args, get_origin
 
 from .errors import UnreadableFile, ValidationError, config_value, field_hints, value_rule
 
@@ -51,35 +53,66 @@ class CorruptArtifact(ValidationError):
         super().__init__(f"{where}: {detail}; rerun the stage that writes it")
 
 
-@cache
-def _plan(cls) -> tuple[dict[str, dict], dict]:
-    """Record dataclass `cls`'s enum fields, each with its {value: member} map, and each field
-    with its value_rule; a row holds an enum field as one of its members' values."""
-    hints = field_hints(cls)
-    enums = {name: {member.value: member for member in hint} for name, hint in hints.items()
-             if isinstance(hint, type) and issubclass(hint, Enum)}
-    return enums, {name: value_rule(Literal[tuple(enums[name])] if name in enums else hint)
-                   for name, hint in hints.items()}
+class _Misfit(Exception):
+    """(path, wanted, got): the JSON value at `path` is `got`, not `wanted`."""
+
+
+def _convert(hint, value, path: str, decode: bool = True):
+    """Decode JSON `value` at `path` as annotation `hint` (else _Misfit), or encode it back. An
+    enum is one of its values, a dataclass an object of its fields (one that defaults to None
+    may be missing), a list or tuple[X, ...] a list, a dict an object, `X | None` X or null."""
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return value.value if not decode else hint(
+            _convert(Literal[tuple(member.value for member in hint)], value, path))
+    if not decode and (hint in (str, int, float, dict) or is_dataclass(hint)):
+        return to_row(value) if is_dataclass(hint) else value
+    if is_dataclass(hint) and isinstance(value, dict):  # a missing key's value is ..., a misfit
+        hints = field_hints(hint)
+        decoded = {f.name: _convert(hints[f.name], value.get(f.name, ...), f"{path}.{f.name}")
+                   for f in fields(hint) if f.name in value or f.default is not None}
+        return hint(**{**value, **decoded})
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple) and (isinstance(value, list) or not decode):
+        items = value if not decode and args[0] in (str, int, float) else (
+            _convert(args[0], item, f"{path}[{i}]", decode) for i, item in enumerate(value))
+        return (origin if decode else list)(items)
+    if origin is dict and isinstance(value, dict):
+        return {_convert(args[0], key, f"{path}.{key}", decode):
+                _convert(args[1], item, f"{path}.{key}", decode) for key, item in value.items()}
+    if args[1:] == (type(None),):  # X | None
+        return None if value is None else _convert(args[0], value, path, decode)
+    fits, wanted = value_rule(dict if origin is dict or is_dataclass(hint) else
+                              list if origin in (list, tuple) else hint)
+    if decode and not fits(value):
+        raise _Misfit(path, wanted, "nothing" if value is ... else config_value(value))
+    return value
+
+
+# dataclass -> (name, annotation, defaults to None) of each field to_row encodes
+_encoded = cache(lambda cls: [(f.name, hint, f.default is None) for f in fields(cls)
+                              if (hint := field_hints(cls)[f.name]) not in (str, int, float, dict)])
 
 
 def to_row(record) -> dict:
-    """A record dataclass as its store row: its fields in order, an enum field by its value."""
+    """A dataclass as its row: its fields in order, each encoded (see _convert), and a field
+    that defaults to None left out while it is None."""
     row = {**vars(record)}
-    for name in _plan(type(record))[0]:
-        row[name] = row[name].value
+    for name, hint, optional in _encoded(type(record)):
+        if optional and row[name] is None:
+            del row[name]
+        else:
+            row[name] = _convert(hint, row[name], "", decode=False)
     return row
 
 
-def from_row(cls, row: dict):
-    """Decode a store row into record dataclass `cls`. A value that does not fit its field's
-    annotation is a ValidationError; a missing field is a KeyError, an unknown one a TypeError."""
-    enums, rules = _plan(cls)
-    for name, (fits, wanted) in rules.items():
-        if not fits(row[name]):
-            raise ValidationError(f"field {name!r} must be {wanted}, got {config_value(row[name])}")
-    if enums:
-        row = {**row, **{name: members[row[name]] for name, members in enums.items()}}
-    return cls(**row)
+def from_row(cls, row: dict, noun: str = "field"):
+    """Decode a row into dataclass `cls` (see _convert). A value that does not fit, or a missing
+    field, is a ValidationError naming the {noun} path to it; an unknown key is a TypeError."""
+    try:
+        return _convert(cls, row, "")
+    except _Misfit as misfit:
+        path, wanted, got = misfit.args
+        raise ValidationError(f"{noun} {path[1:]!r} must be {wanted}, got {got}") from None
 
 
 def _dump(obj: dict) -> str:
@@ -120,11 +153,12 @@ def read_bytes(path: str | Path) -> bytes:
 @contextmanager
 def open_input(path: str | Path, what: str, newline: str = "\n"):
     """Yield a file from outside the output directory, open as UTF-8 text with lines ending at
-    `newline`; an OSError or UnicodeDecodeError opening or reading it is UnreadableFile."""
+    `newline`; an OSError, UnicodeDecodeError or csv.Error (a CSV field longer than
+    csv.field_size_limit, 131,072 characters) opening or reading it is UnreadableFile."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableFile(f"cannot read {what} {path}: {exc}") from exc
 
 

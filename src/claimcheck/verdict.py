@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -73,6 +73,15 @@ class VerdictPrediction:
     raw_generation: str
     prompt_hash: str
 
+    def __post_init__(self):
+        try:
+            decoded = decode_verdict(self.raw_generation)
+        except UndecodableGeneration:
+            decoded = None
+        if decoded is not self.label:
+            raise ValidationError(f"label {self.label.value!r} is not what raw_generation "
+                                  f"{self.raw_generation!r} decodes to")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -100,14 +109,14 @@ class TrainConfig:
         check_range("train.learning_rate", self.learning_rate, 0, strict=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainLogEntry:
     step: int
     loss: float
     validation_macro_f1: float | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainLog:
     """Training trace: optimizer settings (from TrainConfig) plus periodic validation entries."""
 
@@ -115,11 +124,11 @@ class TrainLog:
     learning_rate: float
     weight_decay: float
     lr_schedule: str
-    best_step: int | None = None
-    best_validation_f1: float | None = None
-    final_step: int = 0
-    final_validation_f1: float | None = None
-    entries: list[TrainLogEntry] = field(default_factory=list)
+    best_step: int | None
+    best_validation_f1: float | None
+    final_step: int
+    final_validation_f1: float | None
+    entries: list[TrainLogEntry]
 
 
 class Text2TextBackend(ABC):
@@ -281,13 +290,13 @@ def fine_tune(
     if not pairs:
         raise EmptyTrainingSet("no training pairs")
     call = partial(call_backend, "classifier", backend.identity)
-    log = TrainLog(config.optimizer, config.learning_rate, config.weight_decay, config.lr_schedule)
     golds = [decode_verdict(target) for _, target in validation_pairs or ()]
     starts = range(0, len(pairs), config.batch_size)
     last_step = config.epochs * len(starts)
     rng = random.Random(config.seed)
     step = 0
-    best_state: dict | None = None
+    entries: list[TrainLogEntry] = []
+    best, best_state = None, None  # the best validated entry and its state
     for _ in range(config.epochs):
         order = list(pairs)
         rng.shuffle(order)
@@ -301,14 +310,15 @@ def fine_tune(
                 preds = [decode_verdict(call(backend.generate, prompt))
                          for prompt, _ in validation_pairs]
                 f1 = macro_f1(preds, golds)
-            log.entries.append(TrainLogEntry(step, loss, f1))
-            log.final_step, log.final_validation_f1 = step, f1  # the last step is validated
-            if f1 is not None and (log.best_validation_f1 is None or f1 > log.best_validation_f1):
-                log.best_step, log.best_validation_f1 = step, f1
-                best_state = call(backend.snapshot)
+            entries.append(TrainLogEntry(step, loss, f1))
+            if f1 is not None and (best is None or f1 > best.validation_macro_f1):
+                best, best_state = entries[-1], call(backend.snapshot)
 
-    if best_state is None:
+    final_f1 = entries[-1].validation_macro_f1 if entries else None  # the last step is validated
+    log = TrainLog(config.optimizer, config.learning_rate, config.weight_decay, config.lr_schedule,
+                   best and best.step, best and best.validation_macro_f1, step, final_f1, entries)
+    if best is None:
         return call(backend.snapshot), log
-    if log.best_step != step:
+    if best.step != step:
         call(backend.restore, best_state)
     return best_state, log

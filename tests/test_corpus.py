@@ -267,10 +267,10 @@ def test_split_deterministic_given_seed():
     records = make_records(50)
     first = split_corpus(records, (0.70, 0.15, 0.15), seed=11)
     second = split_corpus(records, (0.70, 0.15, 0.15), seed=11)
-    assert [r.id for r in first.train] == [r.id for r in second.train]
-    assert [r.id for r in first.test] == [r.id for r in second.test]
+    assert first.train == second.train
+    assert first.test == second.test
     different = split_corpus(records, (0.70, 0.15, 0.15), seed=12)
-    assert [r.id for r in first.train] != [r.id for r in different.train]
+    assert first.train != different.train
 
 
 @pytest.mark.parametrize("ratios", [(0.5, 0.2, 0.2), (0.8, 0.15, 0.15), (0.7, -0.1, 0.4), (0.7, 0.3)])
@@ -288,7 +288,7 @@ def test_split_bad_ratios(ratios):
 def test_split_partitions_input(n, seed, ratios):
     records = make_records(n)
     splits = split_corpus(records, ratios, seed=seed)
-    ids = [r.id for r in splits.train + splits.validation + splits.test]
+    ids = splits.train + splits.validation + splits.test
     assert sorted(ids) == sorted(r.id for r in records)
     assert len(set(ids)) == len(ids)
     for size, ratio in zip(splits.sizes(), ratios):

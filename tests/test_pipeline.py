@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Literal, get_type_hints
@@ -393,26 +395,28 @@ def test_cli_subcommands_are_exactly_the_commands():
     assert list(subparsers.choices) == list(pipeline.COMMANDS)
 
 
-def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
-    config = cli_config(tmp_path, corpus20_path, annotation={"n": 3, "seed": 1})
-    for cmd in ("ingest", "split", "rationales", "train", "predict", "nle",
-                "eval-f1", "eval-nli"):
-        assert main([cmd, "--config", str(config)]) == 0
-    assert main(["annotate-export", "--config", str(config), "--n", "2"]) == 0
-
-    # Fill the exported tasks as one annotator would.
-    tasks_path = tmp_path / "out" / pipeline.ANNOTATION_TASKS
-    lines = tasks_path.read_text().splitlines()
+def _fill_annotation_tasks(tasks_path, filled_path):
+    """Fill the exported tasks as one annotator would; return the filled file's path."""
     filled = []
-    for line in lines:
+    for line in tasks_path.read_text().splitlines():
         if line.startswith("#") or line.startswith("item_id"):
             filled.append(line)
             continue
         cols = line.split("\t")
         cols[3:7] = ["4", "5", "3", "a1"]
         filled.append("\t".join(cols))
-    filled_path = tmp_path / "filled.tsv"
     filled_path.write_text("\n".join(filled) + "\n")
+    return filled_path
+
+
+def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
+    config = cli_config(tmp_path, corpus20_path, annotation={"n": 3, "seed": 1})
+    for cmd in ("ingest", "split", "rationales", "train", "predict", "nle",
+                "eval-f1", "eval-nli"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert main(["annotate-export", "--config", str(config), "--n", "2"]) == 0
+    filled_path = _fill_annotation_tasks(tmp_path / "out" / pipeline.ANNOTATION_TASKS,
+                                         tmp_path / "filled.tsv")
 
     assert main(["annotate-aggregate", "--config", str(config), str(filled_path)]) == 0
     capsys.readouterr()
@@ -504,23 +508,48 @@ def test_run_all_decodes_nothing_it_wrote(fixture_config, monkeypatch):
     assert decoded == {}
 
 
-def test_run_all_holds_what_decoding_the_written_bytes_gives(fixture_config, monkeypatch):
+def _assert_same(held, decoded, where):
+    """`held` equals `decoded` type for type, recursively: a dataclass field by field, a tuple
+    as a tuple, a list as a list, and a mapping with the same (enum or string) keys."""
+    assert type(held) is type(decoded), (where, type(held), type(decoded))
+    if is_dataclass(held):
+        for f in fields(held):
+            _assert_same(getattr(held, f.name), getattr(decoded, f.name), f"{where}.{f.name}")
+    elif isinstance(held, (list, tuple)):
+        assert len(held) == len(decoded), where
+        for i, (item, decoded_item) in enumerate(zip(held, decoded)):
+            _assert_same(item, decoded_item, f"{where}[{i}]")
+    elif isinstance(held, Mapping):
+        assert list(held) == list(decoded), where
+        for (key, item), (decoded_key, decoded_item) in zip(held.items(), decoded.items()):
+            _assert_same(key, decoded_key, f"{where} key {key!r}")
+            _assert_same(item, decoded_item, f"{where}[{key!r}]")
+    else:
+        assert held == decoded, where
+
+
+def test_run_all_holds_what_decoding_the_written_bytes_gives(fixture_config, monkeypatch,
+                                                            tmp_path):
     held = {}
     write = pipeline._write
     monkeypatch.setattr(pipeline, "_write", lambda config, name, config_hash, payload:
-                        held.setdefault(name, write(config, name, config_hash, payload)))
+                        held.update({name: write(config, name, config_hash, payload)})
+                        or held[name])
     pipeline.run_all(fixture_config)
+    pipeline.run_command(fixture_config, "annotate-export", n=2)
+    filled = _fill_annotation_tasks(fixture_config.artifact(pipeline.ANNOTATION_TASKS),
+                                    tmp_path / "filled.tsv")
+    pipeline.run_command(fixture_config, "annotate-aggregate", files=[str(filled)])
+    pipeline.run_command(fixture_config, "report")  # now with the annotation means
     with_header = {name for name, spec in pipeline.ARTIFACTS.items() if spec.kind is not None}
-    assert set(held) & with_header == with_header - {pipeline.ANNOTATION_SUMMARY}
+    assert set(held) & with_header == with_header
     assert {pipeline.CORPUS_CLEAN, pipeline.CORPUS_STATS} <= set(held)  # ingest's included
+    assert held[pipeline.EVAL_REPORT][1].annotation is not None
     config_hash = fixture_config.config_hash
-    for name in sorted(set(held) & with_header):
+    for name in sorted(with_header):
         digest, value = pipeline._read(fixture_config, name, config_hash)
         assert held[name][0] == digest, name
-        assert held[name][1] == value, name
-        assert type(held[name][1]) is type(value), name
-        for key, item in value.items():
-            assert type(held[name][1][key]) is type(item), (name, key)
+        _assert_same(held[name][1], value, name)
 
 
 def test_manifest_output_hashes_are_the_digests_of_the_files_written(fixture_config):
@@ -649,6 +678,20 @@ def test_run_all_rejects_an_artifact_truncated_between_commands(fixture_config, 
         pipeline.run_all(fixture_config)
 
 
+def test_run_all_checks_splits_rewritten_between_commands_against_the_corpus(
+        fixture_config, monkeypatch):
+    nle = pipeline.COMMANDS["nle"]
+
+    def run_then_drop_a_test_id(config, config_hash, *inputs):
+        result = nle.fn(config, config_hash, *inputs)
+        _edit_doc(lambda d: d["test"].pop())(config.artifact(pipeline.SPLITS))
+        return result
+
+    monkeypatch.setitem(pipeline.COMMANDS, "nle", nle._replace(fn=run_then_drop_a_test_id))
+    with pytest.raises(CorruptArtifact, match="splits.json: record id 'c00003' is in no split"):
+        pipeline.run_all(fixture_config)
+
+
 def test_stages_get_read_only_inputs(fixture_config, monkeypatch):
     eval_f1 = pipeline.COMMANDS["eval-f1"]
 
@@ -745,6 +788,22 @@ def _drop_from_first_row(key):
     return damage
 
 
+def _edit_doc(edit):
+    """Damage a document by `edit(doc)`, which changes its decoded JSON in place."""
+    def damage(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return damage
+
+
+def _flip_first_label(path):
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    row = json.loads(first)
+    row["label"] = {"Supports": "Refutes", "Refutes": "Supports"}[row["label"]]
+    path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
+
+
 def _stamp_first_row(path):
     header, first, *rest = path.read_text().splitlines(keepends=True)
     stamp = {"config_hash": json.loads(header)["config_hash"]}
@@ -785,7 +844,27 @@ def _non_utf8_blocklist(config):
     config.write_text(json.dumps(raw))
 
 
+def _long_field_csv_corpus(config):
+    """Point the config at a one-row CSV corpus whose evidence has 150,000 characters."""
+    corpus = config.with_name("corpus.csv")
+    row = {**make_rows(1, 1)[0], "evidence": "word " * 30_000}
+    with corpus.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+    raw = {**json.loads(config.read_text()), "corpus_path": str(corpus),
+           "corpus_format": "delimited"}
+    config.write_text(json.dumps(raw))
+
+
+def _long_claim_filled_file(path):
+    """Write a filled annotation file whose one row quotes a claim of 140,000 characters."""
+    header = "item_id\tclaim\tnle\tplausibility\tfluency\tcorrectness\tannotator_id\tsystem_id\n"
+    path.write_text(f'{header}c1\t"{"a" * 140_000}"\tnle\t4\t4\t4\ta1\tsys\n')
+
+
 UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
+EVALUATED = (*UPSTREAM, "nle", "eval-f1", "eval-nli")
 # The config file cli_config writes, named from inside the output directory.
 CONFIG = "../config.json"
 # No directory can be made under this module, a regular file.
@@ -794,8 +873,9 @@ UNDER_A_FILE = Path(__file__) / "out"
 MISSING_FILLED = FIXTURES / "missing_filled.tsv"
 NON_UTF8_FILLED = FIXTURES / "filled_not_utf8.tsv"
 
-# case: (config keys, commands run first, artifact to damage, damage, command and flags,
-#        error text, artifacts the failing command must not have written...)
+# case: (config keys, commands run first, artifact to damage, damage, command and flags, in
+#        which {tmp} stands for the test's temporary directory, error text, artifacts the
+#        failing command must not have written...)
 MALFORMED_INPUTS = {
     "empty splits": ({}, UPSTREAM[:2], pipeline.SPLITS, lambda p: p.write_text(""),
                      "rationales", "splits.json line 1"),
@@ -924,6 +1004,50 @@ MALFORMED_INPUTS = {
     "non-UTF-8 filled file": ({}, (), None, None, f"annotate-aggregate {NON_UTF8_FILLED}",
                               f"cannot read annotation file {NON_UTF8_FILLED}: 'utf-8' codec "
                               "can't decode byte 0xff", pipeline.ANNOTATION_SUMMARY),
+    "CSV corpus field over the csv limit": ({}, (), CONFIG, _long_field_csv_corpus, "ingest",
+                                            "corpus.csv: field larger than field limit (131072)",
+                                            pipeline.CORPUS_CLEAN),
+    "filled file field over the csv limit": ({}, (), "../long_claim.tsv", _long_claim_filled_file,
+                                             "annotate-aggregate {tmp}/long_claim.tsv",
+                                             "long_claim.tsv: field larger than field limit "
+                                             "(131072)", pipeline.ANNOTATION_SUMMARY),
+    "test id also in train": ({}, UPSTREAM[:3], pipeline.SPLITS,
+                              _edit_doc(lambda d: d["train"].append(d["test"][0])), "train",
+                              "splits.json: record id 'c00008' is listed twice"),
+    "train id listed twice": ({}, UPSTREAM[:3], pipeline.SPLITS,
+                              _edit_doc(lambda d: d["train"].append(d["train"][0])), "train",
+                              "splits.json: record id 'c00019' is listed twice"),
+    "unknown id in test": ({}, UPSTREAM, pipeline.SPLITS,
+                           _edit_doc(lambda d: d["test"].append("c99999")), "eval-f1",
+                           "splits.json: record id 'c99999' is not in corpus_clean.jsonl",
+                           pipeline.EVAL_F1),
+    "test id removed": ({}, UPSTREAM, pipeline.SPLITS, _edit_doc(lambda d: d["test"].pop()),
+                        "eval-f1", "splits.json: record id 'c00003' is in no split",
+                        pipeline.EVAL_F1),
+    "integer id in test": ({}, UPSTREAM[:3], pipeline.SPLITS,
+                           _edit_doc(lambda d: d["test"].insert(0, 8)), "explain",
+                           "splits.json: key 'test[0]' must be a string, got 8",
+                           pipeline.HIGHLIGHTS),
+    "stats total off the label counts": ({}, UPSTREAM[:1], pipeline.CORPUS_STATS,
+                                         _set_key("total", 999), "stats",
+                                         "corpus_stats.json: the per-label counts sum to 20, "
+                                         "not to the total 999"),
+    "macro-F1 above one": ({}, EVALUATED, pipeline.EVAL_F1,
+                           _edit_doc(lambda d: d["macro_f1"].update(test=7.5)), "report",
+                           "eval_f1.json: the macro-F1 of 'test' is 7.5, not in [0, 1]",
+                           pipeline.EVAL_REPORT),
+    "negative entailment count": ({}, EVALUATED, pipeline.EVAL_NLI,
+                                  _edit_doc(lambda d: d["counts"].update(Entailment=-4)), "report",
+                                  "eval_nli.json: counts {'Entailment': -4, 'Neutral': 2, "
+                                  "'Contradiction': 0} must be >= 0", pipeline.EVAL_REPORT),
+    "prediction label flipped": ({}, UPSTREAM, pipeline.PREDICTIONS, _flip_first_label, "eval-f1",
+                                 "predictions.jsonl line 2: bad record (ValidationError: label "
+                                 "'Refutes' is not what raw_generation 'Supports' decodes to)",
+                                 pipeline.EVAL_F1),
+    "rationale token_length off its text": ({}, UPSTREAM[:3], pipeline.RATIONALES,
+                                            _set_in_first_row(token_length=9999), "train",
+                                            "rationales.jsonl line 2: bad record (ValidationError: "
+                                            "token_length 9999 is not the", pipeline.MODEL_STATE),
 }
 
 
@@ -936,7 +1060,7 @@ def test_cli_malformed_input_exits_one(case, tmp_path, corpus20_path, capsys):
     if damage is not None:
         damage(tmp_path / "out" / artifact)
     capsys.readouterr()
-    assert main([*command.split(), "--config", str(config)]) == 1
+    assert main([*command.replace("{tmp}", str(tmp_path)).split(), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not [name for name in unwritten if (tmp_path / "out" / name).exists()]
