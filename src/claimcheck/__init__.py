@@ -50,7 +50,6 @@ from .rationale import (
     stub_summarize,
 )
 from .verdict import (
-    CopaPrompt,
     MemorizingBackend,
     Text2TextBackend,
     TrainConfig,

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .corpus import VerdictLabel
 from .errors import BackendError, EmptyInput, ValidationError, call_backend
-from .nle import NleText
 from .store import open_input, write_text
 from .verdict import Text2TextBackend
 
@@ -138,13 +137,13 @@ class NliReport:
         return cls(total=total, counts=counts, percentages=percentages)
 
 
-def build_nli_prompt(claim: str, nle: NleText) -> str:
-    """Serialize the entailment query: can the claim be deduced from the NLE."""
+def build_nli_prompt(claim: str, explanation: str) -> str:
+    """Serialize the entailment query: can the claim be deduced from the explanation text."""
     if not claim.strip():
         raise EmptyInput("claim is empty")
-    if not nle.text.strip():
+    if not explanation.strip():
         raise EmptyInput("explanation text is empty")
-    return f"{NLI_PROMPT_PREFIX}{claim}{NLI_PREMISE_MARKER}{nle.text}"
+    return f"{NLI_PROMPT_PREFIX}{claim}{NLI_PREMISE_MARKER}{explanation}"
 
 
 def decode_nli(raw: str) -> NliVerdict:
@@ -154,15 +153,13 @@ def decode_nli(raw: str) -> NliVerdict:
     return verdict
 
 
-def evaluate_nli(
-    records: Sequence[tuple[str, NleText]], nli_backend: Text2TextBackend
-) -> NliReport:
-    """Run the entailment audit over (claim, explanation) pairs."""
+def evaluate_nli(records: Sequence[tuple[str, str]], nli_backend: Text2TextBackend) -> NliReport:
+    """Run the entailment audit over (claim, explanation text) pairs."""
     if not records:
         raise EmptyInput("no records to evaluate")
     verdicts = [decode_nli(call_backend("NLI backend", nli_backend.identity, nli_backend.generate,
-                                        build_nli_prompt(claim, nle)))
-                for claim, nle in records]
+                                        build_nli_prompt(claim, explanation)))
+                for claim, explanation in records]
     return NliReport.from_verdicts(verdicts)
 
 

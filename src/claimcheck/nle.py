@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import VerdictLabel
-from .errors import ValidationError, config_value
+from .errors import ValidationError
 from .rationale import Rationale
 from .verdict import VerdictPrediction
 
@@ -33,12 +33,13 @@ class RecordMismatch(ValidationError):
 
 @dataclass(frozen=True)
 class NleText:
-    """Assembled explanation; text reconstructs exactly from the template."""
+    """An assembled explanation: text is the template filled in (see parse_nle)."""
 
     record_id: str
     text: str
-    verdict_word: str
-    rationale_text: str
+
+    def __post_init__(self):
+        parse_nle(self.text)
 
 
 def compose_nle(prediction: VerdictPrediction, rationale: Rationale) -> NleText:
@@ -49,12 +50,7 @@ def compose_nle(prediction: VerdictPrediction, rationale: Rationale) -> NleText:
     if prediction.record_id != rationale.record_id:
         raise RecordMismatch(prediction.record_id, rationale.record_id)
     word = VERDICT_WORDS[prediction.label]
-    return NleText(
-        record_id=prediction.record_id,
-        text=f"{NLE_PREFIX}{word}{NLE_CONNECTIVE}{rationale.text}",
-        verdict_word=word,
-        rationale_text=rationale.text,
-    )
+    return NleText(prediction.record_id, f"{NLE_PREFIX}{word}{NLE_CONNECTIVE}{rationale.text}")
 
 
 def parse_nle(text: str) -> tuple[str, str]:
@@ -67,11 +63,3 @@ def parse_nle(text: str) -> tuple[str, str]:
         raise ValidationError("not an assembled explanation: bad verdict word or connective")
     return word, rationale_text
 
-
-def nle_from_row(record_id: str, text: str) -> NleText:
-    """Rebuild an NleText from its stored (record_id, text) row."""
-    if not (isinstance(record_id, str) and isinstance(text, str)):
-        raise ValidationError(f"record_id and text must be strings, got {config_value(record_id)}"
-                              f" and {config_value(text)}")
-    word, rationale_text = parse_nle(text)
-    return NleText(record_id=record_id, text=text, verdict_word=word, rationale_text=rationale_text)

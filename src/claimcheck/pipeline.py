@@ -326,7 +326,6 @@ class Artifact(NamedTuple):
     kind: str | None = None  # header kind; None: no header, the text is written as given
     key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
     from_row: Callable[..., object] | None = None  # a document, or a store's row, as its dataclass
-    to_row: Callable[[object], dict] = to_row
     stamped: bool = False  # record stores: each row ends with the header's config hash
 
 
@@ -339,8 +338,7 @@ ARTIFACTS: dict[str, Artifact] = {
     MODEL_STATE: Artifact("model", None, partial(from_row, ModelState)),
     TRAIN_LOG: Artifact("train-log", None, partial(from_row, verdict.TrainLog)),
     PREDICTIONS: Artifact("predictions", "record_id", partial(from_row, verdict.VerdictPrediction)),
-    NLES: Artifact("nles", "record_id", lambda row: nle.nle_from_row(**row),
-                   lambda e: {"record_id": e.record_id, "text": e.text}),
+    NLES: Artifact("nles", "record_id", partial(from_row, nle.NleText)),
     HIGHLIGHTS: Artifact("highlights", None, partial(from_row, Highlights)),
     HIGHLIGHTS_HTML: Artifact(),
     EVAL_F1: Artifact("eval-f1", None, partial(from_row, F1Report)),
@@ -389,9 +387,9 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tupl
     if spec.kind is None:
         return write_text(path, (payload,)), payload
     if spec.key is None:
-        return write_doc(path, spec.kind, config_hash, spec.to_row(payload)), payload
+        return write_doc(path, spec.kind, config_hash, to_row(payload)), payload
     records = MappingProxyType({getattr(record, spec.key): record for record in payload})
-    rows = map(spec.to_row, records.values())
+    rows = map(to_row, records.values())
     if spec.stamped:
         rows = ({**row, "config_hash": config_hash} for row in rows)
     return write_records(path, spec.kind, config_hash, rows), records
@@ -542,7 +540,7 @@ def _eval_f1(config, config_hash, records, splits, predictions):
 
 def _eval_nli(config, config_hash, records, splits, nles):
     """Entailment audit of the test-split explanations."""
-    pairs = [(records[i].claim, nles[i]) for i in splits.test if i in nles]
+    pairs = [(records[i].claim, nles[i].text) for i in splits.test if i in nles]
     report = evaluation.evaluate_nli(pairs, create_nli(config.backends.nli))
     return to_row(report), {EVAL_NLI: report}
 
@@ -641,24 +639,31 @@ class RunTable:
             self.entries[name] = sha, config_hash, value
 
 
-def _check_split_ids(config: PipelineConfig, splits: CorpusSplits, records) -> None:
-    """Refuse splits whose three lists together do not hold exactly the cleaned corpus's ids."""
+def _check_splits(config: PipelineConfig, splits: CorpusSplits, records) -> None:
+    """Refuse splits drawn with another seed or other ratios than the config's, or whose three
+    lists together do not hold exactly the cleaned corpus's ids."""
+    path = config.artifact(SPLITS)
+    for key, drawn, configured in (("split_seed", splits.seed, config.split_seed),
+                                   ("ratios", splits.ratios, config.ratios)):
+        if drawn != configured:
+            raise CorruptArtifact(path, f"drawn with {key} {config_value(drawn)}, "
+                                        f"not the config's {config_value(configured)}")
     listed = {*splits.train, *splits.validation, *splits.test}
     if listed == records.keys():
         return
     for ids, detail in ((listed - records.keys(), f"is not in {CORPUS_CLEAN}"),
                         (records.keys() - listed, "is in no split")):
         if ids:
-            raise CorruptArtifact(config.artifact(SPLITS), f"record id {min(ids)!r} {detail}")
+            raise CorruptArtifact(path, f"record id {min(ids)!r} {detail}")
 
 
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
                 **args) -> dict:
     """Run one COMMANDS entry: check its needs exist, read and decode them through
-    `table` (run_all's, or an empty one), check that splits.json covers exactly the
-    cleaned corpus when it reads both, write its outputs and hold them in `table`,
-    and stamp a manifest entry with the sha256 of every file it read and wrote. The
-    manifest is checked appendable before the first output is written."""
+    `table` (run_all's, or an empty one), check splits.json against the config and the
+    cleaned corpus when it reads both (_check_splits), write its outputs and hold them in
+    `table`, and stamp a manifest entry with the sha256 of every file it read and wrote.
+    The manifest is checked appendable before the first output is written."""
     stage = COMMANDS.get(name)
     if stage is None:
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
@@ -674,7 +679,7 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
     if {SPLITS, CORPUS_CLEAN} <= set(stage.needs):
         covered = inputs[stage.needs.index(SPLITS)], inputs[stage.needs.index(CORPUS_CLEAN)]
         if covered != table.covered:  # run_all checks the pair it holds once
-            _check_split_ids(config, *covered)
+            _check_splits(config, *covered)
             table.covered = covered
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
     if outputs:  # new files must not stand without the entry that records them

@@ -88,16 +88,19 @@ def _convert(hint, value, path: str, decode: bool = True):
     return value
 
 
-# dataclass -> (name, annotation, defaults to None) of each field to_row encodes
-_encoded = cache(lambda cls: [(f.name, hint, f.default is None) for f in fields(cls)
-                              if (hint := field_hints(cls)[f.name]) not in (str, int, float, dict)])
+# dataclass -> (its field names in order, (name, annotation, defaults to None) of each field
+# to_row encodes). Rows are built from the names: an instance asked for its __dict__ keeps one.
+_row_plan = cache(lambda cls: (tuple(f.name for f in fields(cls)), [
+    (f.name, hint, f.default is None) for f in fields(cls)
+    if (hint := field_hints(cls)[f.name]) not in (str, int, float, dict)]))
 
 
 def to_row(record) -> dict:
     """A dataclass as its row: its fields in order, each encoded (see _convert), and a field
     that defaults to None left out while it is None."""
-    row = {**vars(record)}
-    for name, hint, optional in _encoded(type(record)):
+    names, encoded = _row_plan(type(record))
+    row = {name: getattr(record, name) for name in names}
+    for name, hint, optional in encoded:
         if optional and row[name] is None:
             del row[name]
         else:

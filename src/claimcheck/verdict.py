@@ -8,7 +8,6 @@ closed set: ambiguity is surfaced as an error, never guessed away.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from .corpus import ClaimRecord, VerdictLabel
 from .errors import (BackendError, EmptyInput, ValidationError, call_backend, check_fields,
                      check_range)
 from .rationale import Rationale
+from .store import digest
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
 CHOICE_REFUTES = VerdictLabel.REFUTES.value
@@ -52,18 +52,7 @@ class EmptyTrainingSet(ValidationError):
 
 
 def prompt_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class CopaPrompt:
-    """Serialized two-choice prompt; text reconstructs exactly from the parts."""
-
-    text: str
-    claim: str
-    rationale_text: str
-    choice1: str = CHOICE_SUPPORTS
-    choice2: str = CHOICE_REFUTES
+    return digest(text.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -201,8 +190,8 @@ class MemorizingBackend(TrainableBackend):
         self._memory = dict(state["memory"])
 
 
-def build_copa_prompt(claim: str, rationale: Rationale) -> CopaPrompt:
-    """Serialize (claim, rationale) into the fixed two-choice grammar.
+def build_copa_prompt(claim: str, rationale: Rationale) -> str:
+    """Serialize (claim, rationale) into the fixed two-choice grammar; return the prompt text.
 
     The rendering is a byte splice: rationale and claim are inserted
     verbatim, single-space joins, nothing appended after the claim.
@@ -211,8 +200,7 @@ def build_copa_prompt(claim: str, rationale: Rationale) -> CopaPrompt:
         raise EmptyInput("claim is empty")
     if not rationale.text.strip():
         raise EmptyInput("rationale text is empty")
-    text = f"{PROMPT_PREFIX}{rationale.text}{QUESTION_MARKER}{claim}"
-    return CopaPrompt(text=text, claim=claim, rationale_text=rationale.text)
+    return f"{PROMPT_PREFIX}{rationale.text}{QUESTION_MARKER}{claim}"
 
 
 def parse_copa_prompt(text: str) -> tuple[str, str]:
@@ -246,12 +234,12 @@ def decode_verdict(raw: str) -> VerdictLabel:
 def classify(claim: str, rationale: Rationale, backend: Text2TextBackend) -> VerdictPrediction:
     """Prompt the backend with (claim, rationale) and decode its verdict."""
     prompt = build_copa_prompt(claim, rationale)
-    raw = call_backend("classifier", backend.identity, backend.generate, prompt.text)
+    raw = call_backend("classifier", backend.identity, backend.generate, prompt)
     return VerdictPrediction(
         record_id=rationale.record_id,
         label=decode_verdict(raw),
         raw_generation=raw,
-        prompt_hash=prompt_digest(prompt.text),
+        prompt_hash=prompt_digest(prompt),
     )
 
 
@@ -264,8 +252,7 @@ def make_training_pairs(
         rationale = rationales.get(record.id)
         if rationale is None:
             raise MissingRationale(record.id)
-        prompt = build_copa_prompt(record.claim, rationale)
-        pairs.append((prompt.text, record.verdict.value))
+        pairs.append((build_copa_prompt(record.claim, rationale), record.verdict.value))
     return pairs
 
 

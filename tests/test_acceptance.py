@@ -30,7 +30,7 @@ from claimcheck.evaluation import (
     read_annotation_file,
 )
 from claimcheck.attribution import Feature, exact_shapley, sampled_shapley
-from claimcheck.nle import NleText, compose_nle
+from claimcheck.nle import compose_nle
 from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate, stub_summarize
 from claimcheck.store import file_sha256
 from claimcheck.textutil import tokenize
@@ -100,7 +100,7 @@ def test_c02_macro_f1_oracle_equivalence():
 def test_c03_prompt_golden_files():
     """Criterion 3: the three templates are byte-identical to golden files."""
     rationale = Rationale(record_id="r1", text="R0", token_length=1, backend_id="stub-lead")
-    assert build_copa_prompt("C0", rationale).text == golden_text("copa_prompt.txt")
+    assert build_copa_prompt("C0", rationale) == golden_text("copa_prompt.txt")
 
     prediction = VerdictPrediction(record_id="r1", label=S, raw_generation="Supports",
                                    prompt_hash="0" * 64)
@@ -110,8 +110,7 @@ def test_c03_prompt_golden_files():
                                  prompt_hash="0" * 64)
     assert compose_nle(refuting, rationale).text == golden_text("nle_refutes.txt")
 
-    n0 = NleText(record_id="r1", text="N0", verdict_word="supports", rationale_text="N0")
-    assert build_nli_prompt("C0", n0) == golden_text("nli_prompt.txt")
+    assert build_nli_prompt("C0", "N0") == golden_text("nli_prompt.txt")
 
 
 def features_of(n):

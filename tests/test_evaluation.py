@@ -33,7 +33,6 @@ from claimcheck.evaluation import (
     macro_f1,
     read_annotation_file,
 )
-from claimcheck.nle import NleText
 from claimcheck.verdict import MemorizingBackend
 
 from conftest import golden_text
@@ -50,11 +49,6 @@ def oracle_macro_f1(preds, golds):
         fn = sum(1 for p, g in zip(preds, golds) if p is not label and g is label)
         f1s.append(2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
     return sum(f1s) / len(f1s)
-
-
-def nle_of(text, record_id="r1"):
-    return NleText(record_id=record_id, text=text, verdict_word="supports",
-                   rationale_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +113,19 @@ def test_macro_f1_matches_oracle(pairs):
 
 
 def test_nli_prompt_matches_golden_file():
-    assert build_nli_prompt("C0", nle_of("N0")) == golden_text("nli_prompt.txt")
+    assert build_nli_prompt("C0", "N0") == golden_text("nli_prompt.txt")
 
 
 def test_nli_prompt_rebuild_identical():
-    nle = nle_of("The evidence supports the claim because data.")
+    nle = "The evidence supports the claim because data."
     assert build_nli_prompt("c", nle) == build_nli_prompt("c", nle)
 
 
 def test_nli_prompt_empty_inputs():
     with pytest.raises(EmptyInput):
-        build_nli_prompt("", nle_of("N0"))
+        build_nli_prompt("", "N0")
     with pytest.raises(EmptyInput):
-        build_nli_prompt("C0", nle_of("  "))
+        build_nli_prompt("C0", "  ")
 
 
 def test_report_reproduces_published_percentages():
@@ -184,7 +178,7 @@ def test_decode_nli_rejects_junk():
 
 def test_evaluate_nli_with_programmed_backend():
     backend = pipeline.create_nli("stub-nli")
-    pairs = [(f"claim {i}", nle_of(f"explanation {i}", record_id=f"r{i}")) for i in range(3)]
+    pairs = [(f"claim {i}", f"explanation {i}") for i in range(3)]
     outputs = ["entailment", "neutral", "entailment"]
     for (claim, nle), output in zip(pairs, outputs):
         backend.program(build_nli_prompt(claim, nle), output)

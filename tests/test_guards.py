@@ -1,0 +1,79 @@
+"""Two rules about the whole package, checked on its source.
+
+One hash: only store.py imports hashlib, so every sha256 goes through store.digest or
+store.write_text. One error family: every raise in the package raises a PipelineError
+subclass, which the CLI maps to an exit code, except the programmer errors and the
+internal signal declared in NOT_PIPELINE_ERRORS."""
+
+import ast
+import importlib
+
+from claimcheck.errors import PipelineError
+
+from test_file_access import PACKAGE
+
+# (module, innermost enclosing function, exception raised there) of each raise that is not a
+# PipelineError: the abstract methods of the backend interfaces, an annotation the type checks
+# do not know, and the misfit that store.from_row always turns into a ValidationError.
+NOT_PIPELINE_ERRORS = {
+    ("rationale.py", "summarize", "NotImplementedError"),
+    ("verdict.py", "generate", "NotImplementedError"),
+    ("verdict.py", "train_step", "NotImplementedError"),
+    ("verdict.py", "snapshot", "NotImplementedError"),
+    ("verdict.py", "restore", "NotImplementedError"),
+    ("errors.py", "value_rule", "TypeError"),
+    ("store.py", "_convert", "_Misfit"),
+}
+
+
+def modules():
+    found = sorted(PACKAGE.rglob("*.py"))
+    assert len(found) > 1
+    return found
+
+
+def parse(module):
+    return ast.parse(module.read_text(encoding="utf-8"), str(module))
+
+
+def test_only_the_store_imports_hashlib():
+    importers = {module.name for module in modules() for node in ast.walk(parse(module))
+                 if isinstance(node, ast.Import) and "hashlib" in {a.name for a in node.names}
+                 or isinstance(node, ast.ImportFrom) and node.module == "hashlib"}
+    assert importers == {"store.py"}
+
+
+def _raises(node, function=None):
+    """(innermost enclosing function, the raised expression or None for a bare raise) of each
+    raise under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child.exc
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _raises(child, inner)
+
+
+def _resolve(namespace, expr):
+    """The object a raise expression names: `Error`, `Error(...)` or `module.Error(...)`."""
+    if isinstance(expr, ast.Call):
+        return _resolve(namespace, expr.func)
+    if isinstance(expr, ast.Name):
+        return getattr(namespace, expr.id, None)
+    if isinstance(expr, ast.Attribute):
+        return getattr(_resolve(namespace, expr.value), expr.attr, None)
+    return None
+
+
+def other_raises():
+    """(module, function, exception name) of each raise of anything but a PipelineError."""
+    for module in modules():
+        namespace = importlib.import_module(f"claimcheck.{module.stem}".removesuffix(".__init__"))
+        for function, expr in _raises(parse(module)):
+            raised = _resolve(namespace, expr)
+            if not (isinstance(raised, type) and issubclass(raised, PipelineError)):
+                name = expr.func if isinstance(expr, ast.Call) else expr
+                yield module.name, function, ast.unparse(name) if name else "a bare raise"
+
+
+def test_every_raise_is_a_pipeline_error_or_declared():
+    assert set(other_raises()) == NOT_PIPELINE_ERRORS

@@ -4,8 +4,9 @@ import pytest
 
 from claimcheck.corpus import VerdictLabel
 from claimcheck.errors import ValidationError
-from claimcheck.nle import RecordMismatch, compose_nle, nle_from_row, parse_nle
+from claimcheck.nle import NleText, RecordMismatch, compose_nle, parse_nle
 from claimcheck.rationale import Rationale
+from claimcheck.store import from_row, to_row
 from claimcheck.verdict import VerdictPrediction
 
 from conftest import golden_text
@@ -24,13 +25,13 @@ def rationale_of(text, record_id="r1"):
 def test_supports_matches_golden_file():
     nle = compose_nle(prediction_of(VerdictLabel.SUPPORTS), rationale_of("R0"))
     assert nle.text == golden_text("nle_supports.txt")
-    assert nle.verdict_word == "supports"
+    assert parse_nle(nle.text)[0] == "supports"
 
 
 def test_refutes_matches_golden_file():
     nle = compose_nle(prediction_of(VerdictLabel.REFUTES), rationale_of("R0"))
     assert nle.text == golden_text("nle_refutes.txt")
-    assert nle.verdict_word == "refutes"
+    assert parse_nle(nle.text)[0] == "refutes"
 
 
 def test_record_mismatch():
@@ -43,7 +44,7 @@ def test_rationale_punctuation_preserved():
     text = "It ended badly..."
     nle = compose_nle(prediction_of(VerdictLabel.SUPPORTS), rationale_of(text))
     assert nle.text.endswith(text)
-    assert nle.rationale_text == text
+    assert parse_nle(nle.text)[1] == text
 
 
 def test_template_round_trip():
@@ -61,5 +62,10 @@ def test_parse_rejects_foreign_text():
 
 def test_row_round_trip():
     nle = compose_nle(prediction_of(VerdictLabel.SUPPORTS), rationale_of("R0"))
-    rebuilt = nle_from_row(nle.record_id, nle.text)
-    assert rebuilt == nle
+    assert to_row(nle) == {"record_id": "r1", "text": nle.text}
+    assert from_row(NleText, to_row(nle)) == NleText(nle.record_id, nle.text) == nle
+
+
+def test_nle_text_checks_the_template():
+    with pytest.raises(ValidationError):
+        NleText("r1", "N0")

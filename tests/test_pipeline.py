@@ -966,7 +966,7 @@ MALFORMED_INPUTS = {
                                "(ValidationError: field 'text' must be a string, got 3)"),
     "integer explanation text": ({}, (*UPSTREAM, "nle"), pipeline.NLES, _set_in_first_row(text=5),
                                  "eval-nli", "nles.jsonl line 2: bad record (ValidationError: "
-                                 "record_id and text must be strings"),
+                                 "field 'text' must be a string, got 5)"),
     "null rationale text": ({}, UPSTREAM, pipeline.RATIONALES, _set_in_first_row(text=None),
                             "nle", "rationales.jsonl line 2: bad record "
                             "(ValidationError: field 'text' must be a string, got null)"),
@@ -1044,6 +1044,13 @@ MALFORMED_INPUTS = {
                                  "predictions.jsonl line 2: bad record (ValidationError: label "
                                  "'Refutes' is not what raw_generation 'Supports' decodes to)",
                                  pipeline.EVAL_F1),
+    "splits drawn with another seed": ({}, UPSTREAM[:3], pipeline.SPLITS, _set_key("seed", 7),
+                                       "train", "splits.json: drawn with split_seed 7, not the "
+                                       "config's", pipeline.MODEL_STATE),
+    "splits drawn with other ratios": ({}, UPSTREAM, pipeline.SPLITS,
+                                       _set_key("ratios", [0.1, 0.1, 0.8]), "eval-f1",
+                                       "splits.json: drawn with ratios [0.1, 0.1, 0.8], not the "
+                                       "config's [0.7, 0.15, 0.15]", pipeline.EVAL_F1),
     "rationale token_length off its text": ({}, UPSTREAM[:3], pipeline.RATIONALES,
                                             _set_in_first_row(token_length=9999), "train",
                                             "rationales.jsonl line 2: bad record (ValidationError: "

@@ -39,13 +39,12 @@ def rationale_of(text, record_id="r1"):
 
 
 def test_prompt_matches_golden_file():
-    prompt = build_copa_prompt("C0", rationale_of("R0"))
-    assert prompt.text == golden_text("copa_prompt.txt")
+    assert build_copa_prompt("C0", rationale_of("R0")) == golden_text("copa_prompt.txt")
 
 
 def test_prompt_preserves_newlines_in_premise():
     prompt = build_copa_prompt("C0", rationale_of("line one\nline two"))
-    assert "premise: line one\nline two question: C0" in prompt.text
+    assert "premise: line one\nline two question: C0" in prompt
 
 
 def test_prompt_empty_claim_rejected():
@@ -66,7 +65,7 @@ _marker_free = st.text(
 @given(claim=_marker_free, rationale_text=_marker_free)
 def test_prompt_round_trip(claim, rationale_text):
     prompt = build_copa_prompt(claim, rationale_of(rationale_text))
-    assert parse_copa_prompt(prompt.text) == (claim, rationale_text)
+    assert parse_copa_prompt(prompt) == (claim, rationale_text)
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +106,12 @@ def test_classify_with_programmed_backend():
     backend = MemorizingBackend()
     rationale = rationale_of("R0")
     prompt = build_copa_prompt("C0", rationale)
-    backend.program(prompt.text, "Supports")
+    backend.program(prompt, "Supports")
     prediction = classify("C0", rationale, backend)
     assert prediction.label is VerdictLabel.SUPPORTS
     assert prediction.raw_generation == "Supports"
     assert prediction.record_id == "r1"
-    assert prediction.prompt_hash == hashlib.sha256(prompt.text.encode()).hexdigest()
+    assert prediction.prompt_hash == hashlib.sha256(prompt.encode()).hexdigest()
 
 
 def test_classify_deterministic():
@@ -124,7 +123,7 @@ def test_classify_deterministic():
 def test_classify_refutes_preserves_raw():
     backend = MemorizingBackend()
     rationale = rationale_of("R0")
-    backend.program(build_copa_prompt("C0", rationale).text, "Refutes")
+    backend.program(build_copa_prompt("C0", rationale), "Refutes")
     prediction = classify("C0", rationale, backend)
     assert prediction.label is VerdictLabel.REFUTES
     assert prediction.raw_generation == "Refutes"
