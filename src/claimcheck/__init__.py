@@ -9,7 +9,6 @@ with Shapley attribution, macro-F1 scoring, and entailment checks.
 from .attribution import (
     AttributionResult,
     CoalitionValueFn,
-    Feature,
     evidence_features,
     exact_shapley,
     export_highlights,
@@ -31,13 +30,11 @@ from .corpus import (
 from .errors import BackendError, BackendFailure, PipelineError, ValidationError
 from .evaluation import (
     AnnotationSummary,
-    AnnotationTask,
     NliReport,
     NliVerdict,
     aggregate_annotations,
     build_nli_prompt,
     evaluate_nli,
-    export_annotation_tasks,
     macro_f1,
 )
 from .nle import NleText, compose_nle, parse_nle

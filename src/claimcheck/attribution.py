@@ -44,17 +44,8 @@ class TooManyFeatures(ValidationError):
 
 
 @dataclass(frozen=True)
-class Feature:
-    """One span of the evidence at the chosen granularity."""
-
-    index: int
-    text: str
-    granularity: str  # "sentence" or "token"
-
-
-@dataclass(frozen=True)
 class AttributionResult:
-    features: tuple[Feature, ...]
+    features: tuple[str, ...]
     phi: tuple[float, ...]
     value_empty: float
     value_full: float
@@ -63,8 +54,8 @@ class AttributionResult:
     seed: int | None = None
 
 
-def evidence_features(evidence: str, granularity: str = "sentence") -> list[Feature]:
-    """Partition evidence into ordered features (sentences or tokens)."""
+def evidence_features(evidence: str, granularity: str = "sentence") -> list[str]:
+    """Partition evidence into the ordered texts of its features (sentences or tokens)."""
     if granularity == "sentence":
         spans = split_sentences(evidence)
     elif granularity == "token":
@@ -73,10 +64,10 @@ def evidence_features(evidence: str, granularity: str = "sentence") -> list[Feat
         raise ValidationError(f"unknown granularity {granularity!r}")
     if not spans:
         raise EmptyInput("evidence has no features")
-    return [Feature(index=i, text=span, granularity=granularity) for i, span in enumerate(spans)]
+    return spans
 
 
-def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> AttributionResult:
+def exact_shapley(features: Sequence[str], value_fn: CoalitionValueFn) -> AttributionResult:
     """Exact values by full subset enumeration; n is capped at 14."""
     n = len(features)
     if n == 0:
@@ -112,7 +103,7 @@ def exact_shapley(features: Sequence[Feature], value_fn: CoalitionValueFn) -> At
 
 
 def sampled_shapley(
-    features: Sequence[Feature],
+    features: Sequence[str],
     value_fn: CoalitionValueFn,
     num_permutations: int,
     seed: int,
@@ -165,7 +156,7 @@ def sampled_shapley(
 
 
 def attribute(
-    features: Sequence[Feature],
+    features: Sequence[str],
     value_fn: CoalitionValueFn,
     num_permutations: int,
     seed: int,
@@ -178,28 +169,28 @@ def attribute(
 
 def rationale_value_fn(
     record: ClaimRecord,
+    features: Sequence[str],
     backend: SummarizationBackend,
     config: SummaryConfig,
-    granularity: str = "sentence",
 ) -> CoalitionValueFn:
     """Value function scoring how well a feature coalition reproduces the rationale.
 
-    evaluate(mask) summarizes the evidence restricted to the features whose
-    bits are set (everything else removed, order preserved) and returns the
-    token-overlap F1 against the reference rationale of the full
-    evidence. evaluate(0) is 0 by definition. Coalition perturbation
+    `features` are the texts the record's evidence was split into (see
+    evidence_features). evaluate(mask) summarizes the evidence restricted
+    to the features whose bits are set (everything else removed, order
+    preserved) and returns the token-overlap F1 against the reference
+    rationale of the full evidence. evaluate(0) is 0 by definition. Coalition perturbation
     is removal, not mask substitution, so any backend can be plugged in.
     Distinct coalitions often summarize alike, so each distinct summary
     is scored once.
     """
-    texts = [feature.text for feature in evidence_features(record.evidence, granularity)]
     reference = generate_rationale(record.evidence, backend, config, record_id=record.id).text
     scores: dict[str, float] = {}
 
     def evaluate(mask: int) -> float:
         if not mask:
             return 0.0
-        coalition_text = " ".join([text for i, text in enumerate(texts) if mask >> i & 1])
+        coalition_text = " ".join([text for i, text in enumerate(features) if mask >> i & 1])
         summary = summarize_evidence(coalition_text, backend, config, record_id=record.id)
         score = scores.get(summary)
         if score is None:
@@ -209,61 +200,42 @@ def rationale_value_fn(
     return evaluate
 
 
-@dataclass(frozen=True)
-class HighlightEntry:
-    text: str
-    phi: float
-    polarity: str  # "positive", "negative", or "zero"
-    intensity: float  # |phi| / max|phi|, 0 when all phi are 0
-
-
-@dataclass(frozen=True)
-class HighlightDoc:
-    entries: tuple[HighlightEntry, ...]
-    html: str
-
-
 _POSITIVE_RGB = "33, 102, 172"  # blue
 _NEGATIVE_RGB = "178, 24, 43"  # red
 
 
-def export_highlights(result: AttributionResult, title: str = "") -> HighlightDoc:
-    """Turn an attribution into per-feature highlight entries plus markup.
+def polarity(phi: float) -> str:
+    """The polarity word of one attribution: positive, negative or zero."""
+    return "positive" if phi > 0 else "negative" if phi < 0 else "zero"
+
+
+def export_highlights(result: AttributionResult, title: str = "") -> str:
+    """The highlight markup of an attribution: one span per feature.
 
     Blue marks positive contributions, red negative; intensity scales
     with |phi| relative to the largest magnitude.
     """
     max_abs = max((abs(p) for p in result.phi), default=0.0)
-    entries = []
-    for feature, phi in zip(result.features, result.phi):
-        if phi > 0:
-            polarity = "positive"
-        elif phi < 0:
-            polarity = "negative"
-        else:
-            polarity = "zero"
-        intensity = abs(phi) / max_abs if max_abs > 0 else 0.0
-        entries.append(HighlightEntry(feature.text, phi, polarity, intensity))
-
     spans = []
-    for entry in entries:
-        escaped = html.escape(entry.text)
-        if entry.polarity == "zero" or entry.intensity == 0.0:
-            spans.append(f"<span title=\"phi={entry.phi:+.4f}\">{escaped}</span>")
+    for text, phi in zip(result.features, result.phi):
+        sign = polarity(phi)
+        intensity = abs(phi) / max_abs if max_abs > 0 else 0.0
+        escaped = html.escape(text)
+        if sign == "zero" or intensity == 0.0:
+            spans.append(f"<span title=\"phi={phi:+.4f}\">{escaped}</span>")
         else:
-            rgb = _POSITIVE_RGB if entry.polarity == "positive" else _NEGATIVE_RGB
+            rgb = _POSITIVE_RGB if sign == "positive" else _NEGATIVE_RGB
             spans.append(
-                f"<span style=\"background-color: rgba({rgb}, {entry.intensity:.3f})\" "
-                f"title=\"phi={entry.phi:+.4f}\">{escaped}</span>"
+                f"<span style=\"background-color: rgba({rgb}, {intensity:.3f})\" "
+                f"title=\"phi={phi:+.4f}\">{escaped}</span>"
             )
     heading = f"<h2>{html.escape(title)}</h2>\n" if title else ""
-    markup = heading + "<p>" + " ".join(spans) + "</p>"
-    return HighlightDoc(entries=tuple(entries), html=markup)
+    return heading + "<p>" + " ".join(spans) + "</p>"
 
 
-def render_highlight_page(docs: Sequence[HighlightDoc]) -> str:
-    """Standalone HTML page wrapping one or more highlight documents."""
-    body = "\n".join(doc.html for doc in docs)
+def render_highlight_page(docs: Sequence[str]) -> str:
+    """Standalone HTML page wrapping the markup of one or more highlight documents."""
+    body = "\n".join(docs)
     return (
         "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
         "<title>Rationale attribution highlights</title>\n"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .corpus import VerdictLabel
 from .errors import BackendError, EmptyInput, ValidationError, call_backend
-from .store import open_input, write_text
+from .store import open_input
 from .verdict import Text2TextBackend
 
 
@@ -204,16 +204,6 @@ _COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class AnnotationTask:
-    """One item shown to an annotator: a claim, its explanation, three ratings."""
-
-    item_id: str
-    claim: str
-    nle_text: str
-    system_id: str
-
-
 def _flatten(text: str) -> str:
     # Annotation files are flat tabular text; collapse line/tab structure.
     return " ".join(text.split())
@@ -235,8 +225,8 @@ def render_annotation_tasks(
     n: int = 100,
     seed: int = 0,
     system_id: str = "claimcheck",
-) -> tuple[list[AnnotationTask], str]:
-    """A seeded sample of (item_id, claim, nle) triples and its annotation file text.
+) -> str:
+    """The annotation file text of a seeded sample of (item_id, claim, nle) triples.
 
     The file is tab-separated with a '#' legend embedding the rating
     scales; the rating and annotator columns start empty.
@@ -246,31 +236,12 @@ def render_annotation_tasks(
     if n > len(items):
         raise SampleTooLarge(f"asked for {n} tasks but only {len(items)} items available")
     sampled = random.Random(seed).sample(list(items), n)
-    tasks = [
-        AnnotationTask(item_id=i, claim=c, nle_text=t, system_id=system_id)
-        for i, c, t in sampled
-    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter="\t", lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for task in tasks:
-        writer.writerow(
-            [task.item_id, _flatten(task.claim), _flatten(task.nle_text), "", "", "", "", task.system_id]
-        )
-    return tasks, "\n".join(_legend_lines()) + "\n" + buffer.getvalue()
-
-
-def export_annotation_tasks(
-    items: Sequence[tuple[str, str, str]],
-    path: str | Path,
-    n: int = 100,
-    seed: int = 0,
-    system_id: str = "claimcheck",
-) -> list[AnnotationTask]:
-    """Write the annotation file of render_annotation_tasks to `path`."""
-    tasks, text = render_annotation_tasks(items, n, seed, system_id)
-    write_text(path, (text,))
-    return tasks
+    for item_id, claim, nle_text in sampled:
+        writer.writerow([item_id, _flatten(claim), _flatten(nle_text), "", "", "", "", system_id])
+    return "\n".join(_legend_lines()) + "\n" + buffer.getvalue()
 
 
 def read_annotation_file(path: str | Path) -> list[dict[str, str]]:

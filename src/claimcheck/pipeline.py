@@ -506,17 +506,14 @@ def _explain(config, config_hash, records, splits, rationales):
     for record_id in target_ids:
         record = records[record_id]
         features = attribution.evidence_features(record.evidence, config.explain.granularity)
-        value_fn = attribution.rationale_value_fn(
-            record, backend, config.summary, config.explain.granularity
-        )
+        value_fn = attribution.rationale_value_fn(record, features, backend, config.summary)
         result = attribution.attribute(
             features, value_fn, config.explain.permutations, config.explain.seed
         )
-        doc = attribution.export_highlights(result, title=f"record {record_id}")
-        docs.append(doc)
+        docs.append(attribution.export_highlights(result, title=f"record {record_id}"))
         out_records.append(HighlightRecord(record_id, config.explain.granularity, result.method,
-                                           tuple(f.text for f in result.features), result.phi,
-                                           tuple(e.polarity for e in doc.entries)))
+                                           result.features, result.phi,
+                                           tuple(map(attribution.polarity, result.phi))))
     page = f"<!-- config_hash: {config_hash} -->\n{attribution.render_highlight_page(docs)}"
     return {"explained": target_ids}, {HIGHLIGHTS: Highlights(tuple(out_records)),
                                        HIGHLIGHTS_HTML: page}
@@ -547,13 +544,11 @@ def _eval_nli(config, config_hash, records, splits, nles):
 
 def _annotate_export(config, config_hash, records, splits, nles, n=None):
     items = [(i, records[i].claim, nles[i].text) for i in splits.test if i in nles]
-    tasks, text = evaluation.render_annotation_tasks(
-        items,
-        n=config.annotation.n if n is None else n,
-        seed=config.annotation.seed,
-        system_id=config.annotation.system,
+    n = config.annotation.n if n is None else n
+    text = evaluation.render_annotation_tasks(
+        items, n=n, seed=config.annotation.seed, system_id=config.annotation.system
     )
-    summary = {"tasks": len(tasks), "path": str(config.artifact(ANNOTATION_TASKS))}
+    summary = {"tasks": n, "path": str(config.artifact(ANNOTATION_TASKS))}
     return summary, {ANNOTATION_TASKS: text}
 
 
@@ -621,7 +616,6 @@ class RunTable:
     def __init__(self, commands: Iterable[str] = ()):
         self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
         self.entries: dict[str, tuple[str, str, object]] = {}
-        self.covered: tuple = ()  # the last (splits, corpus records) found to cover each other
 
     def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
         """Like _read: the sha256 of the bytes read and the read-only value."""
@@ -677,10 +671,8 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         input_hashes[Path(need).stem], value = table.read(config, need, config_hash)
         inputs.append(value)
     if {SPLITS, CORPUS_CLEAN} <= set(stage.needs):
-        covered = inputs[stage.needs.index(SPLITS)], inputs[stage.needs.index(CORPUS_CLEAN)]
-        if covered != table.covered:  # run_all checks the pair it holds once
-            _check_splits(config, *covered)
-            table.covered = covered
+        _check_splits(config, inputs[stage.needs.index(SPLITS)],
+                      inputs[stage.needs.index(CORPUS_CLEAN)])
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
     if outputs:  # new files must not stand without the entry that records them
         _check_manifest(config)

@@ -203,22 +203,6 @@ def build_copa_prompt(claim: str, rationale: Rationale) -> str:
     return f"{PROMPT_PREFIX}{rationale.text}{QUESTION_MARKER}{claim}"
 
 
-def parse_copa_prompt(text: str) -> tuple[str, str]:
-    """Recover (claim, rationale_text) from a serialized prompt.
-
-    Exact inverse of build_copa_prompt for inputs free of the literal
-    markers "premise:" and "question:"; inputs containing the markers are
-    out of contract.
-    """
-    if not text.startswith(PROMPT_PREFIX):
-        raise ValidationError("not a two-choice prompt: bad prefix")
-    body = text[len(PROMPT_PREFIX):]
-    rationale_text, sep, claim = body.rpartition(QUESTION_MARKER)
-    if not sep:
-        raise ValidationError("not a two-choice prompt: no question marker")
-    return claim, rationale_text
-
-
 def decode_verdict(raw: str) -> VerdictLabel:
     """Closed-set decode of a generation into a verdict label.
 

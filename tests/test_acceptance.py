@@ -25,11 +25,11 @@ from claimcheck.evaluation import (
     RATING_SCALES,
     aggregate_annotations,
     build_nli_prompt,
-    export_annotation_tasks,
     macro_f1,
     read_annotation_file,
+    render_annotation_tasks,
 )
-from claimcheck.attribution import Feature, exact_shapley, sampled_shapley
+from claimcheck.attribution import exact_shapley, sampled_shapley
 from claimcheck.nle import compose_nle
 from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate, stub_summarize
 from claimcheck.store import file_sha256
@@ -114,7 +114,7 @@ def test_c03_prompt_golden_files():
 
 
 def features_of(n):
-    return [Feature(index=i, text=f"f{i}", granularity="sentence") for i in range(n)]
+    return [f"f{i}" for i in range(n)]
 
 
 def random_game(n, rng):
@@ -228,9 +228,9 @@ def test_c09_annotation_schema(tmp_path):
     items = [(f"r{i}", f"claim {i}", f"The evidence supports the claim because fact {i}.")
              for i in range(601)]
     path = tmp_path / "tasks.tsv"
-    tasks = export_annotation_tasks(items, path, n=100, seed=17)
-    assert len(tasks) == 100
-    text = path.read_text()
+    text = render_annotation_tasks(items, n=100, seed=17)
+    path.write_text(text)
+    assert len(read_annotation_file(path)) == 100
     for scale in RATING_SCALES.values():
         for rating, label in scale.items():
             assert f"{rating}={label}" in text

@@ -11,12 +11,12 @@ from claimcheck.attribution import (
     EXACT_FEATURE_LIMIT,
     EXACT_VALUE_CALL_BUDGET,
     AttributionResult,
-    Feature,
     TooManyFeatures,
     attribute,
     evidence_features,
     exact_shapley,
     export_highlights,
+    polarity,
     rationale_value_fn,
     render_highlight_page,
     sampled_shapley,
@@ -27,7 +27,7 @@ from helpers import mask_game
 
 
 def features_of(n):
-    return [Feature(index=i, text=f"f{i}", granularity="sentence") for i in range(n)]
+    return [f"f{i}" for i in range(n)]
 
 
 def brute_force_shapley(n, value_fn):
@@ -57,13 +57,12 @@ def random_game(n, rng):
 
 def test_sentence_features_partition_in_order():
     features = evidence_features("One here. Two there. Three low.")
-    assert [f.text for f in features] == ["One here.", "Two there.", "Three low."]
-    assert [f.index for f in features] == [0, 1, 2]
+    assert features == ["One here.", "Two there.", "Three low."]
 
 
 def test_token_features():
     features = evidence_features("a b c", granularity="token")
-    assert [f.text for f in features] == ["a", "b", "c"]
+    assert features == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +260,23 @@ def record_with(evidence, record_id="r1"):
 
 
 def test_value_fn_empty_coalition_is_zero():
-    value_fn = rationale_value_fn(record_with("Water is wet."), BACKEND, SHORT_CONFIG)
+    value_fn = rationale_value_fn(record_with("Water is wet."), evidence_features("Water is wet."),
+                                  BACKEND, SHORT_CONFIG)
     assert value_fn(0) == 0.0
 
 
 def test_value_fn_single_sentence_identity():
     # One sentence; the coalition containing it reproduces the reference
     # exactly, so token-overlap F1 is 1.0 (hand check: identical multisets).
-    value_fn = rationale_value_fn(record_with("Water is wet."), BACKEND, SHORT_CONFIG)
+    value_fn = rationale_value_fn(record_with("Water is wet."), evidence_features("Water is wet."),
+                                  BACKEND, SHORT_CONFIG)
     assert value_fn(0b1) == pytest.approx(1.0)
 
 
 def test_value_fn_full_coalition_reproduces_reference():
     evidence = "First fact stated. Second fact follows. Third fact closes."
-    value_fn = rationale_value_fn(record_with(evidence), BACKEND, SHORT_CONFIG)
+    value_fn = rationale_value_fn(record_with(evidence), evidence_features(evidence), BACKEND,
+                                  SHORT_CONFIG)
     assert value_fn(0b111) == pytest.approx(1.0)
 
 
@@ -284,7 +286,7 @@ def test_value_fn_partial_coalition_hand_computed():
     # (2 tokens); overlap 2 tokens, so F1 = 2*2/(2+4) = 2/3.
     evidence = "aa bb. cc dd."
     config = SummaryConfig(min_tokens=4, max_tokens=120)
-    value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
+    value_fn = rationale_value_fn(record_with(evidence), evidence_features(evidence), BACKEND, config)
     assert value_fn(0b1) == pytest.approx(2 / 3)
 
 
@@ -294,7 +296,7 @@ def test_value_fn_joins_set_bits_in_index_order():
     # 0, the reference: F1 1.0. Sentences 2 then 0, or 1 and 3, would score 0.
     evidence = "aa bb. cc dd. ee ff. gg hh."
     config = SummaryConfig(min_tokens=2, max_tokens=120)
-    value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
+    value_fn = rationale_value_fn(record_with(evidence), evidence_features(evidence), BACKEND, config)
     summary, reference = stub_summarize("aa bb. ee ff.", config), stub_summarize(evidence, config)
     assert value_fn(0b101) == attribution.token_f1(summary, reference) == 1.0
 
@@ -313,8 +315,8 @@ def test_value_fn_scores_each_distinct_summary_once(monkeypatch):
         return token_f1(summary, reference)
 
     monkeypatch.setattr(attribution, "token_f1", counting_f1)
-    value_fn = rationale_value_fn(record_with(evidence), BACKEND, config)
     features = evidence_features(evidence)
+    value_fn = rationale_value_fn(record_with(evidence), features, BACKEND, config)
     exact_shapley(features, value_fn)
     assert sorted(scored) == sorted(sentences)
     for mask in range(1, 1 << len(sentences)):
@@ -334,31 +336,31 @@ def result_with_phi(phi):
 
 
 def test_highlight_polarities():
-    doc = export_highlights(result_with_phi([0.5, -0.2, 0.0]))
-    assert [e.polarity for e in doc.entries] == ["positive", "negative", "zero"]
-    assert doc.entries[0].intensity == pytest.approx(1.0)
-    assert doc.entries[1].intensity == pytest.approx(0.4)
+    phi = [0.5, -0.2, 0.0]
+    markup = export_highlights(result_with_phi(phi))
+    assert list(map(polarity, phi)) == ["positive", "negative", "zero"]
+    assert "rgba(33, 102, 172, 1.000)" in markup
+    assert "rgba(178, 24, 43, 0.400)" in markup
 
 
 def test_highlight_uniform_intensity_when_all_equal():
-    doc = export_highlights(result_with_phi([0.3, 0.3, 0.3]))
-    assert all(e.intensity == pytest.approx(1.0) for e in doc.entries)
+    markup = export_highlights(result_with_phi([0.3, 0.3, 0.3]))
+    assert markup.count("rgba(33, 102, 172, 1.000)") == 3
 
 
 def test_highlight_zero_scale_degenerate():
-    doc = export_highlights(result_with_phi([0.0, 0.0]))
-    assert all(e.intensity == 0.0 for e in doc.entries)
-    assert all(e.polarity == "zero" for e in doc.entries)
+    markup = export_highlights(result_with_phi([0.0, 0.0]))
+    assert "rgba" not in markup  # intensity 0: plain spans
+    assert polarity(0.0) == "zero"
 
 
 def test_highlight_markup_escapes_and_colors():
-    features = [Feature(0, "a <b> tag.", "sentence"), Feature(1, "plain.", "sentence")]
-    result = AttributionResult(features=tuple(features), phi=(0.5, -0.5), value_empty=0.0,
+    result = AttributionResult(features=("a <b> tag.", "plain."), phi=(0.5, -0.5), value_empty=0.0,
                                value_full=0.0, method="exact")
-    doc = export_highlights(result, title="record r1")
-    assert "a &lt;b&gt; tag." in doc.html
-    assert "rgba(33, 102, 172" in doc.html  # blue for positive
-    assert "rgba(178, 24, 43" in doc.html  # red for negative
-    page = render_highlight_page([doc])
+    markup = export_highlights(result, title="record r1")
+    assert "a &lt;b&gt; tag." in markup
+    assert "rgba(33, 102, 172" in markup  # blue for positive
+    assert "rgba(178, 24, 43" in markup  # red for negative
+    page = render_highlight_page([markup])
     assert page.startswith("<!DOCTYPE html>")
     assert "record r1" in page

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import pipeline
+from claimcheck import pipeline, store
 from claimcheck.corpus import VerdictLabel
 from claimcheck.errors import EmptyInput, ValidationError
 from claimcheck.evaluation import (
@@ -29,9 +29,9 @@ from claimcheck.evaluation import (
     confusion_counts,
     decode_nli,
     evaluate_nli,
-    export_annotation_tasks,
     macro_f1,
     read_annotation_file,
+    render_annotation_tasks,
 )
 from claimcheck.verdict import MemorizingBackend
 
@@ -215,49 +215,45 @@ def items_of(n):
 
 def test_export_samples_requested_count(tmp_path):
     path = tmp_path / "tasks.tsv"
-    tasks = export_annotation_tasks(items_of(601), path, n=100, seed=3)
-    assert len(tasks) == 100
+    path.write_text(render_annotation_tasks(items_of(601), n=100, seed=3))
     assert len(read_annotation_file(path)) == 100
 
 
 def test_export_zero_tasks_valid_header(tmp_path):
     path = tmp_path / "tasks.tsv"
-    export_annotation_tasks(items_of(5), path, n=0, seed=3)
+    path.write_text(render_annotation_tasks(items_of(5), n=0, seed=3))
     assert read_annotation_file(path) == []
     header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
     assert header.split("\t") == ["item_id", "claim", "nle", "plausibility", "fluency",
                                   "correctness", "annotator_id", "system_id"]
 
 
-def test_export_deterministic_given_seed(tmp_path):
-    a = export_annotation_tasks(items_of(50), tmp_path / "a.tsv", n=10, seed=9)
-    b = export_annotation_tasks(items_of(50), tmp_path / "b.tsv", n=10, seed=9)
+def test_export_deterministic_given_seed():
+    a = render_annotation_tasks(items_of(50), n=10, seed=9)
+    b = render_annotation_tasks(items_of(50), n=10, seed=9)
     assert a == b
-    assert (tmp_path / "a.tsv").read_text() == (tmp_path / "b.tsv").read_text()
 
 
 def test_export_under_a_regular_file_names_it_and_leaves_nothing(tmp_path):
     (tmp_path / "file").write_text("")
     path = tmp_path / "file" / "tasks.tsv"
     with pytest.raises(ValidationError, match=re.escape(f"cannot write {path}: ")):
-        export_annotation_tasks(items_of(5), path, n=2, seed=0)
+        store.write_text(path, (render_annotation_tasks(items_of(5), n=2, seed=0),))
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
-def test_export_sample_too_large(tmp_path):
+def test_export_sample_too_large():
     with pytest.raises(SampleTooLarge):
-        export_annotation_tasks(items_of(5), tmp_path / "t.tsv", n=6, seed=0)
+        render_annotation_tasks(items_of(5), n=6, seed=0)
 
 
-def test_export_negative_sample_size_names_n(tmp_path):
+def test_export_negative_sample_size_names_n():
     with pytest.raises(ValidationError, match="sample size n must be >= 0, got -1"):
-        export_annotation_tasks(items_of(5), tmp_path / "t.tsv", n=-1, seed=0)
+        render_annotation_tasks(items_of(5), n=-1, seed=0)
 
 
-def test_export_embeds_rating_scales_verbatim(tmp_path):
-    path = tmp_path / "tasks.tsv"
-    export_annotation_tasks(items_of(3), path, n=2, seed=0)
-    text = path.read_text()
+def test_export_embeds_rating_scales_verbatim():
+    text = render_annotation_tasks(items_of(3), n=2, seed=0)
     for scale in RATING_SCALES.values():
         for rating, label in scale.items():
             assert f"{rating}={label}" in text

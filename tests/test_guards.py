@@ -1,9 +1,10 @@
-"""Two rules about the whole package, checked on its source.
+"""Three rules about the whole package, checked on its source.
 
 One hash: only store.py imports hashlib, so every sha256 goes through store.digest or
 store.write_text. One error family: every raise in the package raises a PipelineError
 subclass, which the CLI maps to an exit code, except the programmer errors and the
-internal signal declared in NOT_PIPELINE_ERRORS."""
+internal signal declared in NOT_PIPELINE_ERRORS. No export for its own sake: every name
+the package's __init__.py imports is used by the package itself."""
 
 import ast
 import importlib
@@ -77,3 +78,13 @@ def other_raises():
 
 def test_every_raise_is_a_pipeline_error_or_declared():
     assert set(other_raises()) == NOT_PIPELINE_ERRORS
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    init = PACKAGE / "__init__.py"
+    exported = {alias.asname or alias.name for node in ast.walk(parse(init))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for module in modules() if module != init for node in ast.walk(parse(module))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(exported - used) == []

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from claimcheck import pipeline
+from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import default_blocklist_path
 from claimcheck.errors import ValidationError
@@ -252,6 +253,21 @@ def test_full_run_counts_and_pinned_hashes(fixture_config):
     assert set(summaries["eval"]["macro_f1"]) == {"validation", "test"}
     for name, expected in PINNED_FIXTURE_HASHES.items():
         assert file_sha256(fixture_config.artifact(name)) == expected, name
+
+
+def test_token_explain_attributes_each_evidence_token(tmp_path, corpus20_path):
+    config = pipeline.load_config(cli_config(tmp_path, corpus20_path,
+                                             explain={"granularity": "token", "permutations": 5}))
+    pipeline.run_all(config)
+    records = {r["id"]: r for r in map(json.loads, config.artifact(pipeline.CORPUS_CLEAN)
+                                       .read_text().splitlines()[1:])}
+    explained = json.loads(config.artifact(pipeline.HIGHLIGHTS).read_text())["records"]
+    assert explained
+    for record in explained:
+        assert record["granularity"] == "token"
+        assert record["features"] == evidence_features(records[record["record_id"]]["evidence"],
+                                                       "token")
+        assert record["polarity"] == list(map(polarity, record["phi"]))
 
 
 def test_ingest_rerun_is_byte_identical(fixture_config):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck.corpus import VerdictLabel, parse_corpus
-from claimcheck.errors import EmptyInput
+from claimcheck.errors import EmptyInput, ValidationError
 from claimcheck.evaluation import UndecodableNliOutput, decode_nli
 from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate
 from claimcheck.verdict import (
+    PROMPT_PREFIX,
+    QUESTION_MARKER,
     EmptyTrainingSet,
     MemorizingBackend,
     MissingRationale,
@@ -22,7 +24,6 @@ from claimcheck.verdict import (
     decode_verdict,
     fine_tune,
     make_training_pairs,
-    parse_copa_prompt,
 )
 
 from conftest import golden_text
@@ -52,6 +53,22 @@ def test_prompt_empty_claim_rejected():
         build_copa_prompt("  ", rationale_of("R0"))
     with pytest.raises(EmptyInput):
         build_copa_prompt("C0", rationale_of("  "))
+
+
+def parse_copa_prompt(text: str) -> tuple[str, str]:
+    """Recover (claim, rationale_text) from a serialized prompt.
+
+    Exact inverse of build_copa_prompt for inputs free of the literal
+    markers "premise:" and "question:"; inputs containing the markers are
+    out of contract.
+    """
+    if not text.startswith(PROMPT_PREFIX):
+        raise ValidationError("not a two-choice prompt: bad prefix")
+    body = text[len(PROMPT_PREFIX):]
+    rationale_text, sep, claim = body.rpartition(QUESTION_MARKER)
+    if not sep:
+        raise ValidationError("not a two-choice prompt: no question marker")
+    return claim, rationale_text
 
 
 _marker_free = st.text(
