@@ -155,7 +155,7 @@ class CorpusStats:
     per_label: dict[VerdictLabel, int]
     mean_claim_tokens: float
     mean_evidence_tokens: float
-    dropped_ids: tuple[str, ...] = ()  # records dropped, their evidence fully blocklisted
+    dropped_ids: tuple[str, ...]  # records dropped, their evidence fully blocklisted
 
     def __post_init__(self):
         if sum(self.per_label.values()) != self.total:
@@ -179,6 +179,9 @@ def _record_from_mapping(row_num: int, row: dict, seen_ids: set[str]) -> ClaimRe
     for name in FIELD_ORDER:
         if name not in row or row[name] is None:
             raise MissingField(row_num, name)
+        if isinstance(row[name], (list, dict)):  # a number or a boolean is read as its text
+            found = "an array" if isinstance(row[name], list) else "an object"
+            raise ValidationError(f"row {row_num}: field {name!r} must be text, not {found}")
     for name in REQUIRED_NONEMPTY:
         if not str(row[name]).strip():
             raise MissingField(row_num, name)
@@ -230,8 +233,10 @@ def parse_corpus(path: str | Path, format: str = "json-lines") -> list[ClaimReco
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
                 raise UnreadableFile(f"{path}: row {row_num} is not valid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise UnreadableFile(f"{path}: row {row_num} is not a JSON object")
             records.append(_record_from_mapping(row_num, row, seen_ids))
     return records
 
@@ -292,6 +297,7 @@ def compute_stats(records: Sequence[ClaimRecord]) -> CorpusStats:
         per_label=per_label,
         mean_claim_tokens=fmean(len(stats_tokenize(r.claim)) for r in records),
         mean_evidence_tokens=fmean(len(stats_tokenize(r.evidence)) for r in records),
+        dropped_ids=(),
     )
 
 

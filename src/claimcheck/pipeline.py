@@ -19,7 +19,7 @@ import json
 import logging
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -191,7 +191,7 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path, **overrides) -> PipelineConfig:
-    """Read a JSON config file, apply the overrides, and build it.
+    """Read a JSON config file, apply the overrides, and decode it through store.from_row.
 
     Keyword overrides are OVERRIDES flags; ENV_OVERRIDES variables stand in
     for the backend flags. Flags beat the environment, which beats the file.
@@ -202,37 +202,19 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config {path} must be a JSON object, got {config_value(raw)}")
+
     env = {flag: os.environ[name] for name, flag in ENV_OVERRIDES.items() if os.environ.get(name)}
     flags = {flag: value for flag, value in overrides.items() if value is not None}
     for flag, value in {**env, **flags}.items():
         if flag not in OVERRIDES:
             raise ValidationError(f"unknown config override {flag!r}")
         section, _, key = OVERRIDES[flag].rpartition(".")
-        target = raw.setdefault(section, {}) if section and isinstance(raw, dict) else raw
-        if isinstance(target, dict):  # otherwise _build rejects the section itself
+        target = raw.setdefault(section, {}) if section else raw
+        if isinstance(target, dict):  # otherwise from_row rejects the section itself
             target[key] = value
-    return _build(PipelineConfig, raw, f"config {path}")
-
-
-def _build(cls, raw, where: str):
-    """Build settings class `cls` from its config mapping `raw`.
-
-    Nested settings come from each field's default_factory and JSON lists
-    become tuples; an unknown or missing key is a ValidationError naming
-    `where`. Each class's __post_init__ checks the values.
-    """
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {config_value(raw)}")
-    nested = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
-    values = {
-        key: _build(nested[key], value, f"config key {key!r}") if key in nested
-        else tuple(value) if isinstance(value, list) else value
-        for key, value in raw.items()
-    }
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return from_row(PipelineConfig, raw, "config key")
 
 
 def _create(registry: dict, backend_id: str, role: str):
@@ -324,29 +306,27 @@ class EvalReport(F1Report):
 
 class Artifact(NamedTuple):
     kind: str | None = None  # header kind; None: no header, the text is written as given
-    key: str | None = None  # record stores decode into {row[key]: from_row(row)}, in file order
-    from_row: Callable[..., object] | None = None  # a document, or a store's row, as its dataclass
+    key: str | None = None  # record stores decode into {row[key]: record}, in file order
+    cls: type | None = None  # the dataclass a document, or a store's row, decodes into
     stamped: bool = False  # record stores: each row ends with the header's config hash
 
 
 ARTIFACTS: dict[str, Artifact] = {
-    CORPUS_CLEAN: Artifact("corpus", "id", partial(from_row, ClaimRecord)),
-    CORPUS_STATS: Artifact("stats", None, partial(from_row, CorpusStats)),
-    SPLITS: Artifact("splits", None, partial(from_row, CorpusSplits)),
-    RATIONALES: Artifact("rationales", "record_id", partial(from_row, rationale.Rationale),
-                         stamped=True),
-    MODEL_STATE: Artifact("model", None, partial(from_row, ModelState)),
-    TRAIN_LOG: Artifact("train-log", None, partial(from_row, verdict.TrainLog)),
-    PREDICTIONS: Artifact("predictions", "record_id", partial(from_row, verdict.VerdictPrediction)),
-    NLES: Artifact("nles", "record_id", partial(from_row, nle.NleText)),
-    HIGHLIGHTS: Artifact("highlights", None, partial(from_row, Highlights)),
+    CORPUS_CLEAN: Artifact("corpus", "id", ClaimRecord),
+    CORPUS_STATS: Artifact("stats", None, CorpusStats),
+    SPLITS: Artifact("splits", None, CorpusSplits),
+    RATIONALES: Artifact("rationales", "record_id", rationale.Rationale, stamped=True),
+    MODEL_STATE: Artifact("model", None, ModelState),
+    TRAIN_LOG: Artifact("train-log", None, verdict.TrainLog),
+    PREDICTIONS: Artifact("predictions", "record_id", verdict.VerdictPrediction),
+    NLES: Artifact("nles", "record_id", nle.NleText),
+    HIGHLIGHTS: Artifact("highlights", None, Highlights),
     HIGHLIGHTS_HTML: Artifact(),
-    EVAL_F1: Artifact("eval-f1", None, partial(from_row, F1Report)),
-    EVAL_NLI: Artifact("eval-nli", None, partial(from_row, evaluation.NliReport)),
-    EVAL_REPORT: Artifact("eval-report", None, partial(from_row, EvalReport)),
+    EVAL_F1: Artifact("eval-f1", None, F1Report),
+    EVAL_NLI: Artifact("eval-nli", None, evaluation.NliReport),
+    EVAL_REPORT: Artifact("eval-report", None, EvalReport),
     ANNOTATION_TASKS: Artifact(),
-    ANNOTATION_SUMMARY: Artifact("annotation-summary", None,
-                                 partial(from_row, evaluation.AnnotationSummary)),
+    ANNOTATION_SUMMARY: Artifact("annotation-summary", None, evaluation.AnnotationSummary),
 }
 
 
@@ -357,8 +337,8 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, obj
         digest, doc = read_doc(path, spec.kind, config_hash)
         del doc["kind"], doc["config_hash"]  # read_doc has checked them
         try:
-            return digest, spec.from_row(doc, "key")
-        except (TypeError, ValidationError) as exc:
+            return digest, from_row(spec.cls, doc, "key")
+        except ValidationError as exc:
             raise CorruptArtifact(path, str(exc)) from exc
     digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
@@ -366,7 +346,7 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, obj
         try:
             record_id = row[spec.key]
             stamp = row.pop("config_hash") if spec.stamped else config_hash
-            record, repeated = spec.from_row(row), record_id in decoded
+            record, repeated = from_row(spec.cls, row), record_id in decoded
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
         if stamp != config_hash:

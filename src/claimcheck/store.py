@@ -54,24 +54,31 @@ class CorruptArtifact(ValidationError):
 
 
 class _Misfit(Exception):
-    """(path, wanted, got): the JSON value at `path` is `got`, not `wanted`."""
+    """(path, wanted, got): the JSON value at `path` is `got`, not `wanted`; (path, None, key):
+    the object at `path` has a key its class does not declare."""
 
 
 def _convert(hint, value, path: str, decode: bool = True):
     """Decode JSON `value` at `path` as annotation `hint` (else _Misfit), or encode it back. An
-    enum is one of its values, a dataclass an object of its fields (one that defaults to None
-    may be missing), a list or tuple[X, ...] a list, a dict an object, `X | None` X or null."""
+    enum is one of its values, a dataclass an object of its fields and no other key (a field
+    with a default may be missing), a list or tuple[X, ...] a list, a fixed-length tuple a list
+    checked whole (errors.value_rule), a dict an object, `X | None` X or null."""
     if isinstance(hint, type) and issubclass(hint, Enum):
         return value.value if not decode else hint(
             _convert(Literal[tuple(member.value for member in hint)], value, path))
     if not decode and (hint in (str, int, float, dict) or is_dataclass(hint)):
         return to_row(value) if is_dataclass(hint) else value
-    if is_dataclass(hint) and isinstance(value, dict):  # a missing key's value is ..., a misfit
+    if is_dataclass(hint) and isinstance(value, dict):  # a missing field's value is ..., a misfit
         hints = field_hints(hint)
-        decoded = {f.name: _convert(hints[f.name], value.get(f.name, ...), f"{path}.{f.name}")
-                   for f in fields(hint) if f.name in value or f.default is not None}
-        return hint(**{**value, **decoded})
+        unknown = [key for key in value if key not in hints]
+        if unknown:
+            raise _Misfit(path, None, unknown[0])
+        # a field whose default and default factory are both MISSING has no default
+        return hint(**{f.name: _convert(hints[f.name], value.get(f.name, ...), f"{path}.{f.name}")
+                       for f in fields(hint) if f.name in value or f.default is f.default_factory})
     origin, args = get_origin(hint), get_args(hint)
+    if decode and origin is tuple and ... not in args:  # fixed length: checked whole, below
+        value, origin = tuple(value) if isinstance(value, list) else value, None
     if origin in (list, tuple) and (isinstance(value, list) or not decode):
         items = value if not decode and args[0] in (str, int, float) else (
             _convert(args[0], item, f"{path}[{i}]", decode) for i, item in enumerate(value))
@@ -109,13 +116,16 @@ def to_row(record) -> dict:
 
 
 def from_row(cls, row: dict, noun: str = "field"):
-    """Decode a row into dataclass `cls` (see _convert). A value that does not fit, or a missing
-    field, is a ValidationError naming the {noun} path to it; an unknown key is a TypeError."""
+    """Decode a row into dataclass `cls` (see _convert). A value that does not fit, a missing
+    field or an unknown key is a ValidationError naming the {noun} path to it."""
     try:
         return _convert(cls, row, "")
     except _Misfit as misfit:
         path, wanted, got = misfit.args
-        raise ValidationError(f"{noun} {path[1:]!r} must be {wanted}, got {got}") from None
+        if wanted is None and not path:
+            raise ValidationError(f"unknown {noun} {got!r}") from None
+        detail = f"has unknown key {got!r}" if wanted is None else f"must be {wanted}, got {got}"
+        raise ValidationError(f"{noun} {path[1:]!r} {detail}") from None
 
 
 def _dump(obj: dict) -> str:

@@ -151,28 +151,21 @@ class TrainableBackend(Text2TextBackend):
 class MemorizingBackend(TrainableBackend):
     """Deterministic text-to-text stub for desk-scale pipeline runs.
 
-    Responses come from three layers, in order: explicitly programmed
-    fixtures, pairs memorized during fine-tuning, then a stable hash
-    fallback that always emits one of the closed `choices` (so decoding
-    stays total): choices[sha256(prompt) % len(choices)].
+    Responses come from two layers, in order: pairs memorized during
+    fine-tuning, then a stable hash fallback that always emits one of the
+    closed `choices` (so decoding stays total):
+    choices[sha256(prompt) % len(choices)].
     """
 
     def __init__(self, identity: str = "stub-memorizing", choices: Sequence[str] = VERDICT_CHOICES):
         self.identity = identity
         self.choices = tuple(choices)
-        self._programmed: dict[str, str] = {}
         self._memory: dict[str, str] = {}
-
-    def program(self, prompt: str, output: str) -> None:
-        """Pin the output for one exact prompt (test fixtures)."""
-        self._programmed[prompt_digest(prompt)] = output
 
     def generate(self, prompt: str) -> str:
         return self._respond(prompt_digest(prompt))
 
     def _respond(self, digest: str) -> str:
-        if digest in self._programmed:
-            return self._programmed[digest]
         if digest in self._memory:
             return self._memory[digest]
         return self.choices[int(digest, 16) % len(self.choices)]

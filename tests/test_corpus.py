@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,24 @@ def test_parse_bad_json_row(tmp_path):
     path.write_text('{"not json\n')
     with pytest.raises(UnreadableFile):
         parse_corpus(path)
+
+
+def test_parse_skips_blank_lines_and_still_counts_them(tmp_path):
+    rows = make_rows(3, 2)
+    lines = [json.dumps(rows[0]), "", " \t", json.dumps(rows[1]), json.dumps(rows[2])]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n\n")
+    assert [r.id for r in parse_corpus(path)] == [row["id"] for row in rows]
+    del rows[2]["claim"]
+    path.write_text("\n".join([*lines[:4], json.dumps(rows[2])]) + "\n")
+    with pytest.raises(MissingField, match="row 5: missing or empty field 'claim'"):
+        parse_corpus(path)
+
+
+def test_parse_reads_numbers_and_booleans_as_their_text(tmp_path):
+    row = {**make_rows(1, 1)[0], "id": 17, "source": 2.5, "url": False}
+    assert parse_corpus(write_corpus(tmp_path / "c.jsonl", [row])) == [ClaimRecord(
+        "17", row["claim"], row["date"], "2.5", VerdictLabel.SUPPORTS, row["evidence"], "False")]
 
 
 def test_parse_nonexistent_file(tmp_path):

@@ -180,8 +180,8 @@ def test_evaluate_nli_with_programmed_backend():
     backend = pipeline.create_nli("stub-nli")
     pairs = [(f"claim {i}", f"explanation {i}") for i in range(3)]
     outputs = ["entailment", "neutral", "entailment"]
-    for (claim, nle), output in zip(pairs, outputs):
-        backend.program(build_nli_prompt(claim, nle), output)
+    backend.train_step([(build_nli_prompt(claim, nle), output)
+                        for (claim, nle), output in zip(pairs, outputs)])
     report = evaluate_nli(pairs, backend)
     assert report.counts[NliVerdict.ENTAILMENT] == 2
     assert report.counts[NliVerdict.NEUTRAL] == 1

@@ -7,9 +7,9 @@ import json
 import re
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Literal, get_type_hints
+from typing import Literal, get_args, get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from claimcheck import pipeline
 from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
-from claimcheck.corpus import default_blocklist_path
+from claimcheck.corpus import FIELD_ORDER, default_blocklist_path
 from claimcheck.errors import ValidationError
 from claimcheck.store import (
     ArtifactMismatch,
@@ -181,6 +181,29 @@ def test_config_schema_fuzz_every_key_with_every_json_type(tmp_path, monkeypatch
                 changed = replace(getattr(default, section), **{name: value})
                 return replace(default, **{section: changed})
             _expect_built_or_named(build, key, section, in_replace, value)
+
+
+def _dataclasses_under(hint, found: set) -> set:
+    """Add to `found` every dataclass that annotation `hint` names, and those their fields name."""
+    if is_dataclass(hint) and hint not in found:
+        found.add(hint)
+        for field_hint in get_type_hints(hint).values():
+            _dataclasses_under(field_hint, found)
+    for arg in get_args(hint):
+        _dataclasses_under(arg, found)
+    return found
+
+
+def test_no_artifact_field_has_a_default_but_none():
+    # from_row lets a field with a default be missing from its file, and to_row leaves out only
+    # a None that is the field's default; any other default would let a file omit the field.
+    found = set()
+    for spec in pipeline.ARTIFACTS.values():
+        _dataclasses_under(spec.cls, found)
+    assert {pipeline.EvalReport, pipeline.HighlightRecord, pipeline.CorpusStats} <= found
+    defaults = sorted(f"{cls.__name__}.{f.name}" for cls in found for f in fields(cls)
+                      if f.default_factory is not MISSING or f.default not in (MISSING, None))
+    assert defaults == []
 
 
 def test_settings_are_frozen(fixture_config):
@@ -387,6 +410,55 @@ def test_cli_backend_failure_exits_two(case, tmp_path, corpus20_path, capsys, mo
     assert main([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("backend error: ") and message in err
+
+
+def test_cli_train_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setitem(pipeline.CLASSIFIER_BACKENDS, "stub-junk", JunkNliBackend)
+    config = cli_config(tmp_path, corpus20_path, backends={"classifier": "stub-junk"})
+    for cmd in ("ingest", "split", "rationales"):
+        assert main([cmd, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 1
+    assert "error: classifier backend 'stub-junk' is not trainable" in capsys.readouterr().err
+    assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
+
+
+def test_cli_ingest_prints_the_ids_it_dropped_and_only_then(tmp_path, capsys):
+    rows = make_rows(3, 2)
+    blocked = {**rows[1], "evidence": "As CNN reported, this happened."}
+    config = cli_config(tmp_path, write_corpus(tmp_path / "c.jsonl", [rows[0], blocked, rows[2]]))
+    assert main(["ingest", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "records: 2\n" in out
+    assert f"dropped (evidence fully blocklisted): {blocked['id']}\n" in out
+    write_corpus(tmp_path / "c.jsonl", rows)
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert "dropped" not in capsys.readouterr().out
+
+
+# Any JSON value; and objects of the seven corpus fields, each field a JSON value, often one
+# that a record may hold (text, a number or a boolean), so that some lines are records.
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+CORPUS_ROWS = st.fixed_dictionaries({
+    name: st.sampled_from(["True", "Refutes", "A claim. Its evidence."]) | st.booleans()
+    | st.integers() | JSON_ANY for name in FIELD_ORDER})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=JSON_ANY | CORPUS_ROWS)
+def test_cli_ingest_of_any_json_value_on_a_corpus_line_exits_zero_or_one(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    status = main(["ingest", "--config", str(cli_config(tmp_path, corpus))])  # never raises
+    err = capsys.readouterr().err
+    assert status == 0 or status == 1 and "error: " in err, (status, err)
+    assert "Traceback" not in err
 
 
 def test_cli_bad_usage_exits_one(capsys):
@@ -879,6 +951,31 @@ def _long_claim_filled_file(path):
     path.write_text(f'{header}c1\t"{"a" * 140_000}"\tnle\t4\t4\t4\ta1\tsys\n')
 
 
+def _corpus_with_second_line(line):
+    """Point the config at a corpus whose second line is `line` (the first is a record)."""
+    def damage(config):
+        corpus = config.with_name("corpus.jsonl")
+        corpus.write_text(json.dumps(make_rows(1, 1)[0]) + "\n" + line + "\n", encoding="utf-8")
+        config.write_text(json.dumps({**json.loads(config.read_text()), "corpus_path": str(corpus)}))
+    return damage
+
+
+def _comment_only_blocklist(config):
+    blocklist = config.with_name("blocklist.txt")
+    blocklist.write_text("# outlets to drop\n  # none yet\n")
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "blocklist_path": str(blocklist)}))
+
+
+def _copy_of(name):
+    """Damage an artifact by copying artifact `name` over it."""
+    return lambda path: path.write_bytes(path.with_name(name).read_bytes())
+
+
+def _nudge_entailment_percentage(doc):
+    doc["percentages"]["Entailment"] += 0.1
+
+
 UPSTREAM = ("ingest", "split", "rationales", "train", "predict")
 EVALUATED = (*UPSTREAM, "nle", "eval-f1", "eval-nli")
 # The config file cli_config writes, named from inside the output directory.
@@ -999,10 +1096,12 @@ MALFORMED_INPUTS = {
                                     "rationales.jsonl line 2: bad record "
                                     "(KeyError: 'config_hash')"),
     "stamp on a cleaned row": ({}, UPSTREAM[:1], pipeline.CORPUS_CLEAN, _stamp_first_row, "split",
-                               "corpus_clean.jsonl line 2: bad record (TypeError"),
+                               "corpus_clean.jsonl line 2: bad record (ValidationError: "
+                               "unknown field 'config_hash')"),
     "explanation with an extra field": ({}, (*UPSTREAM, "nle"), pipeline.NLES,
                                         _set_in_first_row(verdict="made up"), "eval-nli",
-                                        "nles.jsonl line 2: bad record (TypeError"),
+                                        "nles.jsonl line 2: bad record (ValidationError: "
+                                        "unknown field 'verdict')"),
     "output_dir under a regular file": ({"output_dir": str(UNDER_A_FILE)}, (), None, None,
                                         "ingest", f"cannot write {UNDER_A_FILE}/corpus_clean.jsonl:"
                                         " [Errno 20] Not a directory"),
@@ -1071,6 +1170,34 @@ MALFORMED_INPUTS = {
                                             _set_in_first_row(token_length=9999), "train",
                                             "rationales.jsonl line 2: bad record (ValidationError: "
                                             "token_length 9999 is not the", pipeline.MODEL_STATE),
+    "corpus row 5": ({}, (), CONFIG, _corpus_with_second_line("5"), "ingest",
+                     "corpus.jsonl: row 2 is not a JSON object", pipeline.CORPUS_CLEAN),
+    "corpus row null": ({}, (), CONFIG, _corpus_with_second_line("null"), "ingest",
+                        "corpus.jsonl: row 2 is not a JSON object", pipeline.CORPUS_CLEAN),
+    "corpus row a 5,000-digit integer": ({}, (), CONFIG, _corpus_with_second_line("7" * 5000),
+                                         "ingest", "corpus.jsonl: row 2 is not",
+                                         pipeline.CORPUS_CLEAN),
+    "corpus evidence an array": ({}, (), CONFIG, _corpus_with_second_line(
+                                     json.dumps({**make_rows(2, 1)[1], "evidence": ["x"]})),
+                                 "ingest", "row 2: field 'evidence' must be text, not an array",
+                                 pipeline.CORPUS_CLEAN),
+    "config not JSON": ({}, (), CONFIG, lambda p: p.write_text('{"corpus_path": '), "ingest",
+                        "config.json is not valid JSON"),
+    "blocklist of comments only": ({}, (), CONFIG, _comment_only_blocklist, "ingest",
+                                   "blocklist.txt is empty", pipeline.CORPUS_CLEAN),
+    "non-UTF-8 splits": ({}, UPSTREAM[:2], pipeline.SPLITS, _append_byte_0xff, "rationales",
+                         "splits.json: not UTF-8 text", pipeline.RATIONALES),
+    "stats copied over splits": ({}, UPSTREAM[:2], pipeline.SPLITS, _copy_of(pipeline.CORPUS_STATS),
+                                 "rationales", "splits.json: expected kind 'splits', found 'stats'",
+                                 pipeline.RATIONALES),
+    "entailment percentage off its count": ({}, EVALUATED, pipeline.EVAL_NLI,
+                                            _edit_doc(_nudge_entailment_percentage), "report",
+                                            "eval_nli.json: each percentage must be its count's "
+                                            "share of the total", pipeline.EVAL_REPORT),
+    "undecodable raw_generation": ({}, UPSTREAM, pipeline.PREDICTIONS,
+                                   _set_in_first_row(raw_generation="maybe"), "eval-f1",
+                                   "is not what raw_generation 'maybe' decodes to",
+                                   pipeline.EVAL_F1),
 }
 
 

@@ -123,7 +123,7 @@ def test_classify_with_programmed_backend():
     backend = MemorizingBackend()
     rationale = rationale_of("R0")
     prompt = build_copa_prompt("C0", rationale)
-    backend.program(prompt, "Supports")
+    backend.train_step([(prompt, "Supports")])
     prediction = classify("C0", rationale, backend)
     assert prediction.label is VerdictLabel.SUPPORTS
     assert prediction.raw_generation == "Supports"
@@ -140,7 +140,7 @@ def test_classify_deterministic():
 def test_classify_refutes_preserves_raw():
     backend = MemorizingBackend()
     rationale = rationale_of("R0")
-    backend.program(build_copa_prompt("C0", rationale), "Refutes")
+    backend.train_step([(build_copa_prompt("C0", rationale), "Refutes")])
     prediction = classify("C0", rationale, backend)
     assert prediction.label is VerdictLabel.REFUTES
     assert prediction.raw_generation == "Refutes"
