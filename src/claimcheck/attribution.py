@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import ClaimRecord
-from .errors import EmptyInput, ValidationError
+from .errors import ValidationError
 from .rationale import SummarizationBackend, SummaryConfig, generate_rationale, summarize_evidence
 from .textutil import split_sentences, token_f1, tokenize
 
@@ -32,15 +32,6 @@ CoalitionValueFn = Callable[[int], float]
 
 EXACT_FEATURE_LIMIT = 14  # 2^n subset enumeration guard
 EXACT_VALUE_CALL_BUDGET = 1 << 10  # attribute() enumerates exactly up to this many value calls
-
-
-class TooManyFeatures(ValidationError):
-    def __init__(self, n: int):
-        super().__init__(
-            f"{n} features exceeds the exact-enumeration limit of {EXACT_FEATURE_LIMIT}; "
-            "use sampled_shapley"
-        )
-        self.n = n
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ def evidence_features(evidence: str, granularity: str = "sentence") -> list[str]
     else:
         raise ValidationError(f"unknown granularity {granularity!r}")
     if not spans:
-        raise EmptyInput("evidence has no features")
+        raise ValidationError("evidence has no features")
     return spans
 
 
@@ -71,9 +62,10 @@ def exact_shapley(features: Sequence[str], value_fn: CoalitionValueFn) -> Attrib
     """Exact values by full subset enumeration; n is capped at 14."""
     n = len(features)
     if n == 0:
-        raise EmptyInput("no features to attribute")
+        raise ValidationError("no features to attribute")
     if n > EXACT_FEATURE_LIMIT:
-        raise TooManyFeatures(n)
+        raise ValidationError(f"{n} features exceeds the exact-enumeration limit of "
+                              f"{EXACT_FEATURE_LIMIT}; use sampled_shapley")
 
     values = [value_fn(mask) for mask in range(1 << n)]
     # weight[s] = s! (n-s-1)! / n!  for a coalition of size s joined by one player
@@ -117,7 +109,7 @@ def sampled_shapley(
     """
     n = len(features)
     if n == 0:
-        raise EmptyInput("no features to attribute")
+        raise ValidationError("no features to attribute")
     if num_permutations < 1:
         raise ValidationError("num_permutations must be >= 1")
 

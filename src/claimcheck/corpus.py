@@ -22,7 +22,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .errors import UnreadableFile, ValidationError
+from .errors import ValidationError
 from .store import open_input
 from .textutil import split_paragraphs, stats_tokenize
 
@@ -45,41 +45,12 @@ _RAW_LABEL_MAP = {"true": VerdictLabel.SUPPORTS, "false": VerdictLabel.REFUTES}
 _CANONICAL_LABELS = {label.value: label for label in VerdictLabel}
 
 
-class MissingField(ValidationError):
-    def __init__(self, row: int, fieldname: str):
-        super().__init__(f"row {row}: missing or empty field {fieldname!r}")
-        self.row = row
-        self.field = fieldname
-
-
-class DuplicateId(ValidationError):
-    def __init__(self, record_id: str):
-        super().__init__(f"duplicate record id {record_id!r}")
-        self.record_id = record_id
-
-
-class UnsupportedLabel(ValidationError):
-    def __init__(self, raw: str, row: int | None = None):
-        where = f"row {row}: " if row is not None else ""
-        super().__init__(f"{where}unsupported verdict label {raw!r}; only True/False rows are kept")
-        self.raw = raw
-        self.row = row
-
-
 class EmptyEvidenceAfterFilter(ValidationError):
     """Every evidence paragraph was blocklisted; the record must be dropped."""
 
     def __init__(self, record_id: str):
         super().__init__(f"record {record_id!r}: no evidence left after outlet filtering")
         self.record_id = record_id
-
-
-class BadRatios(ValidationError):
-    pass
-
-
-class EmptyCorpus(ValidationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -167,24 +138,24 @@ def map_verdict_label(raw: str) -> VerdictLabel:
     """Map a raw binary verdict string: True -> Supports, False -> Refutes.
 
     Anything else, including the four excluded multi-grade classes, raises
-    UnsupportedLabel; the corpus keeps only binary-labelled rows.
+    ValidationError; the corpus keeps only binary-labelled rows.
     """
     normalized = raw.strip().casefold()
     if normalized in _RAW_LABEL_MAP:
         return _RAW_LABEL_MAP[normalized]
-    raise UnsupportedLabel(raw)
+    raise ValidationError(f"unsupported verdict label {raw!r}; only True/False rows are kept")
 
 
 def _record_from_mapping(row_num: int, row: dict, seen_ids: set[str]) -> ClaimRecord:
     for name in FIELD_ORDER:
         if name not in row or row[name] is None:
-            raise MissingField(row_num, name)
+            raise ValidationError(f"row {row_num}: missing or empty field {name!r}")
         if isinstance(row[name], (list, dict)):  # a number or a boolean is read as its text
             found = "an array" if isinstance(row[name], list) else "an object"
             raise ValidationError(f"row {row_num}: field {name!r} must be text, not {found}")
     for name in REQUIRED_NONEMPTY:
         if not str(row[name]).strip():
-            raise MissingField(row_num, name)
+            raise ValidationError(f"row {row_num}: missing or empty field {name!r}")
     raw_verdict = str(row["verdict"]).strip()
     # Canonical labels (a re-ingested cleaned store) pass through; raw
     # labels go through the binary mapping, which rejects everything else.
@@ -192,11 +163,11 @@ def _record_from_mapping(row_num: int, row: dict, seen_ids: set[str]) -> ClaimRe
     if verdict is None:
         try:
             verdict = map_verdict_label(raw_verdict)
-        except UnsupportedLabel:
-            raise UnsupportedLabel(raw_verdict, row=row_num) from None
+        except ValidationError as exc:
+            raise ValidationError(f"row {row_num}: {exc}") from None
     record_id = str(row["id"])
     if record_id in seen_ids:
-        raise DuplicateId(record_id)
+        raise ValidationError(f"duplicate record id {record_id!r}")
     seen_ids.add(record_id)
     return ClaimRecord(
         id=record_id,
@@ -234,9 +205,9 @@ def parse_corpus(path: str | Path, format: str = "json-lines") -> list[ClaimReco
             try:
                 row = json.loads(line)
             except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-                raise UnreadableFile(f"{path}: row {row_num} is not valid JSON: {exc}") from exc
+                raise ValidationError(f"{path}: row {row_num} is not valid JSON: {exc}") from exc
             if not isinstance(row, dict):
-                raise UnreadableFile(f"{path}: row {row_num} is not a JSON object")
+                raise ValidationError(f"{path}: row {row_num} is not a JSON object")
             records.append(_record_from_mapping(row_num, row, seen_ids))
     return records
 
@@ -269,9 +240,9 @@ def split_corpus(
     ratio share; the three splits partition the input.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise BadRatios(f"need three non-negative ratios, got {ratios!r}")
+        raise ValidationError(f"need three non-negative ratios, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios must sum to 1.0, got {sum(ratios)!r}")
+        raise ValidationError(f"ratios must sum to 1.0, got {sum(ratios)!r}")
     shuffled = [record.id for record in records]
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
@@ -288,7 +259,7 @@ def compute_stats(records: Sequence[ClaimRecord]) -> CorpusStats:
     so they are backend-independent.
     """
     if not records:
-        raise EmptyCorpus("cannot compute statistics of an empty corpus")
+        raise ValidationError("cannot compute statistics of an empty corpus")
     per_label = {label: 0 for label in VerdictLabel}
     for record in records:
         per_label[record.verdict] += 1

@@ -2,6 +2,8 @@
 
 The CLI maps ValidationError to exit code 1 and BackendError to exit
 code 2; everything raised by the library derives from one of them.
+A subclass exists only where the package catches it or reads its data;
+every other raise site raises one of the two with its own message.
 """
 
 import json
@@ -22,14 +24,6 @@ class ValidationError(PipelineError):
 
 class BackendError(PipelineError):
     """A model backend failed or produced unusable output."""
-
-
-class EmptyInput(ValidationError):
-    """A required text argument was empty."""
-
-
-class UnreadableFile(ValidationError):
-    """An input file that cannot be opened, read or decoded."""
 
 
 class BackendFailure(BackendError):

@@ -18,31 +18,9 @@ from statistics import fmean
 from typing import Sequence
 
 from .corpus import VerdictLabel
-from .errors import BackendError, EmptyInput, ValidationError, call_backend
+from .errors import ValidationError, call_backend
 from .store import open_input
-from .verdict import Text2TextBackend
-
-
-class LengthMismatch(ValidationError):
-    pass
-
-
-class UndecodableNliOutput(BackendError):
-    def __init__(self, raw: str):
-        super().__init__(f"cannot decode NLI output {raw!r}")
-        self.raw = raw
-
-
-class SampleTooLarge(ValidationError):
-    pass
-
-
-class OutOfRangeRating(ValidationError):
-    def __init__(self, file: str, item: str, value: str):
-        super().__init__(f"{file}: item {item!r} has rating {value!r} outside 1..5")
-        self.file = file
-        self.item = item
-        self.value = value
+from .verdict import Text2TextBackend, UndecodableGeneration
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +44,9 @@ def macro_f1(predictions: Sequence[VerdictLabel], golds: Sequence[VerdictLabel])
     convention (with a warning) rather than being dropped from the mean.
     """
     if len(predictions) != len(golds):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(golds)} golds")
+        raise ValidationError(f"{len(predictions)} predictions vs {len(golds)} golds")
     if not golds:
-        raise EmptyInput("nothing to score")
+        raise ValidationError("nothing to score")
     counts = confusion_counts(predictions, golds)
     f1s = []
     for label in VerdictLabel:
@@ -128,7 +106,7 @@ class NliReport:
     @classmethod
     def from_verdicts(cls, verdicts: Sequence[NliVerdict]) -> "NliReport":
         if not verdicts:
-            raise EmptyInput("no entailment verdicts to report")
+            raise ValidationError("no entailment verdicts to report")
         counts = {label: 0 for label in NliVerdict}
         for verdict in verdicts:
             counts[verdict] += 1
@@ -140,23 +118,23 @@ class NliReport:
 def build_nli_prompt(claim: str, explanation: str) -> str:
     """Serialize the entailment query: can the claim be deduced from the explanation text."""
     if not claim.strip():
-        raise EmptyInput("claim is empty")
+        raise ValidationError("claim is empty")
     if not explanation.strip():
-        raise EmptyInput("explanation text is empty")
+        raise ValidationError("explanation text is empty")
     return f"{NLI_PROMPT_PREFIX}{claim}{NLI_PREMISE_MARKER}{explanation}"
 
 
 def decode_nli(raw: str) -> NliVerdict:
     verdict = _NLI_DECODE.get(raw.strip().casefold()) if isinstance(raw, str) else None
     if verdict is None:
-        raise UndecodableNliOutput(raw)
+        raise UndecodableGeneration(f"cannot decode NLI output {raw!r}", raw)
     return verdict
 
 
 def evaluate_nli(records: Sequence[tuple[str, str]], nli_backend: Text2TextBackend) -> NliReport:
     """Run the entailment audit over (claim, explanation text) pairs."""
     if not records:
-        raise EmptyInput("no records to evaluate")
+        raise ValidationError("no records to evaluate")
     verdicts = [decode_nli(call_backend("NLI backend", nli_backend.identity, nli_backend.generate,
                                         build_nli_prompt(claim, explanation)))
                 for claim, explanation in records]
@@ -234,7 +212,7 @@ def render_annotation_tasks(
     if n < 0:
         raise ValidationError(f"annotation sample size n must be >= 0, got {n}")
     if n > len(items):
-        raise SampleTooLarge(f"asked for {n} tasks but only {len(items)} items available")
+        raise ValidationError(f"asked for {n} tasks but only {len(items)} items available")
     sampled = random.Random(seed).sample(list(items), n)
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter="\t", lineterminator="\n")
@@ -268,9 +246,10 @@ def _parse_rating(file: str, item: str, value: str) -> int:
     try:
         rating = int(value.strip())
     except (ValueError, AttributeError):
-        raise OutOfRangeRating(file, item, value) from None
+        raise ValidationError(f"{file}: item {item!r} has rating {value!r} "
+                              "outside 1..5") from None
     if not 1 <= rating <= 5:
-        raise OutOfRangeRating(file, item, str(rating))
+        raise ValidationError(f"{file}: item {item!r} has rating {str(rating)!r} outside 1..5")
     return rating
 
 
@@ -281,7 +260,7 @@ def aggregate_annotations(files: Sequence[str | Path]) -> AnnotationSummary:
     compared side by side; per-annotator means are reported as well.
     """
     if not files:
-        raise EmptyInput("no annotation files")
+        raise ValidationError("no annotation files")
     by_system: dict[str, dict[str, list[int]]] = {}
     by_annotator: dict[str, dict[str, list[int]]] = {}
     items: set[str] = set()

@@ -22,15 +22,6 @@ VERDICT_WORDS = {VerdictLabel.SUPPORTS: "supports", VerdictLabel.REFUTES: "refut
 _WORD_TO_LABEL = {word: label for label, word in VERDICT_WORDS.items()}
 
 
-class RecordMismatch(ValidationError):
-    def __init__(self, prediction_id: str, rationale_id: str):
-        super().__init__(
-            f"prediction is for record {prediction_id!r} but rationale is for {rationale_id!r}"
-        )
-        self.prediction_id = prediction_id
-        self.rationale_id = rationale_id
-
-
 @dataclass(frozen=True)
 class NleText:
     """An assembled explanation: text is the template filled in (see parse_nle)."""
@@ -48,7 +39,8 @@ def compose_nle(prediction: VerdictPrediction, rationale: Rationale) -> NleText:
     The rationale is spliced in verbatim, terminal punctuation and all.
     """
     if prediction.record_id != rationale.record_id:
-        raise RecordMismatch(prediction.record_id, rationale.record_id)
+        raise ValidationError(f"prediction is for record {prediction.record_id!r} "
+                              f"but rationale is for {rationale.record_id!r}")
     word = VERDICT_WORDS[prediction.label]
     return NleText(prediction.record_id, f"{NLE_PREFIX}{word}{NLE_CONNECTIVE}{rationale.text}")
 

@@ -49,7 +49,6 @@ from .errors import (
 )
 from .store import (
     CorruptArtifact,
-    MissingUpstreamArtifact,
     digest,
     file_sha256,
     from_row,
@@ -196,11 +195,12 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     Keyword overrides are OVERRIDES flags; ENV_OVERRIDES variables stand in
     for the backend flags. Flags beat the environment, which beats the file.
     """
-    with open_input(path, "config") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    with open_input(path, "config") as fh:  # its UnicodeDecodeError is a ValueError too
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must be a JSON object, got {config_value(raw)}")
@@ -472,7 +472,7 @@ def _nle(config, config_hash, rationales, predictions):
     explanations = []
     for prediction in predictions.values():
         if prediction.record_id not in rationales:
-            raise verdict.MissingRationale(prediction.record_id)
+            raise ValidationError(f"no rationale for record {prediction.record_id!r}")
         explanations.append(nle.compose_nle(prediction, rationales[prediction.record_id]))
     return {"explanations": len(explanations)}, {NLES: explanations}
 
@@ -643,7 +643,8 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
     for need in stage.needs:
         if not config.artifact(need).exists():
-            raise MissingUpstreamArtifact(stage.name, config.artifact(need))
+            raise ValidationError(f"stage {stage.name!r} needs missing artifact {need}; "
+                                  "run earlier stages first")
     config_hash = config.config_hash
     table = table or RunTable()
     input_hashes, inputs = {}, []

@@ -31,18 +31,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Literal, get_args, get_origin
 
-from .errors import UnreadableFile, ValidationError, config_value, field_hints, value_rule
-
-
-class MissingUpstreamArtifact(ValidationError):
-    def __init__(self, stage: str, path: Path):
-        super().__init__(f"stage {stage!r} needs missing artifact {path.name}; run earlier stages first")
-        self.stage = stage
-        self.path = path
-
-
-class ArtifactMismatch(ValidationError):
-    """Artifact kind or config hash does not match the current run."""
+from .errors import ValidationError, config_value, field_hints, value_rule
 
 
 class CorruptArtifact(ValidationError):
@@ -141,6 +130,8 @@ def _loads(path: Path, text: str, first_line: int):
     except json.JSONDecodeError as exc:
         raise CorruptArtifact(path, f"not valid JSON ({exc.msg})",
                               first_line + exc.lineno - 1) from exc
+    except ValueError as exc:  # an integer of over 4,300 digits
+        raise CorruptArtifact(path, f"not valid JSON ({exc})", first_line) from exc
 
 
 def digest(data: bytes) -> str:
@@ -167,12 +158,12 @@ def read_bytes(path: str | Path) -> bytes:
 def open_input(path: str | Path, what: str, newline: str = "\n"):
     """Yield a file from outside the output directory, open as UTF-8 text with lines ending at
     `newline`; an OSError, UnicodeDecodeError or csv.Error (a CSV field longer than
-    csv.field_size_limit, 131,072 characters) opening or reading it is UnreadableFile."""
+    csv.field_size_limit, 131,072 characters) opening or reading it is a ValidationError."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise UnreadableFile(f"cannot read {what} {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 # Text chunks (store lines) encoded, hashed and written together.
@@ -246,9 +237,9 @@ def _check_header(path: Path, header, kind: str, config_hash: str) -> None:
     if not isinstance(header, dict):
         raise CorruptArtifact(path, f"expected a JSON object header, found {type(header).__name__}", 1)
     if header.get("kind") != kind:
-        raise ArtifactMismatch(f"{path.name}: expected kind {kind!r}, found {header.get('kind')!r}")
+        raise ValidationError(f"{path.name}: expected kind {kind!r}, found {header.get('kind')!r}")
     if header.get("config_hash") != config_hash:
-        raise ArtifactMismatch(
+        raise ValidationError(
             f"{path.name}: artifact was produced under config {header.get('config_hash')!r}, "
             f"current config is {config_hash!r}"
         )

@@ -15,8 +15,7 @@ from functools import partial
 from typing import Sequence
 
 from .corpus import ClaimRecord, VerdictLabel
-from .errors import (BackendError, EmptyInput, ValidationError, call_backend, check_fields,
-                     check_range)
+from .errors import BackendError, ValidationError, call_backend, check_fields, check_range
 from .rationale import Rationale
 from .store import digest
 
@@ -36,19 +35,11 @@ _DECODE_TABLE = {
 
 
 class UndecodableGeneration(BackendError):
-    def __init__(self, raw: str):
-        super().__init__(f"cannot decode generation {raw!r} into a verdict")
+    """A generation outside its closed answer set; `raw` is what the backend returned."""
+
+    def __init__(self, message: str, raw):
+        super().__init__(message)
         self.raw = raw
-
-
-class MissingRationale(ValidationError):
-    def __init__(self, record_id: str):
-        super().__init__(f"no rationale for record {record_id!r}")
-        self.record_id = record_id
-
-
-class EmptyTrainingSet(ValidationError):
-    pass
 
 
 def prompt_digest(text: str) -> str:
@@ -190,9 +181,9 @@ def build_copa_prompt(claim: str, rationale: Rationale) -> str:
     verbatim, single-space joins, nothing appended after the claim.
     """
     if not claim.strip():
-        raise EmptyInput("claim is empty")
+        raise ValidationError("claim is empty")
     if not rationale.text.strip():
-        raise EmptyInput("rationale text is empty")
+        raise ValidationError("rationale text is empty")
     return f"{PROMPT_PREFIX}{rationale.text}{QUESTION_MARKER}{claim}"
 
 
@@ -204,7 +195,7 @@ def decode_verdict(raw: str) -> VerdictLabel:
     """
     label = _DECODE_TABLE.get(raw.strip().casefold()) if isinstance(raw, str) else None
     if label is None:
-        raise UndecodableGeneration(raw)
+        raise UndecodableGeneration(f"cannot decode generation {raw!r} into a verdict", raw)
     return label
 
 
@@ -228,7 +219,7 @@ def make_training_pairs(
     for record in split:
         rationale = rationales.get(record.id)
         if rationale is None:
-            raise MissingRationale(record.id)
+            raise ValidationError(f"no rationale for record {record.id!r}")
         pairs.append((build_copa_prompt(record.claim, rationale), record.verdict.value))
     return pairs
 
@@ -252,7 +243,7 @@ def fine_tune(
     from .evaluation import macro_f1
 
     if not pairs:
-        raise EmptyTrainingSet("no training pairs")
+        raise ValidationError("no training pairs")
     call = partial(call_backend, "classifier", backend.identity)
     golds = [decode_verdict(target) for _, target in validation_pairs or ()]
     starts = range(0, len(pairs), config.batch_size)

@@ -11,7 +11,6 @@ from claimcheck.attribution import (
     EXACT_FEATURE_LIMIT,
     EXACT_VALUE_CALL_BUDGET,
     AttributionResult,
-    TooManyFeatures,
     attribute,
     evidence_features,
     exact_shapley,
@@ -22,6 +21,7 @@ from claimcheck.attribution import (
     sampled_shapley,
 )
 from claimcheck.corpus import ClaimRecord, VerdictLabel
+from claimcheck.errors import ValidationError
 from claimcheck.rationale import LeadSummarizer, SummaryConfig, stub_summarize
 from helpers import mask_game
 
@@ -124,8 +124,19 @@ def test_exact_efficiency_on_random_games():
 
 
 def test_exact_feature_limit():
-    with pytest.raises(TooManyFeatures):
+    with pytest.raises(ValidationError, match=f"^{EXACT_FEATURE_LIMIT + 1} features exceeds the "
+                       f"exact-enumeration limit of {EXACT_FEATURE_LIMIT}; use sampled_shapley$"):
         exact_shapley(features_of(EXACT_FEATURE_LIMIT + 1), lambda s: 0.0)
+
+
+def test_sampled_needs_at_least_one_permutation():
+    with pytest.raises(ValidationError, match="^num_permutations must be >= 1$"):
+        sampled_shapley(features_of(2), lambda mask: 0.0, num_permutations=0, seed=0)
+
+
+def test_unknown_granularity_rejected():
+    with pytest.raises(ValidationError, match="^unknown granularity 'word'$"):
+        evidence_features("One claim. Two claims.", "word")
 
 
 def test_exact_agrees_with_permutation_oracle_on_random_games():

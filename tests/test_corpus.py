@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,9 @@ from hypothesis import strategies as st
 
 from claimcheck import pipeline
 from claimcheck.corpus import (
-    BadRatios,
     ClaimRecord,
-    DuplicateId,
-    EmptyCorpus,
     EmptyEvidenceAfterFilter,
-    MissingField,
     SourceBlocklist,
-    UnreadableFile,
-    UnsupportedLabel,
     VerdictLabel,
     compute_stats,
     default_blocklist_path,
@@ -26,6 +21,7 @@ from claimcheck.corpus import (
     parse_corpus,
     split_corpus,
 )
+from claimcheck.errors import ValidationError
 
 from helpers import make_rows, write_config, write_corpus
 
@@ -49,7 +45,8 @@ def test_false_maps_to_refutes_after_trim_and_casefold():
 
 @pytest.mark.parametrize("raw", ["Half True", "Mostly True", "Mostly False", "Pants on Fire", "maybe", ""])
 def test_other_labels_rejected(raw):
-    with pytest.raises(UnsupportedLabel):
+    message = f"unsupported verdict label {raw!r}; only True/False rows are kept"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         map_verdict_label(raw)
 
 
@@ -82,37 +79,42 @@ def test_parse_empty_file_gives_empty_list(tmp_path):
 def test_parse_missing_field(tmp_path):
     rows = make_rows(2, 1)
     del rows[1]["evidence"]
-    with pytest.raises(MissingField) as exc_info:
+    with pytest.raises(ValidationError, match="^row 2: missing or empty field 'evidence'$"):
         parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
-    assert exc_info.value.field == "evidence"
-    assert exc_info.value.row == 2
 
 
 def test_parse_blank_claim_is_missing(tmp_path):
     rows = make_rows(1, 1)
     rows[0]["claim"] = "   "
-    with pytest.raises(MissingField):
+    with pytest.raises(ValidationError, match="^row 1: missing or empty field 'claim'$"):
         parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
 
 
 def test_parse_duplicate_id(tmp_path):
     rows = make_rows(2, 1)
     rows[1]["id"] = rows[0]["id"]
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ValidationError, match="^duplicate record id 'c00000'$"):
         parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
 
 
 def test_parse_unsupported_label_fails_loudly(tmp_path):
     rows = make_rows(1, 0)
     rows[0]["verdict"] = "Half True"
-    with pytest.raises(UnsupportedLabel):
+    message = "row 1: unsupported verdict label 'Half True'; only True/False rows are kept"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
+
+
+def test_parse_unknown_format_rejected(tmp_path):
+    path = write_corpus(tmp_path / "c.jsonl", make_rows(1, 1))
+    with pytest.raises(ValidationError, match="^unknown corpus format 'xml'$"):
+        parse_corpus(path, "xml")
 
 
 def test_parse_bad_json_row(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"not json\n')
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(ValidationError, match="c.jsonl: row 1 is not valid JSON: "):
         parse_corpus(path)
 
 
@@ -124,7 +126,7 @@ def test_parse_skips_blank_lines_and_still_counts_them(tmp_path):
     assert [r.id for r in parse_corpus(path)] == [row["id"] for row in rows]
     del rows[2]["claim"]
     path.write_text("\n".join([*lines[:4], json.dumps(rows[2])]) + "\n")
-    with pytest.raises(MissingField, match="row 5: missing or empty field 'claim'"):
+    with pytest.raises(ValidationError, match="row 5: missing or empty field 'claim'"):
         parse_corpus(path)
 
 
@@ -135,7 +137,7 @@ def test_parse_reads_numbers_and_booleans_as_their_text(tmp_path):
 
 
 def test_parse_nonexistent_file(tmp_path):
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(ValidationError, match="^cannot read corpus .*nope.jsonl: "):
         parse_corpus(tmp_path / "nope.jsonl")
 
 
@@ -152,7 +154,7 @@ def test_parse_keeps_unicode_line_breaks_inside_json_strings(tmp_path):
 def test_parse_non_utf8_file(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b'{"id": "\xff"}\n')
-    with pytest.raises(UnreadableFile, match="cannot read corpus"):
+    with pytest.raises(ValidationError, match="cannot read corpus"):
         parse_corpus(path)
 
 
@@ -259,6 +261,11 @@ def test_blocklist_file_parsing(tmp_path):
     assert blocklist.outlets == ("CNN", "Fox News")
 
 
+def test_blocklist_refuses_names_equal_but_for_case():
+    with pytest.raises(ValidationError, match="^blocklist contains duplicate outlet names$"):
+        SourceBlocklist(("AP", "ap"))
+
+
 def test_default_blocklist_has_30_outlets():
     blocklist = SourceBlocklist.from_file(default_blocklist_path())
     assert len(blocklist.outlets) == 30
@@ -294,7 +301,8 @@ def test_split_deterministic_given_seed():
 
 @pytest.mark.parametrize("ratios", [(0.5, 0.2, 0.2), (0.8, 0.15, 0.15), (0.7, -0.1, 0.4), (0.7, 0.3)])
 def test_split_bad_ratios(ratios):
-    with pytest.raises(BadRatios):
+    with pytest.raises(ValidationError, match=r"^(need three non-negative ratios|ratios must sum "
+                                              r"to 1\.0), got "):
         split_corpus(make_records(10), ratios, seed=1)
 
 
@@ -338,7 +346,7 @@ def test_stats_per_label_sums_to_total():
 
 
 def test_stats_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValidationError, match="^cannot compute statistics of an empty corpus$"):
         compute_stats([])
 
 

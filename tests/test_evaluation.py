@@ -14,16 +14,12 @@ from hypothesis import strategies as st
 
 from claimcheck import pipeline, store
 from claimcheck.corpus import VerdictLabel
-from claimcheck.errors import EmptyInput, ValidationError
+from claimcheck.errors import ValidationError
 from claimcheck.evaluation import (
     NLI_CHOICES,
-    LengthMismatch,
     NliReport,
     NliVerdict,
-    OutOfRangeRating,
     RATING_SCALES,
-    SampleTooLarge,
-    UndecodableNliOutput,
     aggregate_annotations,
     build_nli_prompt,
     confusion_counts,
@@ -33,7 +29,7 @@ from claimcheck.evaluation import (
     read_annotation_file,
     render_annotation_tasks,
 )
-from claimcheck.verdict import MemorizingBackend
+from claimcheck.verdict import MemorizingBackend, UndecodableGeneration
 
 from conftest import golden_text
 
@@ -77,9 +73,9 @@ def test_confusion_counts_total():
 
 
 def test_length_mismatch_and_empty():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValidationError, match="^1 predictions vs 2 golds$"):
         macro_f1([S], [S, R])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^nothing to score$"):
         macro_f1([], [])
 
 
@@ -122,9 +118,9 @@ def test_nli_prompt_rebuild_identical():
 
 
 def test_nli_prompt_empty_inputs():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^claim is empty$"):
         build_nli_prompt("", "N0")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^explanation text is empty$"):
         build_nli_prompt("C0", "  ")
 
 
@@ -172,7 +168,7 @@ def test_decode_nli(raw, verdict):
 
 
 def test_decode_nli_rejects_junk():
-    with pytest.raises(UndecodableNliOutput):
+    with pytest.raises(UndecodableGeneration, match="^cannot decode NLI output 'sort of true'$"):
         decode_nli("sort of true")
 
 
@@ -188,7 +184,7 @@ def test_evaluate_nli_with_programmed_backend():
 
 
 def test_evaluate_nli_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^no records to evaluate$"):
         evaluate_nli([], pipeline.create_nli("stub-nli"))
 
 
@@ -243,7 +239,7 @@ def test_export_under_a_regular_file_names_it_and_leaves_nothing(tmp_path):
 
 
 def test_export_sample_too_large():
-    with pytest.raises(SampleTooLarge):
+    with pytest.raises(ValidationError, match="^asked for 6 tasks but only 5 items available$"):
         render_annotation_tasks(items_of(5), n=6, seed=0)
 
 
@@ -309,13 +305,15 @@ def test_aggregate_hand_computed_means(tmp_path):
 
 def test_aggregate_out_of_range_rating(tmp_path):
     path = write_filled(tmp_path / "bad.tsv", [filled_row("r0", 6, 5, 5, "a1")])
-    with pytest.raises(OutOfRangeRating):
+    message = f"{path}: item 'r0' has rating '6' outside 1..5"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         aggregate_annotations([path])
 
 
 def test_aggregate_blank_rating_rejected(tmp_path):
     path = write_filled(tmp_path / "blank.tsv", [filled_row("r0", "", 5, 5, "a1")])
-    with pytest.raises(OutOfRangeRating):
+    message = f"{path}: item 'r0' has rating '' outside 1..5"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         aggregate_annotations([path])
 
 

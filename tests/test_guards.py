@@ -1,10 +1,12 @@
-"""Three rules about the whole package, checked on its source.
+"""Four rules about the whole package, checked on its source.
 
 One hash: only store.py imports hashlib, so every sha256 goes through store.digest or
 store.write_text. One error family: every raise in the package raises a PipelineError
 subclass, which the CLI maps to an exit code, except the programmer errors and the
-internal signal declared in NOT_PIPELINE_ERRORS. No export for its own sake: every name
-the package's __init__.py imports is used by the package itself."""
+internal signal declared in NOT_PIPELINE_ERRORS. One error class per distinction the
+program makes: every exception class the package defines is named in one of its except
+clauses, or is declared in UNCAUGHT_ERRORS. No export for its own sake: every name the
+package's __init__.py imports is used by the package itself."""
 
 import ast
 import importlib
@@ -26,6 +28,12 @@ NOT_PIPELINE_ERRORS = {
     ("store.py", "_convert", "_Misfit"),
 }
 
+# Exception classes that no except clause names, each with the reason it exists.
+UNCAUGHT_ERRORS = {
+    "PipelineError": "the base of ValidationError and BackendError, whose exit codes the CLI maps",
+    "CorruptArtifact": "its __init__ formats the message of every raise of an undecodable artifact",
+}
+
 
 def modules():
     found = sorted(PACKAGE.rglob("*.py"))
@@ -35,6 +43,10 @@ def modules():
 
 def parse(module):
     return ast.parse(module.read_text(encoding="utf-8"), str(module))
+
+
+def namespace(module):
+    return importlib.import_module(f"claimcheck.{module.stem}".removesuffix(".__init__"))
 
 
 def test_only_the_store_imports_hashlib():
@@ -68,9 +80,8 @@ def _resolve(namespace, expr):
 def other_raises():
     """(module, function, exception name) of each raise of anything but a PipelineError."""
     for module in modules():
-        namespace = importlib.import_module(f"claimcheck.{module.stem}".removesuffix(".__init__"))
         for function, expr in _raises(parse(module)):
-            raised = _resolve(namespace, expr)
+            raised = _resolve(namespace(module), expr)
             if not (isinstance(raised, type) and issubclass(raised, PipelineError)):
                 name = expr.func if isinstance(expr, ast.Call) else expr
                 yield module.name, function, ast.unparse(name) if name else "a bare raise"
@@ -78,6 +89,20 @@ def other_raises():
 
 def test_every_raise_is_a_pipeline_error_or_declared():
     assert set(other_raises()) == NOT_PIPELINE_ERRORS
+
+
+def test_every_exception_class_is_caught_or_declared():
+    defined, caught = set(), set()
+    for module in modules():
+        for node in ast.walk(parse(module)):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(namespace(module), node.name, None)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    defined.add(node.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(n.id if isinstance(n, ast.Name) else n.attr for n in names)
+    assert sorted(defined - caught) == sorted(UNCAUGHT_ERRORS)
 
 
 def test_every_exported_name_is_used_inside_the_package():

@@ -4,7 +4,7 @@ import pytest
 
 from claimcheck.corpus import VerdictLabel
 from claimcheck.errors import ValidationError
-from claimcheck.nle import NleText, RecordMismatch, compose_nle, parse_nle
+from claimcheck.nle import NleText, compose_nle, parse_nle
 from claimcheck.rationale import Rationale
 from claimcheck.store import from_row, to_row
 from claimcheck.verdict import VerdictPrediction
@@ -35,7 +35,8 @@ def test_refutes_matches_golden_file():
 
 
 def test_record_mismatch():
-    with pytest.raises(RecordMismatch):
+    with pytest.raises(ValidationError,
+                       match="^prediction is for record 'a' but rationale is for 'b'$"):
         compose_nle(prediction_of(VerdictLabel.SUPPORTS, record_id="a"),
                     rationale_of("R0", record_id="b"))
 

@@ -20,13 +20,7 @@ from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, default_blocklist_path
 from claimcheck.errors import ValidationError
-from claimcheck.store import (
-    ArtifactMismatch,
-    CorruptArtifact,
-    MissingUpstreamArtifact,
-    file_sha256,
-    write_doc,
-)
+from claimcheck.store import CorruptArtifact, file_sha256, write_doc
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
 from conftest import FIXTURES
@@ -75,6 +69,12 @@ def test_config_env_and_flag_overrides(tmp_path, corpus20_path, monkeypatch):
     config = pipeline.load_config(path, nli="flag-nli", seed=99)
     assert config.backends.nli == "flag-nli"  # flags beat env
     assert config.split_seed == 99
+
+
+def test_config_unknown_override_rejected(tmp_path, corpus20_path):
+    path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out")
+    with pytest.raises(ValidationError, match="^unknown config override 'bogus'$"):
+        pipeline.load_config(path, bogus=1)
 
 
 def test_config_missing_keys_rejected(tmp_path):
@@ -231,7 +231,8 @@ def test_unknown_backend_id_is_validation_error(fixture_config):
 
 def test_stage_requires_upstream_artifacts(fixture_config):
     pipeline.stage_ingest(fixture_config)
-    with pytest.raises(MissingUpstreamArtifact):
+    with pytest.raises(ValidationError, match="^stage 'predict' needs missing artifact "
+                                              "rationales.jsonl; run earlier stages first$"):
         pipeline.run_command(fixture_config, "predict")
 
 
@@ -247,7 +248,9 @@ def test_artifacts_from_other_config_rejected(tmp_path, corpus20_path):
     pipeline.stage_ingest(first)
     second = pipeline.load_config(write_config(tmp_path / "b.json", corpus20_path, out,
                                                split_seed=7))
-    with pytest.raises(ArtifactMismatch):
+    with pytest.raises(ValidationError, match="^corpus_clean.jsonl: artifact was produced under "
+                                              "config '[0-9a-f]{64}', current config is "
+                                              "'[0-9a-f]{64}'$"):
         pipeline.run_command(second, "split")
 
 
@@ -827,7 +830,8 @@ def test_run_all_refuses_a_stale_annotation_summary_before_writing(fixture_confi
               fixture_config.config_hash, {"per_system": {}, "per_annotator": {}})
     kept = {name: fixture_config.artifact(name).read_bytes()
             for name in (pipeline.CORPUS_CLEAN, pipeline.MANIFEST)}
-    with pytest.raises(ArtifactMismatch, match="annotation_summary.json"):
+    with pytest.raises(ValidationError, match="^annotation_summary.json: artifact was produced "
+                                              "under config "):
         pipeline.run_all(replace(fixture_config, split_seed=7))
     assert {name: fixture_config.artifact(name).read_bytes() for name in kept} == kept
 
@@ -970,6 +974,15 @@ def _comment_only_blocklist(config):
 def _copy_of(name):
     """Damage an artifact by copying artifact `name` over it."""
     return lambda path: path.write_bytes(path.with_name(name).read_bytes())
+
+
+def _replace_text(old, new):
+    """Damage a file by replacing the text `old`, which it must hold, with `new`."""
+    def damage(path):
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+    return damage
 
 
 def _nudge_entailment_percentage(doc):
@@ -1183,6 +1196,8 @@ MALFORMED_INPUTS = {
                                  pipeline.CORPUS_CLEAN),
     "config not JSON": ({}, (), CONFIG, lambda p: p.write_text('{"corpus_path": '), "ingest",
                         "config.json is not valid JSON"),
+    "config a JSON array": ({}, (), CONFIG, lambda p: p.write_text("[1]"), "ingest",
+                            "config.json must be a JSON object, got [1]"),
     "blocklist of comments only": ({}, (), CONFIG, _comment_only_blocklist, "ingest",
                                    "blocklist.txt is empty", pipeline.CORPUS_CLEAN),
     "non-UTF-8 splits": ({}, UPSTREAM[:2], pipeline.SPLITS, _append_byte_0xff, "rationales",
@@ -1198,6 +1213,15 @@ MALFORMED_INPUTS = {
                                    _set_in_first_row(raw_generation="maybe"), "eval-f1",
                                    "is not what raw_generation 'maybe' decodes to",
                                    pipeline.EVAL_F1),
+    "config split_seed of 5,000 digits": ({"split_seed": 5}, (), CONFIG,
+                                          _replace_text('"split_seed": 5',
+                                                        '"split_seed": ' + "7" * 5000),
+                                          "ingest", "config.json is not valid JSON: Exceeds the "
+                                          "limit (4300 digits)", pipeline.CORPUS_CLEAN),
+    "splits seed of 5,000 digits": ({}, UPSTREAM[:2], pipeline.SPLITS,
+                                    _replace_text('"seed": 42', '"seed": ' + "7" * 5000),
+                                    "rationales", "splits.json line 1: not valid JSON (Exceeds "
+                                    "the limit (4300 digits)", pipeline.RATIONALES),
 }
 
 

@@ -1,21 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck.corpus import VerdictLabel, parse_corpus
-from claimcheck.errors import EmptyInput, ValidationError
-from claimcheck.evaluation import UndecodableNliOutput, decode_nli
+from claimcheck.errors import ValidationError
+from claimcheck.evaluation import decode_nli
 from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate
 from claimcheck.verdict import (
     PROMPT_PREFIX,
     QUESTION_MARKER,
-    EmptyTrainingSet,
     MemorizingBackend,
-    MissingRationale,
     TrainConfig,
     TrainableBackend,
     UndecodableGeneration,
@@ -49,9 +48,9 @@ def test_prompt_preserves_newlines_in_premise():
 
 
 def test_prompt_empty_claim_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^claim is empty$"):
         build_copa_prompt("  ", rationale_of("R0"))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^rationale text is empty$"):
         build_copa_prompt("C0", rationale_of("  "))
 
 
@@ -106,11 +105,14 @@ def test_decode_rejects_anything_else():
 
 
 @pytest.mark.parametrize("raw", [None, 3, b"Supports"])
-@pytest.mark.parametrize("decode, error", [
-    (decode_verdict, UndecodableGeneration), (decode_nli, UndecodableNliOutput),
+@pytest.mark.parametrize("decode, message", [
+    pytest.param(decode_verdict, "cannot decode generation {!r} into a verdict",
+                 id="decode_verdict-UndecodableGeneration"),
+    pytest.param(decode_nli, "cannot decode NLI output {!r}", id="decode_nli-UndecodableNliOutput"),
 ])
-def test_non_string_generation_is_undecodable(decode, error, raw):
-    with pytest.raises(error) as exc_info:
+def test_non_string_generation_is_undecodable(decode, message, raw):
+    message = message.format(raw)
+    with pytest.raises(UndecodableGeneration, match=f"^{re.escape(message)}$") as exc_info:
         decode(raw)
     assert exc_info.value.raw is raw
 
@@ -173,9 +175,8 @@ def test_training_pairs_missing_rationale_raises(tmp_path):
     rows = make_rows(2, 1)
     records = parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
     rationales = {records[0].id: rationale_of("R0", record_id=records[0].id)}
-    with pytest.raises(MissingRationale) as exc_info:
+    with pytest.raises(ValidationError, match=f"^no rationale for record {records[1].id!r}$"):
         make_training_pairs(records, rationales)
-    assert exc_info.value.record_id == records[1].id
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def test_fine_tune_memorizes_training_set():
 
 
 def test_fine_tune_empty_training_set():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(ValidationError, match="^no training pairs$"):
         fine_tune([], TrainConfig(), MemorizingBackend())
 
 
