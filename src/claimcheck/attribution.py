@@ -59,10 +59,9 @@ def evidence_features(evidence: str, granularity: str = "sentence") -> list[str]
 
 
 def exact_shapley(features: Sequence[str], value_fn: CoalitionValueFn) -> AttributionResult:
-    """Exact values by full subset enumeration; n is capped at 14."""
+    """Exact values by full subset enumeration; n is capped at 14. With no features, phi is
+    empty and efficiency holds: v(N) = v(empty)."""
     n = len(features)
-    if n == 0:
-        raise ValidationError("no features to attribute")
     if n > EXACT_FEATURE_LIMIT:
         raise ValidationError(f"{n} features exceeds the exact-enumeration limit of "
                               f"{EXACT_FEATURE_LIMIT}; use sampled_shapley")
@@ -108,8 +107,6 @@ def sampled_shapley(
     Deterministic given the seed.
     """
     n = len(features)
-    if n == 0:
-        raise ValidationError("no features to attribute")
     if num_permutations < 1:
         raise ValidationError("num_permutations must be >= 1")
 

@@ -12,7 +12,6 @@ user-editable blocklist, keeping only primary-source material.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import random
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from statistics import fmean
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .store import open_input
+from .store import open_input, parse_json
 from .textutil import split_paragraphs, stats_tokenize
 
 logger = logging.getLogger(__name__)
@@ -202,10 +201,7 @@ def parse_corpus(path: str | Path, format: str = "json-lines") -> list[ClaimReco
         for row_num, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-                raise ValidationError(f"{path}: row {row_num} is not valid JSON: {exc}") from exc
+            row = parse_json(line, f"{path}: row {row_num}")
             if not isinstance(row, dict):
                 raise ValidationError(f"{path}: row {row_num} is not a JSON object")
             records.append(_record_from_mapping(row_num, row, seen_ids))

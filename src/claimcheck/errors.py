@@ -48,7 +48,10 @@ def call_backend(role: str, identity: str, fn, *args):
 
 def config_value(value) -> str:
     """Quote a value as a JSON file spells it, a tuple made from a list as the list."""
-    return json.dumps(value, ensure_ascii=False, default=repr)
+    try:
+        return json.dumps(value, ensure_ascii=False, default=repr)
+    except RecursionError:  # store.parse_json admits nesting a few calls short of the limit
+        return "a value nested too deep to quote"
 
 
 field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved

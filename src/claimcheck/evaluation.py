@@ -258,9 +258,8 @@ def aggregate_annotations(files: Sequence[str | Path]) -> AnnotationSummary:
 
     Grouped by the system column so externally produced files can be
     compared side by side; per-annotator means are reported as well.
+    No file, like files with no rated row, gives a summary of nothing.
     """
-    if not files:
-        raise ValidationError("no annotation files")
     by_system: dict[str, dict[str, list[int]]] = {}
     by_annotator: dict[str, dict[str, list[int]]] = {}
     items: set[str] = set()

@@ -54,6 +54,7 @@ from .store import (
     from_row,
     open_input,
     os_errors,
+    parse_json,
     read_bytes,
     read_doc,
     read_records,
@@ -195,13 +196,8 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     Keyword overrides are OVERRIDES flags; ENV_OVERRIDES variables stand in
     for the backend flags. Flags beat the environment, which beats the file.
     """
-    with open_input(path, "config") as fh:  # its UnicodeDecodeError is a ValueError too
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-
+    with open_input(path, "config") as fh:
+        raw = parse_json(fh.read(), f"config {path}")
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must be a JSON object, got {config_value(raw)}")
 
@@ -347,10 +343,13 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, obj
             record_id = row[spec.key]
             stamp = row.pop("config_hash") if spec.stamped else config_hash
             record, repeated = from_row(spec.cls, row), record_id in decoded
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, ValidationError) as exc:  # a missing key, or a misfit
             raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
         if stamp != config_hash:
             raise CorruptArtifact(path, f"stamped with config {stamp!r}, not the header's", line)
+        if name == RATIONALES and record.backend_id != config.backends.summarizer:
+            raise CorruptArtifact(path, f"written by summarizer {record.backend_id!r}, not the "
+                                        f"config's {config.backends.summarizer!r}", line)
         if repeated:
             raise CorruptArtifact(path, f"repeated {spec.key} {record_id!r}", line)
         decoded[record_id] = record

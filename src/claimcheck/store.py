@@ -13,6 +13,10 @@ sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
 read, open_input the one way an input from outside the output directory is.
 A file that cannot be read or written is a ValidationError naming it.
 
+parse_json is the package's one json.loads. The config, each corpus line and every artifact
+are parsed through it, so a JSON text that cannot be parsed (malformed, an integer of over
+4,300 digits, nested past the recursion limit) is always a ValidationError naming its file.
+
 A dataclass's annotations are its row schema: to_row and from_row encode
 and decode every record class and every document class.
 """
@@ -124,14 +128,24 @@ def _dump(obj: dict) -> str:
 _DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
-def _loads(path: Path, text: str, first_line: int):
+def parse_json(text: str, where: str | Path, line: int = 1):
+    """The package's one json.loads: the value of the JSON `text`, which starts at line `line`
+    of its file. The parser fails in three ways: a JSONDecodeError (at the line it reports), a
+    plain ValueError (an integer of over 4,300 digits) and a RecursionError (nesting past the
+    interpreter's limit). Each is a ValidationError "{where} is not valid JSON: {reason}" for
+    an input that `where` describes; for an artifact, `where` is its Path, the text must hold a
+    JSON object, and a failure is a CorruptArtifact naming the line."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptArtifact(path, f"not valid JSON ({exc.msg})",
-                              first_line + exc.lineno - 1) from exc
-    except ValueError as exc:  # an integer of over 4,300 digits
-        raise CorruptArtifact(path, f"not valid JSON ({exc})", first_line) from exc
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        if not isinstance(where, Path):
+            raise ValidationError(f"{where} is not valid JSON: {exc}") from exc
+        located = isinstance(exc, json.JSONDecodeError)
+        raise CorruptArtifact(where, f"not valid JSON ({exc.msg if located else exc})",
+                              line + exc.lineno - 1 if located else line) from exc
+    if isinstance(where, Path) and not isinstance(value, dict):
+        raise CorruptArtifact(where, "not a JSON object", line)
+    return value
 
 
 def digest(data: bytes) -> str:
@@ -212,8 +226,8 @@ def read_records(path: str | Path, kind: str, config_hash: str) -> tuple[str, li
     path = Path(path)
     sha, text = _read_text(path)
     header, *lines = text.split("\n")
-    _check_header(path, _loads(path, header, 1), kind, config_hash)
-    return sha, [(number, _loads(path, line, number))
+    _check_header(path, parse_json(header, path), kind, config_hash)
+    return sha, [(number, parse_json(line, path, number))
                  for number, line in enumerate(lines, start=2) if line.strip()]
 
 
@@ -228,14 +242,12 @@ def read_doc(path: str | Path, kind: str, config_hash: str) -> tuple[str, dict]:
     """Return the document's sha256 and the document."""
     path = Path(path)
     sha, text = _read_text(path)
-    doc = _loads(path, text, 1)
+    doc = parse_json(text, path)
     _check_header(path, doc, kind, config_hash)
     return sha, doc
 
 
-def _check_header(path: Path, header, kind: str, config_hash: str) -> None:
-    if not isinstance(header, dict):
-        raise CorruptArtifact(path, f"expected a JSON object header, found {type(header).__name__}", 1)
+def _check_header(path: Path, header: dict, kind: str, config_hash: str) -> None:
     if header.get("kind") != kind:
         raise ValidationError(f"{path.name}: expected kind {kind!r}, found {header.get('kind')!r}")
     if header.get("config_hash") != config_hash:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -132,6 +133,19 @@ def test_exact_feature_limit():
 def test_sampled_needs_at_least_one_permutation():
     with pytest.raises(ValidationError, match="^num_permutations must be >= 1$"):
         sampled_shapley(features_of(2), lambda mask: 0.0, num_permutations=0, seed=0)
+
+
+def test_evidence_without_features_rejected():
+    with pytest.raises(ValidationError, match="^evidence has no features$"):
+        evidence_features(" \n ")
+
+
+@pytest.mark.parametrize("kernel", [exact_shapley, partial(sampled_shapley, num_permutations=3,
+                                                             seed=0)])
+def test_the_game_of_no_features_attributes_nothing(kernel):
+    result = kernel([], lambda mask: 0.25 if mask == 0 else 1.0)
+    assert (result.features, result.phi) == ((), ())
+    assert result.value_empty == result.value_full == 0.25
 
 
 def test_unknown_granularity_rejected():

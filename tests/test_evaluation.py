@@ -17,6 +17,7 @@ from claimcheck.corpus import VerdictLabel
 from claimcheck.errors import ValidationError
 from claimcheck.evaluation import (
     NLI_CHOICES,
+    AnnotationSummary,
     NliReport,
     NliVerdict,
     RATING_SCALES,
@@ -132,6 +133,11 @@ def test_report_reproduces_published_percentages():
     assert report.percentages[NliVerdict.ENTAILMENT] == 27.9
     assert report.percentages[NliVerdict.NEUTRAL] == 42.0
     assert report.percentages[NliVerdict.CONTRADICTION] == 29.9
+
+
+def test_report_of_no_verdicts_rejected():
+    with pytest.raises(ValidationError, match="^no entailment verdicts to report$"):
+        NliReport.from_verdicts([])
 
 
 def test_report_all_entailment():
@@ -301,6 +307,12 @@ def test_aggregate_hand_computed_means(tmp_path):
     assert means["fluency"] == pytest.approx(4.667, abs=5e-4)
     assert means["correctness"] == pytest.approx(3.0)
     assert summary.per_annotator["a3"]["plausibility"] == 5.0
+
+
+def test_aggregate_of_no_file_is_that_of_a_file_with_no_rated_row(tmp_path):
+    nothing = AnnotationSummary(per_system={}, per_annotator={}, n_items=0, n_annotators=0)
+    assert aggregate_annotations([]) == nothing
+    assert aggregate_annotations([write_filled(tmp_path / "header.tsv", [])]) == nothing
 
 
 def test_aggregate_out_of_range_rating(tmp_path):

@@ -61,6 +61,11 @@ def test_parse_rejects_foreign_text():
         parse_nle("The evidence maybe the claim because x")
 
 
+def test_parse_rejects_another_prefix_of_the_same_length():
+    with pytest.raises(ValidationError, match="^not an assembled explanation: bad prefix$"):
+        parse_nle("Our evidence supports the claim because x")
+
+
 def test_row_round_trip():
     nle = compose_nle(prediction_of(VerdictLabel.SUPPORTS), rationale_of("R0"))
     assert to_row(nle) == {"record_id": "r1", "text": nle.text}

@@ -19,7 +19,7 @@ from claimcheck import pipeline
 from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, default_blocklist_path
-from claimcheck.errors import ValidationError
+from claimcheck.errors import ValidationError, config_value
 from claimcheck.store import CorruptArtifact, file_sha256, write_doc
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
@@ -75,6 +75,15 @@ def test_config_unknown_override_rejected(tmp_path, corpus20_path):
     path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out")
     with pytest.raises(ValidationError, match="^unknown config override 'bogus'$"):
         pipeline.load_config(path, bogus=1)
+
+
+def test_a_value_nested_too_deep_to_quote_is_named_not_quoted():
+    # JSON parses a few calls short of the recursion limit, so a value that parsed may still
+    # be too deep to quote back in an error message.
+    value = []
+    for _ in range(100_000):
+        value = [value]
+    assert config_value(value) == "a value nested too deep to quote"
 
 
 def test_config_missing_keys_rejected(tmp_path):
@@ -902,6 +911,13 @@ def _stamp_first_row(path):
     path.write_text(header + json.dumps({**json.loads(first), **stamp}) + "\n" + "".join(rest))
 
 
+def _first_row_replaced_by(line):
+    def damage(path):
+        header, _, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(header + line + "\n" + "".join(rest))
+    return damage
+
+
 def _drop_last_row(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
@@ -998,6 +1014,9 @@ UNDER_A_FILE = Path(__file__) / "out"
 # Filled annotation files that cannot be read: one missing, one holding the byte 0xff.
 MISSING_FILLED = FIXTURES / "missing_filled.tsv"
 NON_UTF8_FILLED = FIXTURES / "filled_not_utf8.tsv"
+
+# JSON nested past the interpreter's recursion limit.
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 # case: (config keys, commands run first, artifact to damage, damage, command and flags, in
 #        which {tmp} stands for the test's temporary directory, error text, artifacts the
@@ -1222,6 +1241,25 @@ MALFORMED_INPUTS = {
                                     _replace_text('"seed": 42', '"seed": ' + "7" * 5000),
                                     "rationales", "splits.json line 1: not valid JSON (Exceeds "
                                     "the limit (4300 digits)", pipeline.RATIONALES),
+    "config nested too deep": ({}, (), CONFIG, lambda p: p.write_text(TOO_DEEP), "ingest",
+                               "config.json is not valid JSON: maximum recursion depth exceeded",
+                               pipeline.CORPUS_CLEAN),
+    "corpus id nested too deep": ({}, (), CONFIG,
+                                  _corpus_with_second_line(f'{{"id": {TOO_DEEP}}}'), "ingest",
+                                  "corpus.jsonl: row 2 is not valid JSON: maximum recursion "
+                                  "depth exceeded", pipeline.CORPUS_CLEAN),
+    "splits seed nested too deep": ({}, UPSTREAM[:2], pipeline.SPLITS,
+                                    _replace_text('"seed": 42', '"seed": ' + TOO_DEEP),
+                                    "rationales", "splits.json line 1: not valid JSON (maximum "
+                                    "recursion depth exceeded", pipeline.RATIONALES),
+    "rationale row 5": ({}, UPSTREAM[:3], pipeline.RATIONALES, _first_row_replaced_by("5"),
+                        "train", "rationales.jsonl line 2: not a JSON object",
+                        pipeline.MODEL_STATE),
+    "rationale from another summarizer": ({}, UPSTREAM[:3], pipeline.RATIONALES,
+                                          _set_in_first_row(backend_id="other-summarizer"),
+                                          "train", "rationales.jsonl line 2: written by summarizer "
+                                          "'other-summarizer', not the config's 'stub-lead'",
+                                          pipeline.MODEL_STATE),
 }
 
 

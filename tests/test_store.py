@@ -4,6 +4,7 @@ import pytest
 
 from claimcheck.store import (
     WRITE_BATCH,
+    CorruptArtifact,
     file_sha256,
     read_doc,
     read_records,
@@ -44,3 +45,20 @@ def test_store_writers_return_the_digest_their_readers_see(tmp_path):
     assert read_doc(doc, "doc", "h") == (digest, {"kind": "doc", "config_hash": "h",
                                                  "nested": {"xs": [1, 2.5, None]}, "s": "ü"})
     assert doc.read_text(encoding="utf-8").endswith("}\n")
+
+
+def test_a_document_that_is_not_json_is_refused_at_the_line_of_the_fault(tmp_path):
+    path = tmp_path / "doc.json"
+    write_doc(path, "doc", "h", {"a": 1, "b": 2})
+    path.write_text(path.read_text().replace('"b": 2', '"b": ]'))  # line 5 of the document
+    message = r"^doc\.json line 5: not valid JSON \(Expecting value\); rerun the stage that"
+    with pytest.raises(CorruptArtifact, match=message):
+        read_doc(path, "doc", "h")
+
+
+def test_a_row_that_is_not_json_is_refused_at_its_own_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_records(path, "rows", "h", [{"n": 1}, {"n": 2}])
+    path.write_text(path.read_text().replace('{"n": 2}', '{"n": '))
+    with pytest.raises(CorruptArtifact, match=r"^rows\.jsonl line 3: not valid JSON \(Expecting"):
+        read_records(path, "rows", "h")
