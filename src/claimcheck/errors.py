@@ -50,7 +50,7 @@ def config_value(value) -> str:
     """Quote a value as a JSON file spells it, a tuple made from a list as the list."""
     try:
         return json.dumps(value, ensure_ascii=False, default=repr)
-    except RecursionError:  # store.parse_json admits nesting a few calls short of the limit
+    except RecursionError:  # json.loads admits nesting a few calls short of the limit
         return "a value nested too deep to quote"
 
 

@@ -218,7 +218,11 @@ def _create(registry: dict, backend_id: str, role: str):
     if factory is None:
         known = ", ".join(sorted(registry))
         raise ValidationError(f"unknown {role} backend {backend_id!r}; registered: {known}")
-    return call_backend(role, backend_id, factory)
+    backend = call_backend(role, backend_id, factory)
+    if backend.identity != backend_id:  # a rationale records its summarizer's identity
+        raise ValidationError(f"{role} backend {backend_id!r} has identity "
+                              f"{backend.identity!r}; register it under its identity")
+    return backend
 
 
 def create_summarizer(backend_id: str) -> rationale.SummarizationBackend:

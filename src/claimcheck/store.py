@@ -13,9 +13,9 @@ sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
 read, open_input the one way an input from outside the output directory is.
 A file that cannot be read or written is a ValidationError naming it.
 
-parse_json is the package's one json.loads. The config, each corpus line and every artifact
-are parsed through it, so a JSON text that cannot be parsed (malformed, an integer of over
-4,300 digits, nested past the recursion limit) is always a ValidationError naming its file.
+Only parse_json (an input: the config, a corpus line) and _parse_object (an artifact, which
+must hold an object) call json.loads. A text it refuses (malformed, an integer of over 4,300
+digits, nested past the recursion limit) is a ValidationError naming its file.
 
 A dataclass's annotations are its row schema: to_row and from_row encode
 and decode every record class and every document class.
@@ -128,23 +128,23 @@ def _dump(obj: dict) -> str:
 _DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
-def parse_json(text: str, where: str | Path, line: int = 1):
-    """The package's one json.loads: the value of the JSON `text`, which starts at line `line`
-    of its file. The parser fails in three ways: a JSONDecodeError (at the line it reports), a
-    plain ValueError (an integer of over 4,300 digits) and a RecursionError (nesting past the
-    interpreter's limit). Each is a ValidationError "{where} is not valid JSON: {reason}" for
-    an input that `where` describes; for an artifact, `where` is its Path, the text must hold a
-    JSON object, and a failure is a CorruptArtifact naming the line."""
+def parse_json(text: str, where: str):
+    """An input's JSON value; a text json.loads refuses is a ValidationError naming `where`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValidationError(f"{where} is not valid JSON: {exc}") from exc
+
+
+def _parse_object(path: Path, text: str, line: int = 1) -> dict:
+    """The object of an artifact's `text`, from line `line` of `path`, or a CorruptArtifact."""
     try:
         value = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
-        if not isinstance(where, Path):
-            raise ValidationError(f"{where} is not valid JSON: {exc}") from exc
-        located = isinstance(exc, json.JSONDecodeError)
-        raise CorruptArtifact(where, f"not valid JSON ({exc.msg if located else exc})",
-                              line + exc.lineno - 1 if located else line) from exc
-    if isinstance(where, Path) and not isinstance(value, dict):
-        raise CorruptArtifact(where, "not a JSON object", line)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError names the line at fault
+        line += exc.lineno - 1 if isinstance(exc, json.JSONDecodeError) else 0
+        raise CorruptArtifact(path, f"not valid JSON ({getattr(exc, 'msg', exc)})", line) from exc
+    if not isinstance(value, dict):
+        raise CorruptArtifact(path, "not a JSON object", line)
     return value
 
 
@@ -226,8 +226,8 @@ def read_records(path: str | Path, kind: str, config_hash: str) -> tuple[str, li
     path = Path(path)
     sha, text = _read_text(path)
     header, *lines = text.split("\n")
-    _check_header(path, parse_json(header, path), kind, config_hash)
-    return sha, [(number, parse_json(line, path, number))
+    _check_header(path, _parse_object(path, header), kind, config_hash)
+    return sha, [(number, _parse_object(path, line, number))
                  for number, line in enumerate(lines, start=2) if line.strip()]
 
 
@@ -242,7 +242,7 @@ def read_doc(path: str | Path, kind: str, config_hash: str) -> tuple[str, dict]:
     """Return the document's sha256 and the document."""
     path = Path(path)
     sha, text = _read_text(path)
-    doc = parse_json(text, path)
+    doc = _parse_object(path, text)
     _check_header(path, doc, kind, config_hash)
     return sha, doc
 

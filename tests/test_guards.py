@@ -1,8 +1,9 @@
 """Five rules about the whole package, checked on its source.
 
 One hash: only store.py imports hashlib, so every sha256 goes through store.digest or
-store.write_text. One JSON parser: the package's one json.loads is in store.py (in
-store.parse_json), so every JSON text is read, and refused, by one rule. One error family: every raise in the package raises a PipelineError
+store.write_text. One JSON parser: json.loads is called only in store.py (by
+store.parse_json and store._parse_object), so every JSON text is read, and refused, by the
+store's rules. One error family: every raise in the package raises a PipelineError
 subclass, which the CLI maps to an exit code, except the programmer errors and the
 internal signal declared in NOT_PIPELINE_ERRORS. One error class per distinction the
 program makes: every exception class the package defines is named in one of its except
@@ -57,17 +58,17 @@ def test_only_the_store_imports_hashlib():
     assert importers == {"store.py"}
 
 
-# The json module's parsers: what they may raise is for store.parse_json alone to map.
+# The json module's parsers: what they may raise is for store.py alone to map.
 JSON_PARSERS = {"loads", "load", "JSONDecoder"}
 
 
 def test_only_the_store_parses_json():
-    uses = [module.name for module in modules() for node in ast.walk(parse(module))
+    uses = {module.name for module in modules() for node in ast.walk(parse(module))
             if isinstance(node, ast.Attribute) and node.attr in JSON_PARSERS
             and isinstance(node.value, ast.Name) and node.value.id == "json"
             or isinstance(node, ast.ImportFrom) and node.module == "json"
-            and JSON_PARSERS & {alias.name for alias in node.names}]
-    assert uses == ["store.py"]
+            and JSON_PARSERS & {alias.name for alias in node.names}}
+    assert uses == {"store.py"}
 
 
 def _raises(node, function=None):

@@ -20,6 +20,7 @@ from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, default_blocklist_path
 from claimcheck.errors import ValidationError, config_value
+from claimcheck.rationale import LeadSummarizer, SummarizationBackend
 from claimcheck.store import CorruptArtifact, file_sha256, write_doc
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
@@ -434,6 +435,25 @@ def test_cli_train_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20
     assert main(["train", "--config", str(config)]) == 1
     assert "error: classifier backend 'stub-junk' is not trainable" in capsys.readouterr().err
     assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
+
+
+class UnnamedSummarizer(LeadSummarizer):
+    identity = SummarizationBackend.identity  # the interface's default, "unspecified"
+
+
+def test_cli_refuses_a_backend_registered_under_another_id(tmp_path, corpus20_path, capsys,
+                                                           monkeypatch):
+    # A rationale records its summarizer's identity, which every later command checks
+    # against the config; a mismatch must stop the run before rationales.jsonl is written.
+    monkeypatch.setitem(pipeline.SUMMARIZER_BACKENDS, "my-summarizer", UnnamedSummarizer)
+    config = cli_config(tmp_path, corpus20_path, backends={"summarizer": "my-summarizer"})
+    for cmd in ("ingest", "split"):
+        assert main([cmd, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["rationales", "--config", str(config)]) == 1
+    assert ("error: summarizer backend 'my-summarizer' has identity 'unspecified'; register it "
+            "under its identity") in capsys.readouterr().err
+    assert not (tmp_path / "out" / pipeline.RATIONALES).exists()
 
 
 def test_cli_ingest_prints_the_ids_it_dropped_and_only_then(tmp_path, capsys):

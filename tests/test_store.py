@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from claimcheck.errors import ValidationError
 from claimcheck.store import (
     WRITE_BATCH,
     CorruptArtifact,
     file_sha256,
+    parse_json,
     read_doc,
     read_records,
     write_doc,
@@ -62,3 +64,12 @@ def test_a_row_that_is_not_json_is_refused_at_its_own_line(tmp_path):
     path.write_text(path.read_text().replace('{"n": 2}', '{"n": '))
     with pytest.raises(CorruptArtifact, match=r"^rows\.jsonl line 3: not valid JSON \(Expecting"):
         read_records(path, "rows", "h")
+
+
+def test_an_input_may_hold_any_json_value_and_is_refused_with_its_own_name():
+    # Only an artifact must hold an object, and only its error is a CorruptArtifact.
+    assert parse_json("[5]", "input x") == [5]
+    with pytest.raises(ValidationError, match=r"^input x is not valid JSON: Expecting value: "
+                                              r"line 2") as caught:
+        parse_json('[5,\n]', "input x")
+    assert type(caught.value) is ValidationError

@@ -6,15 +6,13 @@ A mutant is killed when the mutated module's own test file (tests/test_<module>.
 fails with -x, or, when that file passes or does not exist, when tier-1 fails with -x.
 A mutant that passes both survives: its guard is untested, or redundant.
 
-    python tools/mutation_audit.py                 # every module
-    python tools/mutation_audit.py store.py nle.py # only these modules
+    python tools/mutation_audit.py
 
 Prints one line per mutant and a summary; exits 1 if any mutant survived. Stdlib only.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -78,10 +76,7 @@ def audit(workdir: Path, modules: list[Path]) -> tuple[int, list[str]]:
     return count, survivors
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", help="module file names (default: all)")
-    names = parser.parse_args(argv).modules
+def main() -> int:
     began = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutation-audit-") as tmp:
         workdir = Path(tmp)
@@ -92,17 +87,10 @@ def main(argv: list[str] | None = None) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
             else:
                 shutil.copy2(source, workdir / name)
-        package = workdir / "src" / "claimcheck"
-        modules = sorted(package.glob("*.py"))
-        if names:
-            unknown = set(names) - {module.name for module in modules}
-            if unknown:
-                parser.error(f"no such module: {', '.join(sorted(unknown))}")
-            modules = [module for module in modules if module.name in names]
         if not run_tests(workdir, *TIER1):
             print("tier-1 fails without any mutant; nothing to audit", file=sys.stderr)
             return 1
-        count, survivors = audit(workdir, modules)
+        count, survivors = audit(workdir, sorted((workdir / "src" / "claimcheck").glob("*.py")))
     print(f"{count} mutants, {len(survivors)} survived, {time.monotonic() - began:.0f} s")
     for where in survivors:
         print(f"survivor: {where}")
