@@ -144,6 +144,14 @@ def sampled_shapley(
     )
 
 
+def plan_attribution(n: int, num_permutations: int) -> tuple[str, int]:
+    """(method, most value calls) of attribute over n features: ("exact", 2^n) while 2^n
+    fits EXACT_VALUE_CALL_BUDGET, else ("sampled", n * num_permutations + 1)."""
+    if 1 << n <= EXACT_VALUE_CALL_BUDGET:
+        return "exact", 1 << n
+    return "sampled", n * num_permutations + 1
+
+
 def attribute(
     features: Sequence[str],
     value_fn: CoalitionValueFn,
@@ -151,7 +159,7 @@ def attribute(
     seed: int,
 ) -> AttributionResult:
     """Exact values while 2^n value calls fit EXACT_VALUE_CALL_BUDGET, sampled otherwise."""
-    if 1 << len(features) <= EXACT_VALUE_CALL_BUDGET:
+    if plan_attribution(len(features), num_permutations)[0] == "exact":
         return exact_shapley(features, value_fn)
     return sampled_shapley(features, value_fn, num_permutations, seed)
 

@@ -6,6 +6,7 @@ A subclass exists only where the package catches it or reads its data;
 every other raise site raises one of the two with its own message.
 """
 
+import copyreg
 import json
 import math
 from dataclasses import is_dataclass
@@ -16,6 +17,11 @@ from typing import Callable, Literal, Union, get_args, get_origin, get_type_hint
 
 class PipelineError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # Unpickled without calling __init__, which would format the message a second time:
+        # an error raised in an explain worker process crosses to the parent as it was.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(PipelineError):
@@ -46,12 +52,19 @@ def call_backend(role: str, identity: str, fn, *args):
         raise BackendFailure(f"{role} {identity!r}: {exc}") from exc
 
 
+QUOTE_LIMIT = 200  # characters of a value an error message quotes
+
+
 def config_value(value) -> str:
-    """Quote a value as a JSON file spells it, a tuple made from a list as the list."""
+    """Quote a value as a JSON file spells it, a tuple made from a list as the list; past
+    QUOTE_LIMIT characters, cut short and followed by its full length."""
     try:
-        return json.dumps(value, ensure_ascii=False, default=repr)
+        text = json.dumps(value, ensure_ascii=False, default=repr)
     except RecursionError:  # json.loads admits nesting a few calls short of the limit
         return "a value nested too deep to quote"
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}… ({len(text)} characters)"
 
 
 field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved

@@ -63,6 +63,10 @@ class SummarizationBackend(ABC):
 
     Implementations must be deterministic for fixed state and input
     (decoding randomness disabled) so audits are reproducible.
+    `explain` may call `summarize` in worker processes forked from the
+    caller's (see pipeline.EXPLAIN_POOL_MIN_VALUE_CALLS): each holds a
+    copy of the backend made at the fork, and what a call changes in it
+    stays in that worker.
     """
 
     identity: str = "unspecified"

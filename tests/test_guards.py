@@ -1,4 +1,4 @@
-"""Five rules about the whole package, checked on its source.
+"""Six rules about the whole package, checked on its source.
 
 One hash: only store.py imports hashlib, so every sha256 goes through store.digest or
 store.write_text. One JSON parser: json.loads is called only in store.py (by
@@ -7,11 +7,14 @@ store's rules. One error family: every raise in the package raises a PipelineErr
 subclass, which the CLI maps to an exit code, except the programmer errors and the
 internal signal declared in NOT_PIPELINE_ERRORS. One error class per distinction the
 program makes: every exception class the package defines is named in one of its except
-clauses, or is declared in UNCAUGHT_ERRORS. No export for its own sake: every name the
-package's __init__.py imports is used by the package itself."""
+clauses, or is declared in UNCAUGHT_ERRORS. Errors cross processes: every exception class
+survives pickling with its type, message and attributes. No export for its own sake: every
+name the package's __init__.py imports is used by the package itself."""
 
 import ast
 import importlib
+import pickle
+from pathlib import Path
 
 from claimcheck.errors import PipelineError
 
@@ -106,18 +109,49 @@ def test_every_raise_is_a_pipeline_error_or_declared():
     assert set(other_raises()) == NOT_PIPELINE_ERRORS
 
 
+def exception_classes():
+    """name -> class of each exception class the package defines."""
+    return {node.name: cls for module in modules() for node in ast.walk(parse(module))
+            if isinstance(node, ast.ClassDef)
+            and isinstance(cls := getattr(namespace(module), node.name, None), type)
+            and issubclass(cls, BaseException)}
+
+
 def test_every_exception_class_is_caught_or_declared():
-    defined, caught = set(), set()
+    caught = set()
     for module in modules():
         for node in ast.walk(parse(module)):
-            if isinstance(node, ast.ClassDef):
-                cls = getattr(namespace(module), node.name, None)
-                if isinstance(cls, type) and issubclass(cls, BaseException):
-                    defined.add(node.name)
-            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught.update(n.id if isinstance(n, ast.Name) else n.attr for n in names)
-    assert sorted(defined - caught) == sorted(UNCAUGHT_ERRORS)
+    assert sorted(exception_classes().keys() - caught) == sorted(UNCAUGHT_ERRORS)
+
+
+# The arguments of one instance of each exception class the package defines.
+ERROR_ARGUMENTS = {
+    "PipelineError": ("base",),
+    "ValidationError": ("config key 'limit' must be >= 0, got -3",),
+    "BackendError": ("an explain worker process died",),
+    "BackendFailure": ("summarizer 'stub-lead': boom",),
+    "EmptyEvidence": ("record 'c1': evidence is empty",),
+    "EmptyEvidenceAfterFilter": ("c00001",),
+    "UndecodableGeneration": ("'maybe' is not a verdict", "maybe"),
+    "CorruptArtifact": (Path("out", "splits.json"), "not UTF-8 text", 3),
+    "_Misfit": ("test[0]", "a string", 8),
+}
+
+
+def test_every_exception_class_survives_pickling():
+    # explain's worker processes send their errors to the parent pickled
+    classes = exception_classes()
+    assert sorted(ERROR_ARGUMENTS) == sorted(classes)
+    for name, cls in classes.items():
+        error = cls(*ERROR_ARGUMENTS[name])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(error, protocol))
+            assert type(copy) is cls, (name, protocol)
+            assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error)), \
+                (name, protocol)
 
 
 def test_every_exported_name_is_used_inside_the_package():

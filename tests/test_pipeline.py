@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 from collections import Counter
 from collections.abc import Mapping
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Literal, get_args, get_type_hints
@@ -304,6 +308,125 @@ def test_token_explain_attributes_each_evidence_token(tmp_path, corpus20_path):
         assert record["features"] == evidence_features(records[record["record_id"]]["evidence"],
                                                        "token")
         assert record["polarity"] == list(map(polarity, record["phi"]))
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+@pytest.fixture
+def explain_cpus(monkeypatch):
+    """use(cpus) sets the CPUs explain may use and returns the worker count of each pool
+    explain has started; the value-call threshold of the pool is lifted."""
+    pools = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(pipeline, "EXPLAIN_POOL_MIN_VALUE_CALLS", 0)
+
+    def use(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return pools
+    return use
+
+
+def _explain_inputs(tmp_path, **extra):
+    """A config over 40 records of 8-12 sentences, run up to rationales; explain takes 6."""
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_rows(40, 20))
+    config = cli_config(tmp_path, corpus, **extra)
+    for cmd in UPSTREAM[:3]:
+        assert main([cmd, "--config", str(config)]) == 0
+    return config
+
+
+@pytest.mark.skipif(not FORK, reason="explain starts worker processes by fork only")
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # a fork while threads run, on 3.12+
+@pytest.mark.parametrize("granularity, methods", [("sentence", ["exact", "sampled"]),
+                                                  ("token", ["sampled"])])
+def test_explain_in_worker_processes_writes_the_same_bytes(granularity, methods, tmp_path,
+                                                          explain_cpus):
+    config = _explain_inputs(tmp_path, explain={"records": 6, "granularity": granularity,
+                                                "permutations": 10})
+    written = {}
+    for cpus in (1, 2):
+        pools = explain_cpus(cpus)
+        assert main(["explain", "--config", str(config)]) == 0
+        written[cpus] = [(tmp_path / "out" / name).read_bytes()
+                         for name in (pipeline.HIGHLIGHTS, pipeline.HIGHLIGHTS_HTML)]
+    assert pools == [2]  # one CPU: in this process; two: one pool of two workers
+    assert written[1] == written[2]
+    explained = json.loads(written[2][0])["records"]
+    assert len(explained) == 6
+    assert sorted({record["method"] for record in explained}) == methods
+
+
+class FailingSummarizer(LeadSummarizer):
+    """Fails on one coalition, the evidence text `fail_on`: raises, or, if `die` is set and it
+    runs in another process than `parent`, ends that process."""
+
+    identity = "stub-failing"
+    fail_on = None
+    die = False
+    parent = None
+
+    def summarize(self, evidence, config):
+        if evidence == self.fail_on:
+            if self.die and os.getpid() != self.parent:
+                os._exit(1)
+            raise RuntimeError("model OOM")
+        return super().summarize(evidence, config)
+
+
+@pytest.fixture
+def failing_explain(tmp_path, monkeypatch):
+    """A config whose summarizer fails on one coalition of the second record explain takes:
+    its first sentence alone, which exact enumeration values."""
+    monkeypatch.setitem(pipeline.SUMMARIZER_BACKENDS, FailingSummarizer.identity,
+                        FailingSummarizer)
+    monkeypatch.setattr(FailingSummarizer, "parent", os.getpid())
+    config = _explain_inputs(tmp_path, backends={"summarizer": FailingSummarizer.identity},
+                             explain={"records": 6})
+    evidence = {r["id"]: r["evidence"] for r in map(json.loads, (
+        tmp_path / "out" / pipeline.CORPUS_CLEAN).read_text().splitlines()[1:])}
+    test_ids = json.loads((tmp_path / "out" / pipeline.SPLITS).read_text())["test"]
+    features = [evidence_features(evidence[i]) for i in test_ids[:6]]
+    assert len(features[1]) <= 10
+    monkeypatch.setattr(FailingSummarizer, "fail_on", features[1][0])
+    return config
+
+
+@pytest.mark.skipif(not FORK, reason="explain starts worker processes by fork only")
+def test_explain_worker_backend_failure_exits_two_as_in_process(failing_explain, tmp_path,
+                                                               explain_cpus, capsys):
+    capsys.readouterr()
+    errors = {}
+    for cpus in (1, 2):
+        pools = explain_cpus(cpus)
+        assert main(["explain", "--config", str(failing_explain)]) == 2
+        errors[cpus] = capsys.readouterr().err
+        assert not (tmp_path / "out" / pipeline.HIGHLIGHTS).exists()
+        assert multiprocessing.active_children() == []
+    assert pools == [2]
+    assert errors[1] == errors[2] == "backend error: backend failure: summarizer " \
+                                     "'stub-failing': model OOM\n"
+
+
+@pytest.mark.skipif(not FORK, reason="explain starts worker processes by fork only")
+def test_explain_worker_that_dies_exits_two(failing_explain, tmp_path, explain_cpus, capsys,
+                                            monkeypatch):
+    monkeypatch.setattr(FailingSummarizer, "die", True)
+    pools = explain_cpus(2)
+    capsys.readouterr()
+    assert main(["explain", "--config", str(failing_explain)]) == 2
+    err = capsys.readouterr().err
+    assert pools == [2]
+    assert err.startswith("backend error: an explain worker process died: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / pipeline.HIGHLIGHTS).exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_ingest_rerun_is_byte_identical(fixture_config):
@@ -1275,6 +1398,10 @@ MALFORMED_INPUTS = {
     "rationale row 5": ({}, UPSTREAM[:3], pipeline.RATIONALES, _first_row_replaced_by("5"),
                         "train", "rationales.jsonl line 2: not a JSON object",
                         pipeline.MODEL_STATE),
+    "split_seed a list of 5,000 numbers": ({"split_seed": list(range(5000))}, (), None, None,
+                                           "ingest", "'split_seed' must be an integer, got "
+                                           + json.dumps(list(range(5000)))[:200]
+                                           + "… (28890 characters)\n", pipeline.CORPUS_CLEAN),
     "rationale from another summarizer": ({}, UPSTREAM[:3], pipeline.RATIONALES,
                                           _set_in_first_row(backend_id="other-summarizer"),
                                           "train", "rationales.jsonl line 2: written by summarizer "
