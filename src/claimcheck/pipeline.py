@@ -44,12 +44,12 @@ from .errors import (
     BackendFailure,
     ValidationError,
     call_backend,
-    check_fields,
-    check_range,
     config_value,
 )
 from .store import (
     CorruptArtifact,
+    check_fields,
+    check_range,
     digest,
     file_sha256,
     from_row,

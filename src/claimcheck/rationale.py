@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import ClaimRecord
-from .errors import BackendFailure, ValidationError, call_backend, check_fields, check_range
+from .errors import BackendFailure, ValidationError, call_backend
+from .store import check_fields, check_range
 from .textutil import split_sentences, tokenize
 
 logger = logging.getLogger(__name__)

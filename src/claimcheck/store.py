@@ -14,11 +14,14 @@ read, open_input the one way an input from outside the output directory is.
 A file that cannot be read or written is a ValidationError naming it.
 
 Only parse_json (an input: the config, a corpus line) and _parse_object (an artifact, which
-must hold an object) call json.loads. A text it refuses (malformed, an integer of over 4,300
-digits, nested past the recursion limit) is a ValidationError naming its file.
+must hold an object) parse JSON, both through _DECODER. A text it refuses (malformed, a key
+repeated in one object, an integer of over 4,300 digits, nested past the recursion limit) is a
+ValidationError naming its file.
 
-A dataclass's annotations are its row schema: to_row and from_row encode
-and decode every record class and every document class.
+A dataclass's annotations are its schema, and this module holds every rule about them:
+value_rule says which JSON values fit an annotation; from_row decodes a row, a document or the
+config through _decode, and to_row encodes one through _encode; check_fields and check_range
+check settings built in code.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -33,9 +37,10 @@ from enum import Enum
 from functools import cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Literal, get_args, get_origin
+from types import UnionType
+from typing import Callable, Iterable, Literal, Union, get_args, get_origin, get_type_hints
 
-from .errors import ValidationError, config_value, field_hints, value_rule
+from .errors import ValidationError, config_value
 
 
 class CorruptArtifact(ValidationError):
@@ -51,41 +56,102 @@ class _Misfit(Exception):
     the object at `path` has a key its class does not declare."""
 
 
-def _convert(hint, value, path: str, decode: bool = True):
-    """Decode JSON `value` at `path` as annotation `hint` (else _Misfit), or encode it back. An
-    enum is one of its values, a dataclass an object of its fields and no other key (a field
-    with a default may be missing), a list or tuple[X, ...] a list, a fixed-length tuple a list
-    checked whole (errors.value_rule), a dict an object, `X | None` X or null."""
+field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved
+
+
+@cache
+def value_rule(hint) -> tuple[Callable[[object], bool], str]:
+    """(does a JSON value fit annotation `hint`, what it must be), for config, rows and docs"""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return lambda v: isinstance(v, str) and v in args, " or ".join(map(config_value, args))
+    if origin in (Union, UnionType):
+        rules = [value_rule(arg) for arg in args]
+        return lambda v: any(fits(v) for fits, _ in rules), " or ".join(w for _, w in rules)
+    if origin is tuple and set(args) in ({str}, {int}, {float}):  # e.g. "three numbers"
+        fits, wanted = value_rule(args[0])
+        count = ("no", "one", "two", "three")[len(args)] if len(args) < 4 else len(args)
+        return (lambda v: isinstance(v, tuple) and len(v) == len(args) and all(map(fits, v)),
+                f"{count} {wanted.split()[-1]}s")
+    if is_dataclass(hint):
+        return lambda v: isinstance(v, hint), f"{hint.__name__} settings"
+    if hint is float:  # a finite number: JSON's non-standard NaN and Infinity are not
+        return (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                and (isinstance(v, int) or math.isfinite(v))), "a number"
+    scalars = {str: (str, "a string"), int: (int, "an integer"), type(None): (type(None), "null"),
+               list: (list, "a list"), dict: (dict, "an object")}
+    if hint not in scalars:
+        raise TypeError(f"cannot check a value against {hint!r}")
+    kind, wanted = scalars[hint]
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool), wanted
+
+
+def check_fields(settings, section: str = "") -> None:
+    """Check each field of dataclass `settings` against its annotation, the config's type schema.
+
+    A mismatch is a ValidationError naming the key `section.field`. A bool is never an int or
+    a float; a float is finite and may be an int. `X | None`, tuples of one scalar type,
+    `Literal` of strings and nested settings classes are understood, others are a TypeError."""
+    for name, hint in field_hints(type(settings)).items():
+        (fits, wanted), value = value_rule(hint), getattr(settings, name)
+        if not fits(value):
+            key = f"{section}.{name}" if section else name
+            raise ValidationError(f"config key {key!r} must be {wanted}, got {config_value(value)}")
+
+
+def check_range(key: str, value, least, strict: bool = False) -> None:
+    """Require a value check_fields has typed to be >= `least`, or > `least` if `strict`."""
+    if not (value > least if strict else value >= least):
+        raise ValidationError(f"config key {key!r} must be {'>' if strict else '>='} {least}, "
+                              f"got {config_value(value)}")
+
+
+def _decode(hint, value, path: str):
+    """Decode JSON `value` at `path` as annotation `hint`, or raise _Misfit. An enum is one of
+    its values, a dataclass an object of its fields and no other key (a field with a default
+    may be missing), a list or tuple[X, ...] a list, a fixed-length tuple a list checked whole
+    (value_rule), a dict an object, `X | None` X or null."""
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return value.value if not decode else hint(
-            _convert(Literal[tuple(member.value for member in hint)], value, path))
-    if not decode and (hint in (str, int, float, dict) or is_dataclass(hint)):
-        return to_row(value) if is_dataclass(hint) else value
+        return hint(_decode(Literal[tuple(member.value for member in hint)], value, path))
     if is_dataclass(hint) and isinstance(value, dict):  # a missing field's value is ..., a misfit
         hints = field_hints(hint)
         unknown = [key for key in value if key not in hints]
         if unknown:
             raise _Misfit(path, None, unknown[0])
         # a field whose default and default factory are both MISSING has no default
-        return hint(**{f.name: _convert(hints[f.name], value.get(f.name, ...), f"{path}.{f.name}")
+        return hint(**{f.name: _decode(hints[f.name], value.get(f.name, ...), f"{path}.{f.name}")
                        for f in fields(hint) if f.name in value or f.default is f.default_factory})
     origin, args = get_origin(hint), get_args(hint)
-    if decode and origin is tuple and ... not in args:  # fixed length: checked whole, below
+    if origin is tuple and ... not in args:  # fixed length: checked whole, below
         value, origin = tuple(value) if isinstance(value, list) else value, None
-    if origin in (list, tuple) and (isinstance(value, list) or not decode):
-        items = value if not decode and args[0] in (str, int, float) else (
-            _convert(args[0], item, f"{path}[{i}]", decode) for i, item in enumerate(value))
-        return (origin if decode else list)(items)
+    if origin in (list, tuple) and isinstance(value, list):
+        return origin(_decode(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
     if origin is dict and isinstance(value, dict):
-        return {_convert(args[0], key, f"{path}.{key}", decode):
-                _convert(args[1], item, f"{path}.{key}", decode) for key, item in value.items()}
+        return {_decode(args[0], key, f"{path}.{key}"): _decode(args[1], item, f"{path}.{key}")
+                for key, item in value.items()}
     if args[1:] == (type(None),):  # X | None
-        return None if value is None else _convert(args[0], value, path, decode)
+        return None if value is None else _decode(args[0], value, path)
     fits, wanted = value_rule(dict if origin is dict or is_dataclass(hint) else
                               list if origin in (list, tuple) else hint)
-    if decode and not fits(value):
+    if not fits(value):
         raise _Misfit(path, wanted, "nothing" if value is ... else config_value(value))
     return value
+
+
+def _encode(hint, value):
+    """Encode `value`, which fits annotation `hint`, as the JSON value _decode takes back."""
+    if is_dataclass(hint):
+        return to_row(value)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):
+        if args[0] in (str, int, float):  # a list of scalars is copied whole
+            return list(value)
+        return [_encode(args[0], item) for item in value]
+    if origin is dict:
+        return {_encode(args[0], key): _encode(args[1], item) for key, item in value.items()}
+    if args[1:] == (type(None),):  # X | None
+        return None if value is None else _encode(args[0], value)
+    return value.value if isinstance(hint, type) and issubclass(hint, Enum) else value
 
 
 # dataclass -> (its field names in order, (name, annotation, defaults to None) of each field
@@ -96,7 +162,7 @@ _row_plan = cache(lambda cls: (tuple(f.name for f in fields(cls)), [
 
 
 def to_row(record) -> dict:
-    """A dataclass as its row: its fields in order, each encoded (see _convert), and a field
+    """A dataclass as its row: its fields in order, each encoded (see _encode), and a field
     that defaults to None left out while it is None."""
     names, encoded = _row_plan(type(record))
     row = {name: getattr(record, name) for name in names}
@@ -104,15 +170,15 @@ def to_row(record) -> dict:
         if optional and row[name] is None:
             del row[name]
         else:
-            row[name] = _convert(hint, row[name], "", decode=False)
+            row[name] = _encode(hint, row[name])
     return row
 
 
 def from_row(cls, row: dict, noun: str = "field"):
-    """Decode a row into dataclass `cls` (see _convert). A value that does not fit, a missing
+    """Decode a row into dataclass `cls` (see _decode). A value that does not fit, a missing
     field or an unknown key is a ValidationError naming the {noun} path to it."""
     try:
-        return _convert(cls, row, "")
+        return _decode(cls, row, "")
     except _Misfit as misfit:
         path, wanted, got = misfit.args
         if wanted is None and not path:
@@ -128,10 +194,24 @@ def _dump(obj: dict) -> str:
 _DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
+def _json_object(pairs: list) -> dict:
+    """An object's key-value pairs as a dict; a repeated key, whose last value json.loads keeps,
+    is a ValueError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
+# Built once: json.loads given a hook builds a decoder on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
 def parse_json(text: str, where: str):
-    """An input's JSON value; a text json.loads refuses is a ValidationError naming `where`."""
+    """An input's JSON value; a text _DECODER refuses is a ValidationError naming `where`."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ValidationError(f"{where} is not valid JSON: {exc}") from exc
 
@@ -139,7 +219,7 @@ def parse_json(text: str, where: str):
 def _parse_object(path: Path, text: str, line: int = 1) -> dict:
     """The object of an artifact's `text`, from line `line` of `path`, or a CorruptArtifact."""
     try:
-        value = json.loads(text)
+        value = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError names the line at fault
         line += exc.lineno - 1 if isinstance(exc, json.JSONDecodeError) else 0
         raise CorruptArtifact(path, f"not valid JSON ({getattr(exc, 'msg', exc)})", line) from exc
@@ -170,11 +250,12 @@ def read_bytes(path: str | Path) -> bytes:
 
 @contextmanager
 def open_input(path: str | Path, what: str, newline: str = "\n"):
-    """Yield a file from outside the output directory, open as UTF-8 text with lines ending at
-    `newline`; an OSError, UnicodeDecodeError or csv.Error (a CSV field longer than
-    csv.field_size_limit, 131,072 characters) opening or reading it is a ValidationError."""
+    """Yield a file from outside the output directory, open as UTF-8 text, less one leading byte
+    order mark, with lines ending at `newline`; an OSError, UnicodeDecodeError or csv.Error (a
+    CSV field longer than csv.field_size_limit, 131,072 characters) opening or reading it is a
+    ValidationError."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc

@@ -15,9 +15,9 @@ from functools import partial
 from typing import Sequence
 
 from .corpus import ClaimRecord, VerdictLabel
-from .errors import BackendError, ValidationError, call_backend, check_fields, check_range
+from .errors import BackendError, ValidationError, call_backend
 from .rationale import Rationale
-from .store import digest
+from .store import check_fields, check_range, digest
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
 CHOICE_REFUTES = VerdictLabel.REFUTES.value

@@ -208,6 +208,14 @@ def test_delimited_quoted_line_breaks_parse_like_json_lines(tmp_path):
     assert cleaned["json-lines"]["c00001"].evidence == "First paragraph stands.\n\nThird stays."
 
 
+def test_delimited_corpus_saved_with_a_byte_order_mark_parses_as_without(tmp_path):
+    # Excel's "CSV UTF-8" format writes one; kept, it would rename the first column.
+    plain = write_delimited(tmp_path / "c.csv", make_rows(3, 2), ",")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_corpus(marked, format="delimited") == parse_corpus(plain, format="delimited")
+
+
 # ---------------------------------------------------------------------------
 # Evidence filtering
 
@@ -259,6 +267,14 @@ def test_blocklist_file_parsing(tmp_path):
     path.write_text("# comment\nCNN\n\n cnn \nFox News\n")
     blocklist = SourceBlocklist.from_file(path)
     assert blocklist.outlets == ("CNN", "Fox News")
+
+
+def test_blocklist_file_saved_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bl.txt"
+    path.write_bytes(b"\xef\xbb\xbfCNN\nReuters\n")  # UTF-8's byte order mark, then the names
+    blocklist = SourceBlocklist.from_file(path)
+    assert blocklist.outlets == ("CNN", "Reuters")
+    assert blocklist.matches("According to CNN, x.")
 
 
 def test_blocklist_refuses_names_equal_but_for_case():

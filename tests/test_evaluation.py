@@ -294,6 +294,15 @@ def test_aggregate_all_fives(tmp_path):
     assert summary.n_items == 4
 
 
+def test_aggregate_of_a_file_saved_with_a_byte_order_mark_is_as_without(tmp_path):
+    plain = write_filled(tmp_path / "a1.tsv", [filled_row("r0", 4, 5, 3, "a1"),
+                                                filled_row("r1", 2, 5, 3, "a1")])
+    marked = tmp_path / "marked.tsv"
+    # UTF-8's byte order mark, then a legend line as in an exported file, then the rows
+    marked.write_bytes(b"\xef\xbb\xbf# legend\n" + plain.read_bytes())
+    assert aggregate_annotations([marked]) == aggregate_annotations([plain])
+
+
 def test_aggregate_hand_computed_means(tmp_path):
     # One item rated 4, 4, 5 across annotators: mean 4.333 to 3 decimals.
     files = [

@@ -1,10 +1,10 @@
 """Six rules about the whole package, checked on its source.
 
 One hash: only store.py imports hashlib, so every sha256 goes through store.digest or
-store.write_text. One JSON parser: json.loads is called only in store.py (by
-store.parse_json and store._parse_object), so every JSON text is read, and refused, by the
-store's rules. One error family: every raise in the package raises a PipelineError
-subclass, which the CLI maps to an exit code, except the programmer errors and the
+store.write_text. One JSON parser: the json module's parsers are used only in store.py (one
+decoder, by store.parse_json and store._parse_object), so every JSON text is read, and
+refused, by the store's rules. One error family: every raise in the package raises a
+PipelineError subclass, which the CLI maps to an exit code, except the programmer errors and the
 internal signal declared in NOT_PIPELINE_ERRORS. One error class per distinction the
 program makes: every exception class the package defines is named in one of its except
 clauses, or is declared in UNCAUGHT_ERRORS. Errors cross processes: every exception class
@@ -22,15 +22,17 @@ from test_file_access import PACKAGE
 
 # (module, innermost enclosing function, exception raised there) of each raise that is not a
 # PipelineError: the abstract methods of the backend interfaces, an annotation the type checks
-# do not know, and the misfit that store.from_row always turns into a ValidationError.
+# do not know, the misfit that store.from_row always turns into a ValidationError, and the
+# repeated key that store's two JSON parsers turn into one.
 NOT_PIPELINE_ERRORS = {
     ("rationale.py", "summarize", "NotImplementedError"),
     ("verdict.py", "generate", "NotImplementedError"),
     ("verdict.py", "train_step", "NotImplementedError"),
     ("verdict.py", "snapshot", "NotImplementedError"),
     ("verdict.py", "restore", "NotImplementedError"),
-    ("errors.py", "value_rule", "TypeError"),
-    ("store.py", "_convert", "_Misfit"),
+    ("store.py", "value_rule", "TypeError"),
+    ("store.py", "_decode", "_Misfit"),
+    ("store.py", "_json_object", "ValueError"),
 }
 
 # Exception classes that no except clause names, each with the reason it exists.

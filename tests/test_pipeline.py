@@ -91,6 +91,24 @@ def test_a_value_nested_too_deep_to_quote_is_named_not_quoted():
     assert config_value(value) == "a value nested too deep to quote"
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"seed": [10**5000]}, "'explain.seed' must be an integer"),  # check_fields
+    ({"records": -10**5000}, "'explain.records' must be >= 0"),  # check_range
+])
+def test_a_settings_value_too_long_to_quote_is_named_not_quoted(settings, message):
+    # json.dumps refuses an integer of over 4,300 digits; only a library caller can pass one.
+    with pytest.raises(ValidationError, match=f"^config key {message}, got a value too long to "
+                                              "quote$"):
+        pipeline.ExplainSettings(**settings)
+
+
+def test_config_saved_with_a_byte_order_mark_loads_as_without(tmp_path, corpus20_path):
+    plain = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out", split_seed=7)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())  # UTF-8's byte order mark
+    assert pipeline.load_config(marked) == pipeline.load_config(plain)
+
+
 def test_config_missing_keys_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"corpus_path": "x"}))
@@ -131,7 +149,7 @@ def test_config_non_integer_settings_name_the_key(tmp_path, corpus20_path, secti
 
 
 # The JSON types a config value may have, per settings annotation, decided here apart from
-# errors.check_fields. A field whose annotation is missing fails the schema fuzz test below.
+# store.check_fields. A field whose annotation is missing fails the schema fuzz test below.
 JSON_TYPES = {
     str: {"string"}, int: {"int"}, float: {"int", "float"},
     str | None: {"string", "null"}, int | None: {"int", "null"},
@@ -315,8 +333,9 @@ FORK = "fork" in multiprocessing.get_all_start_methods()
 
 @pytest.fixture
 def explain_cpus(monkeypatch):
-    """use(cpus) sets the CPUs explain may use and returns the worker count of each pool
-    explain has started; the value-call threshold of the pool is lifted."""
+    """use(cpus, cpus_from) sets the CPUs explain may use, through os.sched_getaffinity or,
+    with that deleted as on macOS, through os.cpu_count, and returns the worker count of each
+    pool explain has started; the value-call threshold of the pool is lifted."""
     pools = []
 
     class RecordedPool(ProcessPoolExecutor):
@@ -327,8 +346,12 @@ def explain_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     monkeypatch.setattr(pipeline, "EXPLAIN_POOL_MIN_VALUE_CALLS", 0)
 
-    def use(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    def use(cpus, cpus_from="sched_getaffinity"):
+        if cpus_from == "sched_getaffinity":
+            monkeypatch.setattr(os, cpus_from, lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return pools
     return use
 
@@ -344,20 +367,23 @@ def _explain_inputs(tmp_path, **extra):
 
 @pytest.mark.skipif(not FORK, reason="explain starts worker processes by fork only")
 @pytest.mark.filterwarnings("error::DeprecationWarning")  # a fork while threads run, on 3.12+
-@pytest.mark.parametrize("granularity, methods", [("sentence", ["exact", "sampled"]),
-                                                  ("token", ["sampled"])])
-def test_explain_in_worker_processes_writes_the_same_bytes(granularity, methods, tmp_path,
-                                                          explain_cpus):
+@pytest.mark.parametrize("granularity, methods, cpus_from", [
+    ("sentence", ["exact", "sampled"], "sched_getaffinity"),
+    ("token", ["sampled"], "sched_getaffinity"),
+    ("sentence", ["exact", "sampled"], "cpu_count"),
+])
+def test_explain_in_worker_processes_writes_the_same_bytes(granularity, methods, cpus_from,
+                                                          tmp_path, explain_cpus):
     config = _explain_inputs(tmp_path, explain={"records": 6, "granularity": granularity,
                                                 "permutations": 10})
-    written = {}
-    for cpus in (1, 2):
-        pools = explain_cpus(cpus)
+    written, in_process = {}, 1 if cpus_from == "sched_getaffinity" else None
+    for cpus in (in_process, 2):
+        pools = explain_cpus(cpus, cpus_from)
         assert main(["explain", "--config", str(config)]) == 0
         written[cpus] = [(tmp_path / "out" / name).read_bytes()
                          for name in (pipeline.HIGHLIGHTS, pipeline.HIGHLIGHTS_HTML)]
-    assert pools == [2]  # one CPU: in this process; two: one pool of two workers
-    assert written[1] == written[2]
+    assert pools == [2]  # one CPU, or a count unknown: in this process; two: two workers
+    assert written[in_process] == written[2]
     explained = json.loads(written[2][0])["records"]
     assert len(explained) == 6
     assert sorted({record["method"] for record in explained}) == methods
@@ -1402,6 +1428,18 @@ MALFORMED_INPUTS = {
                                            "ingest", "'split_seed' must be an integer, got "
                                            + json.dumps(list(range(5000)))[:200]
                                            + "… (28890 characters)\n", pipeline.CORPUS_CLEAN),
+    "config key repeated": ({"explain": {"records": 2}}, (), CONFIG,
+                            _replace_text('"records": 2', '"records": 2, "records": 5'),
+                            "ingest", "config.json is not valid JSON: repeated key 'records'",
+                            pipeline.CORPUS_CLEAN),
+    "corpus row key repeated": ({}, (), CONFIG, _corpus_with_second_line(
+                                    json.dumps(make_rows(2, 1)[1])[:-1] + ', "claim": "again"}'),
+                                "ingest", "corpus.jsonl: row 2 is not valid JSON: repeated key "
+                                "'claim'", pipeline.CORPUS_CLEAN),
+    "rationale key repeated": ({}, UPSTREAM[:3], pipeline.RATIONALES,
+                               _replace_text('"text": ', '"text": "", "text": '), "train",
+                               "rationales.jsonl line 2: not valid JSON (repeated key 'text')",
+                               pipeline.MODEL_STATE),
     "rationale from another summarizer": ({}, UPSTREAM[:3], pipeline.RATIONALES,
                                           _set_in_first_row(backend_id="other-summarizer"),
                                           "train", "rationales.jsonl line 2: written by summarizer "
