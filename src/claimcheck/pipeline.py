@@ -373,10 +373,14 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tupl
     if spec.key is None:
         return write_doc(path, spec.kind, config_hash, to_row(payload)), payload
     records = MappingProxyType({getattr(record, spec.key): record for record in payload})
-    rows = map(to_row, records.values())
-    if spec.stamped:
-        rows = ({**row, "config_hash": config_hash} for row in rows)
-    return write_records(path, spec.kind, config_hash, rows), records
+
+    def rows():
+        for record in records.values():
+            row = to_row(record)
+            if spec.stamped:  # to_row built the row, so the stamp goes into it, not a copy
+                row["config_hash"] = config_hash
+            yield row
+    return write_records(path, spec.kind, config_hash, rows()), records
 
 
 # ---------------------------------------------------------------------------

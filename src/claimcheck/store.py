@@ -20,8 +20,10 @@ ValidationError naming its file.
 
 A dataclass's annotations are its schema, and this module holds every rule about them:
 value_rule says which JSON values fit an annotation; from_row decodes a row, a document or the
-config through _decode, and to_row encodes one through _encode; check_fields and check_range
-check settings built in code.
+config with the function _decoder builds for its class, and to_row encodes one with the
+functions _encoder builds for its fields; check_fields and check_range check settings built in
+code. _decoder and _encoder build one function per annotation, once per process, so no value is
+decoded or encoded by looking its annotation up again.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import chain, islice
+from operator import attrgetter
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Iterable, Literal, Union, get_args, get_origin, get_type_hints
@@ -53,7 +56,8 @@ class CorruptArtifact(ValidationError):
 
 class _Misfit(Exception):
     """(path, wanted, got): the JSON value at `path` is `got`, not `wanted`; (path, None, key):
-    the object at `path` has a key its class does not declare."""
+    the object at `path` has a key its class does not declare. A decoder raises it with the path
+    below itself, and each decoder above it puts its own step in front."""
 
 
 field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved
@@ -106,79 +110,149 @@ def check_range(key: str, value, least, strict: bool = False) -> None:
                               f"got {config_value(value)}")
 
 
-def _decode(hint, value, path: str):
-    """Decode JSON `value` at `path` as annotation `hint`, or raise _Misfit. An enum is one of
-    its values, a dataclass an object of its fields and no other key (a field with a default
-    may be missing), a list or tuple[X, ...] a list, a fixed-length tuple a list checked whole
-    (value_rule), a dict an object, `X | None` X or null."""
+def _leaf(fits, wanted):
+    """The decoder of a value_rule: the value itself, if it fits."""
+    def decode_leaf(value):
+        if fits(value):
+            return value
+        raise _Misfit("", wanted, "nothing" if value is ... else config_value(value))
+    return decode_leaf
+
+
+def _object_decoder(cls):
+    """A dataclass: an object of its fields and no other key; a field with a default may be
+    missing, and a missing field without one is ..., which no rule fits."""
+    hints, check = field_hints(cls), _leaf(*value_rule(dict))
+    # a field whose default and default factory are both MISSING has no default
+    plan = [(f.name, _decoder(hints[f.name]), f.default is f.default_factory) for f in fields(cls)]
+
+    def decode_object(value):
+        if not check(value).keys() <= hints.keys():
+            raise _Misfit("", None, next(key for key in value if key not in hints))
+        decoded = {}
+        try:
+            for name, decode, required in plan:
+                if required or name in value:
+                    decoded[name] = decode(value.get(name, ...))
+        except _Misfit as misfit:
+            path, wanted, got = misfit.args
+            raise _Misfit(f".{name}{path}", wanted, got) from None
+        return cls(**decoded)
+    return decode_object
+
+
+def _list_decoder(origin, decode):
+    """A list or tuple[X, ...]: a list, each item decoded."""
+    check = _leaf(*value_rule(list))
+
+    def decode_list(value):
+        items, decoded = check(value), []
+        try:
+            for i, item in enumerate(items):
+                decoded.append(decode(item))
+        except _Misfit as misfit:
+            path, wanted, got = misfit.args
+            raise _Misfit(f"[{i}]{path}", wanted, got) from None
+        return origin(decoded)
+    return decode_list
+
+
+def _dict_decoder(decode_key, decode):
+    """A dict: an object, each key and value decoded."""
+    check = _leaf(*value_rule(dict))
+
+    def decode_dict(value):
+        items, decoded = check(value).items(), {}
+        try:
+            for key, item in items:
+                decoded[decode_key(key)] = decode(item)
+        except _Misfit as misfit:
+            path, wanted, got = misfit.args
+            raise _Misfit(f".{key}{path}", wanted, got) from None
+        return decoded
+    return decode_dict
+
+
+@cache
+def _decoder(hint) -> Callable[[object], object]:
+    """The function that decodes a JSON value as annotation `hint`, or raises _Misfit with the
+    path below it: built once per annotation. An enum is one of its values, a dataclass an
+    object (_object_decoder), a list or tuple[X, ...] a list, a fixed-length tuple a list
+    checked whole (value_rule), a dict an object, `X | None` X or null."""
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint(_decode(Literal[tuple(member.value for member in hint)], value, path))
-    if is_dataclass(hint) and isinstance(value, dict):  # a missing field's value is ..., a misfit
-        hints = field_hints(hint)
-        unknown = [key for key in value if key not in hints]
-        if unknown:
-            raise _Misfit(path, None, unknown[0])
-        # a field whose default and default factory are both MISSING has no default
-        return hint(**{f.name: _decode(hints[f.name], value.get(f.name, ...), f"{path}.{f.name}")
-                       for f in fields(hint) if f.name in value or f.default is f.default_factory})
+        members = {member.value: member for member in hint}
+        check = _decoder(Literal[tuple(members)])
+        return lambda value: members[check(value)]
+    if is_dataclass(hint):
+        return _object_decoder(hint)
     origin, args = get_origin(hint), get_args(hint)
-    if origin is tuple and ... not in args:  # fixed length: checked whole, below
-        value, origin = tuple(value) if isinstance(value, list) else value, None
-    if origin in (list, tuple) and isinstance(value, list):
-        return origin(_decode(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
-    if origin is dict and isinstance(value, dict):
-        return {_decode(args[0], key, f"{path}.{key}"): _decode(args[1], item, f"{path}.{key}")
-                for key, item in value.items()}
+    if origin is tuple and ... not in args:  # fixed length
+        check = _leaf(*value_rule(hint))
+        return lambda value: check(tuple(value) if isinstance(value, list) else value)
+    if origin in (list, tuple):
+        return _list_decoder(origin, _decoder(args[0]))
+    if origin is dict:
+        return _dict_decoder(_decoder(args[0]), _decoder(args[1]))
     if args[1:] == (type(None),):  # X | None
-        return None if value is None else _decode(args[0], value, path)
-    fits, wanted = value_rule(dict if origin is dict or is_dataclass(hint) else
-                              list if origin in (list, tuple) else hint)
-    if not fits(value):
-        raise _Misfit(path, wanted, "nothing" if value is ... else config_value(value))
+        decode = _decoder(args[0])
+        return lambda value: None if value is None else decode(value)
+    return _leaf(*value_rule(hint))
+
+
+def _as_is(value):
     return value
 
 
-def _encode(hint, value):
-    """Encode `value`, which fits annotation `hint`, as the JSON value _decode takes back."""
+@cache
+def _encoder(hint) -> Callable[[object], object]:
+    """The function that encodes a value fitting annotation `hint` as the JSON value its decoder
+    takes back, built once per annotation; _as_is where the value is its own JSON value."""
     if is_dataclass(hint):
-        return to_row(value)
+        return to_row
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return attrgetter("value")
     origin, args = get_origin(hint), get_args(hint)
     if origin in (list, tuple):
-        if args[0] in (str, int, float):  # a list of scalars is copied whole
-            return list(value)
-        return [_encode(args[0], item) for item in value]
+        encode = _encoder(args[0])
+        return list if encode is _as_is else lambda value: list(map(encode, value))
     if origin is dict:
-        return {_encode(args[0], key): _encode(args[1], item) for key, item in value.items()}
+        encode_key, encode = _encoder(args[0]), _encoder(args[1])
+        if encode_key is encode is _as_is:
+            return dict
+        return lambda value: {encode_key(key): encode(item) for key, item in value.items()}
     if args[1:] == (type(None),):  # X | None
-        return None if value is None else _encode(args[0], value)
-    return value.value if isinstance(hint, type) and issubclass(hint, Enum) else value
+        encode = _encoder(args[0])
+        return encode if encode is _as_is else (
+            lambda value: None if value is None else encode(value))
+    return _as_is
 
 
-# dataclass -> (its field names in order, (name, annotation, defaults to None) of each field
-# to_row encodes). Rows are built from the names: an instance asked for its __dict__ keeps one.
+# dataclass -> (its field names in order, (name, encoder, defaults to None) of each field to_row
+# encodes or may leave out). Rows are built from the names: an instance asked for its __dict__
+# keeps one.
 _row_plan = cache(lambda cls: (tuple(f.name for f in fields(cls)), [
-    (f.name, hint, f.default is None) for f in fields(cls)
-    if (hint := field_hints(cls)[f.name]) not in (str, int, float, dict)]))
+    (f.name, encode, f.default is None) for f in fields(cls)
+    if (encode := _encoder(field_hints(cls)[f.name])) is not _as_is or f.default is None]))
 
 
 def to_row(record) -> dict:
-    """A dataclass as its row: its fields in order, each encoded (see _encode), and a field
+    """A dataclass as its row: its fields in order, each encoded (see _encoder), and a field
     that defaults to None left out while it is None."""
     names, encoded = _row_plan(type(record))
     row = {name: getattr(record, name) for name in names}
-    for name, hint, optional in encoded:
+    for name, encode, optional in encoded:
         if optional and row[name] is None:
             del row[name]
         else:
-            row[name] = _encode(hint, row[name])
+            row[name] = encode(row[name])
     return row
 
 
 def from_row(cls, row: dict, noun: str = "field"):
-    """Decode a row into dataclass `cls` (see _decode). A value that does not fit, a missing
+    """Decode a row into dataclass `cls` (see _decoder). A value that does not fit, a missing
     field or an unknown key is a ValidationError naming the {noun} path to it."""
     try:
-        return _decode(cls, row, "")
+        return _decoder(cls)(row)
     except _Misfit as misfit:
         path, wanted, got = misfit.args
         if wanted is None and not path:
@@ -187,10 +261,8 @@ def from_row(cls, row: dict, noun: str = "field"):
         raise ValidationError(f"{noun} {path[1:]!r} {detail}") from None
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False)
-
-
+# Built once: json.dumps given a setting builds an encoder on every call.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
@@ -290,7 +362,8 @@ def write_records(path: str | Path, kind: str, config_hash: str, records: Iterab
     """Write a line-delimited store: one header line, then one record per line. Returns the
     file's sha256."""
     header = {"kind": kind, "config_hash": config_hash}
-    return write_text(path, (_dump(row) + "\n" for row in chain((header,), records)))
+    return write_text(path, (_ROW_ENCODER.encode(row) + "\n"
+                             for row in chain((header,), records)))
 
 
 def _read_text(path: Path) -> tuple[str, str]:

@@ -22,8 +22,9 @@ from test_file_access import PACKAGE
 
 # (module, innermost enclosing function, exception raised there) of each raise that is not a
 # PipelineError: the abstract methods of the backend interfaces, an annotation the type checks
-# do not know, the misfit that store.from_row always turns into a ValidationError, and the
-# repeated key that store's two JSON parsers turn into one.
+# do not know, the misfit that store.from_row always turns into a ValidationError (raised by a
+# leaf's decoder, and again with its path by each decoder above it), and the repeated key that
+# store's two JSON parsers turn into one.
 NOT_PIPELINE_ERRORS = {
     ("rationale.py", "summarize", "NotImplementedError"),
     ("verdict.py", "generate", "NotImplementedError"),
@@ -31,7 +32,10 @@ NOT_PIPELINE_ERRORS = {
     ("verdict.py", "snapshot", "NotImplementedError"),
     ("verdict.py", "restore", "NotImplementedError"),
     ("store.py", "value_rule", "TypeError"),
-    ("store.py", "_decode", "_Misfit"),
+    ("store.py", "decode_leaf", "_Misfit"),
+    ("store.py", "decode_object", "_Misfit"),
+    ("store.py", "decode_list", "_Misfit"),
+    ("store.py", "decode_dict", "_Misfit"),
     ("store.py", "_json_object", "ValueError"),
 }
 

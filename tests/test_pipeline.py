@@ -13,19 +13,20 @@ from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Literal, get_args, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from claimcheck import pipeline
 from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
-from claimcheck.corpus import FIELD_ORDER, default_blocklist_path
+from claimcheck.corpus import FIELD_ORDER, VerdictLabel, default_blocklist_path
 from claimcheck.errors import ValidationError, config_value
+from claimcheck.evaluation import AnnotationMeans
 from claimcheck.rationale import LeadSummarizer, SummarizationBackend
-from claimcheck.store import CorruptArtifact, file_sha256, write_doc
+from claimcheck.store import CorruptArtifact, file_sha256, from_row, to_row, write_doc
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend
 
 from conftest import FIXTURES
@@ -236,6 +237,109 @@ def test_no_artifact_field_has_a_default_but_none():
     defaults = sorted(f"{cls.__name__}.{f.name}" for cls in found for f in fields(cls)
                       if f.default_factory is not MISSING or f.default not in (MISSING, None))
     assert defaults == []
+
+
+@pytest.fixture(scope="module")
+def run_values(tmp_path_factory):
+    """{artifact file name: decoded value} of each artifact with a header, after run_all on the
+    20-record fixture and a report that merges annotation means."""
+    tmp = tmp_path_factory.mktemp("codec")
+    config = pipeline.load_config(cli_config(tmp, FIXTURES / "corpus20.jsonl"))
+    pipeline.run_all(config)
+    pipeline.run_command(config, "annotate-export", n=2)
+    filled = _fill_annotation_tasks(config.artifact(pipeline.ANNOTATION_TASKS), tmp / "filled.tsv")
+    pipeline.run_command(config, "annotate-aggregate", files=[str(filled)])
+    pipeline.run_command(config, "report")
+    return {name: pipeline._read(config, name, config.config_hash)[1]
+            for name, spec in pipeline.ARTIFACTS.items() if spec.kind is not None}
+
+
+def _instances(value, found: dict) -> dict:
+    """Add to `found` the first instance of each dataclass in `value`, searched depth first."""
+    if is_dataclass(value):
+        found.setdefault(type(value), value)
+        value = [getattr(value, f.name) for f in fields(value)]
+    elif isinstance(value, Mapping):
+        value = list(value.values())
+    for item in value if isinstance(value, (list, tuple)) else ():
+        _instances(item, found)
+    return found
+
+
+# The JSON types an artifact value may have, per field annotation, decided here apart from
+# store.value_rule: a dataclass or a dict is an object, a list or tuple a list, and the rest
+# as below. A field whose annotation is not covered fails the codec fuzz test.
+ARTIFACT_JSON_TYPES = {
+    str: {"string"}, int: {"int"}, float: {"int", "float"}, dict: {"object"},
+    int | None: {"int", "null"}, float | None: {"int", "float", "null"},
+    VerdictLabel: {"string"}, Literal["sentence", "token"]: {"string"},
+    Literal["exact", "sampled"]: {"string"}, AnnotationMeans | None: {"object", "null"},
+}
+
+
+def _artifact_json_types(hint) -> set:
+    if is_dataclass(hint) or get_origin(hint) is dict:
+        return {"object"}
+    if get_origin(hint) in (list, tuple):
+        return {"list"}
+    return ARTIFACT_JSON_TYPES[hint]
+
+
+ARTIFACT_VALUES = {
+    **JSON_VALUES,
+    "string": st.sampled_from(["Supports", "Refutes", "exact", "token", "c00001"])
+    | st.text(max_size=8),
+    "list": st.lists(st.integers(0, 1) | st.floats(0.0, 1.0) | st.sampled_from(["c00001", "x"]),
+                     max_size=4),
+    "object": st.dictionaries(st.sampled_from(["n", "Supports", "Entailment", "test"]),
+                              st.integers(0, 3) | st.none(), max_size=2),
+}
+
+
+def _expect_decoded_or_named(cls, row: dict, name: str, fits: bool) -> None:
+    """from_row returns an instance only when the value of field `name` fits its annotation, and
+    then to_row gives the row back; otherwise it raises a ValidationError naming the path to
+    the value. A fitting value may also fail the class's invariants, or a check below it."""
+    try:
+        decoded = from_row(cls, row)
+    except ValidationError as exc:
+        named = re.match(rf"field '{re.escape(name)}['.\[]", str(exc))
+        invariant = not str(exc).startswith(("field '", "unknown field"))
+        assert named or fits and invariant, f"{cls.__name__}.{name}: {row.get(name, '…')!r}: {exc}"
+        return
+    assert fits, f"{cls.__name__}.{name} = {row.get(name, 'nothing')!r} was accepted"
+    left_out = {f.name for f in fields(cls) if f.default is None and row.get(f.name) is None}
+    assert to_row(decoded) == {key: item for key, item in row.items() if key not in left_out}, \
+        f"{cls.__name__}.{name} = {row.get(name, 'nothing')!r}"
+
+
+# No shrinking: a failing example is reported as drawn, which keeps a failing run short.
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(data=st.data())
+def test_artifact_codec_fuzz_every_field_with_every_json_type(run_values, data):
+    found = {}
+    for name, value in run_values.items():
+        spec = pipeline.ARTIFACTS[name]
+        for record in value.values() if spec.key else (value,):
+            assert from_row(spec.cls, to_row(record)) == record, name
+        _instances(value, found)
+    reachable = set()
+    for spec in pipeline.ARTIFACTS.values():
+        _dataclasses_under(spec.cls, reachable)
+    assert set(found) == reachable
+    for cls, instance in found.items():
+        row = to_row(instance)
+        with pytest.raises(ValidationError, match="^unknown field 'undeclared'$"):
+            from_row(cls, {**row, "undeclared": 0})
+        for f in fields(cls):
+            json_types = _artifact_json_types(get_type_hints(cls)[f.name])
+            for json_type, values in ARTIFACT_VALUES.items():
+                value = data.draw(values, label=f"{cls.__name__}.{f.name} as {json_type}")
+                _expect_decoded_or_named(cls, {**row, f.name: value}, f.name,
+                                         json_type in json_types)
+            missing = {key: item for key, item in row.items() if key != f.name}
+            _expect_decoded_or_named(cls, missing, f.name, f.default is not MISSING)
 
 
 def test_settings_are_frozen(fixture_config):
