@@ -13,6 +13,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import dropwhile
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
@@ -223,9 +224,10 @@ def render_annotation_tasks(
 
 
 def read_annotation_file(path: str | Path) -> list[dict[str, str]]:
-    """Read a (possibly filled) annotation file back into row dicts."""
+    """Read a (possibly filled) annotation file back into row dicts. A '#' line is the legend
+    only before the header row; after it every line is data, so an item id may begin with '#'."""
     with open_input(path, "annotation file", "") as fh:
-        return list(csv.DictReader((ln for ln in fh if not ln.startswith("#")), delimiter="\t"))
+        return list(csv.DictReader(dropwhile(lambda ln: ln.startswith("#"), fh), delimiter="\t"))
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,13 @@ from .errors import (
 )
 from .store import (
     CorruptArtifact,
+    append_lines,
     check_fields,
     check_range,
     digest,
     file_sha256,
     from_row,
     open_input,
-    os_errors,
     parse_json,
     read_bytes,
     read_doc,
@@ -238,29 +238,11 @@ def create_nli(backend_id: str) -> verdict.Text2TextBackend:
     return _create(NLI_BACKENDS, backend_id, "NLI")
 
 
-def append_manifest(config: PipelineConfig, stage: str, config_hash: str,
+def append_manifest(append: Callable[[dict], None], stage: str, config_hash: str,
                     input_hashes: dict[str, str], output_hashes: dict[str, str]) -> None:
-    entry = {
-        "stage": stage,
-        "config_hash": config_hash,
-        "input_hashes": input_hashes,
-        "output_hashes": output_hashes,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    path = config.artifact(MANIFEST)
-    with os_errors("write", path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-
-
-def _check_manifest(config: PipelineConfig) -> None:
-    """Raise now if a manifest entry could not be appended later. Without an
-    output directory there is no artifact to replace, so nothing is checked."""
-    path = config.artifact(MANIFEST)
-    if path.parent.is_dir():
-        with os_errors("write", path):
-            path.open("a", encoding="utf-8").close()
+    """Append one manifest entry through `append`, a store.append_lines function."""
+    append({"stage": stage, "config_hash": config_hash, "input_hashes": input_hashes,
+            "output_hashes": output_hashes, "timestamp": datetime.now(timezone.utc).isoformat()})
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +678,8 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
     `table` (run_all's, or an empty one), check splits.json against the config and the
     cleaned corpus when it reads both (_check_splits), write its outputs and hold them in
     `table`, and stamp a manifest entry with the sha256 of every file it read and wrote.
-    The manifest is checked appendable before the first output is written."""
+    A command that writes nothing opens no manifest; any other opens it before its first
+    output is written."""
     stage = COMMANDS.get(name)
     if stage is None:
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
@@ -714,15 +697,16 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         _check_splits(config, inputs[stage.needs.index(SPLITS)],
                       inputs[stage.needs.index(CORPUS_CLEAN)])
     summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
-    if outputs:  # new files must not stand without the entry that records them
-        _check_manifest(config)
-    output_hashes = {}
-    for output, payload in outputs.items():
-        output_hashes[output], value = _write(config, output, config_hash, payload)
-        table.hold(output, output_hashes[output], config_hash, value)
-    if outputs:
+    if not outputs:
+        return summary
+    # opened before the first output is written, so no new file stands without its entry
+    with append_lines(config.artifact(MANIFEST)) as append:
+        output_hashes = {}
+        for output, payload in outputs.items():
+            output_hashes[output], value = _write(config, output, config_hash, payload)
+            table.hold(output, output_hashes[output], config_hash, value)
         input_hashes.update(*sources)
-        append_manifest(config, stage.name, config_hash, input_hashes, output_hashes)
+        append_manifest(append, stage.name, config_hash, input_hashes, output_hashes)
     return summary
 
 

@@ -7,10 +7,11 @@ byte-identical (timestamps live only in the run manifest).
 
 Writes go to a temporary file in the same directory that replaces the
 artifact only once it is complete, so a write that fails part-way leaves
-the previous artifact, or none, never a truncated one. Every writer returns
-the sha256 of the bytes it wrote, hashed as they are written; every other
-sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
-read, open_input the one way an input from outside the output directory is.
+the previous artifact, or none, never a truncated one; only append_lines, the
+manifest's writer, appends. The others return the sha256 of the bytes they
+wrote, hashed as they are written; every other sha256 is taken by digest.
+read_bytes is the one way an artifact's bytes are read, open_input the one
+way an input from outside the output directory is.
 A file that cannot be read or written is a ValidationError naming it.
 
 Only parse_json (an input: the config, a corpus line) and _parse_object (an artifact, which
@@ -356,6 +357,19 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> str:
         finally:
             tmp.unlink(missing_ok=True)
     return hasher.hexdigest()
+
+
+@contextmanager
+def append_lines(path: str | Path):
+    """Open the headerless line-delimited file at `path` for append, creating its directory, and
+    yield a function that writes one row to it as one line, encoded as write_records encodes a
+    row. An OSError in the with block is a ValidationError naming this file (the other writers
+    name their own files first); the file is closed on every path."""
+    path = Path(path)
+    with os_errors("write", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a", encoding="utf-8") as fh:
+            yield lambda row: fh.write(_ROW_ENCODER.encode(row) + "\n")
 
 
 def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> str:

@@ -303,6 +303,19 @@ def test_aggregate_of_a_file_saved_with_a_byte_order_mark_is_as_without(tmp_path
     assert aggregate_annotations([marked]) == aggregate_annotations([plain])
 
 
+def test_aggregate_counts_an_item_whose_id_begins_with_a_hash(tmp_path):
+    exported = render_annotation_tasks([("#7", "claim 7", "nle 7")], n=1)
+    assert exported.startswith("# ") and exported.splitlines()[-1].startswith("#7\t")
+    filled = tmp_path / "filled.tsv"  # the '#' legend, the header row, then '#7' and '8', rated
+    filled.write_text(exported.replace("\t\t\t\t\t", "\t2\t2\t2\ta1\t")
+                      + "8\tclaim 8\tnle 8\t4\t4\t4\ta1\tclaimcheck\n")
+    assert [row["item_id"] for row in read_annotation_file(filled)] == ["#7", "8"]
+    summary = aggregate_annotations([filled])
+    assert summary.n_items == 2
+    assert summary.per_annotator["a1"] == {"plausibility": 3.0, "fluency": 3.0,
+                                           "correctness": 3.0}
+
+
 def test_aggregate_hand_computed_means(tmp_path):
     # One item rated 4, 4, 5 across annotators: mean 4.333 to 3 decimals.
     files = [

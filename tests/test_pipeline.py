@@ -401,6 +401,35 @@ def test_manifest_records_stages_and_input_hashes(fixture_config):
         file_sha256(fixture_config.artifact(pipeline.CORPUS_CLEAN))
 
 
+def test_manifest_lines_keep_their_keys_and_encoding(tmp_path, fixture_config):
+    pipeline.run_all(fixture_config)
+    filled = tmp_path / "évaluation-評価" / "filled.tsv"
+    filled.parent.mkdir()
+    filled.write_text("item_id\tclaim\tnle\tplausibility\tfluency\tcorrectness\tannotator_id"
+                      "\tsystem_id\nc1\tclaim\tnle\t4\t4\t4\ta1\tsys\n", encoding="utf-8")
+    pipeline.run_command(fixture_config, "annotate-aggregate", files=[str(filled)])
+    data = fixture_config.artifact(pipeline.MANIFEST).read_bytes()
+    lines = data.decode("utf-8").splitlines()
+    assert len(lines) == 11 and data.endswith(b"\n")
+    for line in lines:
+        entry = json.loads(line)
+        assert line == json.dumps(entry, ensure_ascii=False)
+        assert list(entry) == ["stage", "config_hash", "input_hashes", "output_hashes",
+                               "timestamp"]
+    assert list(json.loads(lines[-1])["input_hashes"]) == [str(filled)]
+    assert str(filled).encode("utf-8") in data and b"\\u" not in data  # raw UTF-8, unescaped
+
+
+def test_readme_names_every_manifest_key_in_order(fixture_config):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"\| key \| value \|\n\| --- \| --- \|\n((?:\|.*\n)+)", readme).group(1)
+    documented = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert len(documented) == len(table.splitlines())
+    pipeline.run_all(fixture_config)
+    for line in fixture_config.artifact(pipeline.MANIFEST).read_text(encoding="utf-8").splitlines():
+        assert list(json.loads(line)) == documented
+
+
 # ---------------------------------------------------------------------------
 # Full fixture run
 
@@ -982,12 +1011,12 @@ def _edit_first_claim(path):
     return row["id"]
 
 
-def _damage_corpus_once_ingest_wrote_it(damage, monkeypatch):
+def _damage_corpus_once_ingest_wrote_it(config, damage, monkeypatch):
     """Make `damage` hit corpus_clean.jsonl after ingest writes it, before split reads it."""
     append_manifest = pipeline.append_manifest
 
-    def append_then_damage(config, stage, *rest):
-        append_manifest(config, stage, *rest)
+    def append_then_damage(append, stage, *rest):
+        append_manifest(append, stage, *rest)
         if stage == "ingest":
             damage(config.artifact(pipeline.CORPUS_CLEAN))
 
@@ -1003,8 +1032,8 @@ def test_run_all_decodes_an_artifact_edited_between_its_write_and_first_read(
         seen.update({i: r.claim for i, r in records.items()})
         return split.fn(config, config_hash, records)
 
-    _damage_corpus_once_ingest_wrote_it(lambda path: edited.append(_edit_first_claim(path)),
-                                        monkeypatch)
+    _damage_corpus_once_ingest_wrote_it(
+        fixture_config, lambda path: edited.append(_edit_first_claim(path)), monkeypatch)
     monkeypatch.setitem(pipeline.COMMANDS, "split", split._replace(fn=record_claims))
     pipeline.run_all(fixture_config)
     assert seen[edited[0]] == "an edited claim."
@@ -1017,7 +1046,7 @@ def test_run_all_decodes_an_artifact_edited_between_its_write_and_first_read(
 
 def test_run_all_rejects_an_artifact_truncated_between_its_write_and_first_read(
         fixture_config, monkeypatch):
-    _damage_corpus_once_ingest_wrote_it(_cut_in_half, monkeypatch)
+    _damage_corpus_once_ingest_wrote_it(fixture_config, _cut_in_half, monkeypatch)
     with pytest.raises(CorruptArtifact, match="corpus_clean.jsonl line"):
         pipeline.run_all(fixture_config)
 
@@ -1408,7 +1437,7 @@ MALFORMED_INPUTS = {
                                         "nles.jsonl line 2: bad record (ValidationError: "
                                         "unknown field 'verdict')"),
     "output_dir under a regular file": ({"output_dir": str(UNDER_A_FILE)}, (), None, None,
-                                        "ingest", f"cannot write {UNDER_A_FILE}/corpus_clean.jsonl:"
+                                        "ingest", f"cannot write {UNDER_A_FILE}/manifest.jsonl:"
                                         " [Errno 20] Not a directory"),
     "splits a directory": ({}, UPSTREAM[:2], pipeline.SPLITS, _directory_in_place, "rationales",
                            "splits.json: [Errno 21] Is a directory"),
