@@ -42,7 +42,6 @@ from .rationale import (
     Rationale,
     SummarizationBackend,
     SummaryConfig,
-    batch_generate,
     generate_rationale,
     stub_summarize,
 )

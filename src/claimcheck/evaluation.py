@@ -16,10 +16,10 @@ from enum import Enum
 from itertools import dropwhile
 from pathlib import Path
 from statistics import fmean
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .corpus import VerdictLabel
-from .errors import ValidationError, call_backend
+from .errors import ValidationError, call_backend, map_records
 from .store import open_input
 from .verdict import Text2TextBackend, UndecodableGeneration
 
@@ -132,14 +132,15 @@ def decode_nli(raw: str) -> NliVerdict:
     return verdict
 
 
-def evaluate_nli(records: Sequence[tuple[str, str]], nli_backend: Text2TextBackend) -> NliReport:
-    """Run the entailment audit over (claim, explanation text) pairs."""
+def evaluate_nli(records: Mapping[str, tuple[str, str]],
+                 nli_backend: Text2TextBackend) -> tuple[NliReport, dict[str, str]]:
+    """The entailment audit of {record id: (claim, explanation)}: (report, failed records)."""
     if not records:
         raise ValidationError("no records to evaluate")
-    verdicts = [decode_nli(call_backend("NLI backend", nli_backend.identity, nli_backend.generate,
-                                        build_nli_prompt(claim, explanation)))
-                for claim, explanation in records]
-    return NliReport.from_verdicts(verdicts)
+    verdicts, failures = map_records(lambda pair: decode_nli(call_backend(
+        "NLI backend", nli_backend.identity, nli_backend.generate, build_nli_prompt(*pair))),
+        records)
+    return NliReport.from_verdicts(list(verdicts.values())), failures
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +225,11 @@ def render_annotation_tasks(
 
 
 def read_annotation_file(path: str | Path) -> list[dict[str, str]]:
-    """Read a (possibly filled) annotation file back into row dicts. A '#' line is the legend
-    only before the header row; after it every line is data, so an item id may begin with '#'."""
+    """Read a (possibly filled) annotation file back into row dicts. A '#' or blank line is
+    skipped only before the header row; after it every line is data: an item id may begin '#'."""
     with open_input(path, "annotation file", "") as fh:
-        return list(csv.DictReader(dropwhile(lambda ln: ln.startswith("#"), fh), delimiter="\t"))
+        return list(csv.DictReader(dropwhile(lambda ln: ln[0] == "#" or ln.isspace(), fh),
+                                   delimiter="\t"))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     call_backend,
     config_value,
+    map_records,
 )
 from .store import (
     CorruptArtifact,
@@ -346,15 +347,15 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, obj
 def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tuple[str, object]:
     """Encode and write one artifact; return the sha256 of the bytes written and the value.
 
-    The value is what _read returns for those bytes: a read-only {key: record} for a
-    store of records, and the payload itself for a document or a file without a header.
+    The value is what _read returns for those bytes: the payload itself, read-only for a
+    store of records.
     """
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.kind is None:
         return write_text(path, (payload,)), payload
     if spec.key is None:
         return write_doc(path, spec.kind, config_hash, to_row(payload)), payload
-    records = MappingProxyType({getattr(record, spec.key): record for record in payload})
+    records = MappingProxyType(payload)
 
     def rows():
         for record in records.values():
@@ -369,7 +370,8 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tupl
 # Stage functions: fn(config, config_hash, *decoded needs, **command args)
 # returns (summary, {artifact file name: payload}) plus, for stages that read
 # files outside the output directory, {manifest key: sha256}. A store's payload
-# is its records, a document's its dataclass value, a plain file's its text.
+# is {key: record}, a document's its dataclass value, a plain file's its text. A
+# stage that maps over its records names the failed ones in summary["failures"].
 
 
 def _ingest(config: PipelineConfig, config_hash: str):
@@ -399,7 +401,7 @@ def _ingest(config: PipelineConfig, config_hash: str):
     stats = replace(compute_stats(records), dropped_ids=tuple(dropped))
     matches_benchmark = stats.total == BENCHMARK_TOTAL and stats.per_label == BENCHMARK_PER_LABEL
     summary = {**to_row(stats), "matches_benchmark": matches_benchmark}
-    return summary, {CORPUS_CLEAN: records, CORPUS_STATS: stats}, sources
+    return summary, {CORPUS_CLEAN: {r.id: r for r in records}, CORPUS_STATS: stats}, sources
 
 
 def _stats(config, config_hash, stats):  # the cleaned corpus; ingest names what it dropped
@@ -414,9 +416,9 @@ def _split(config, config_hash, records):
 def _rationales(config, config_hash, records, _splits):
     # splits is read only to check that it was made under this config
     backend = create_summarizer(config.backends.summarizer)
-    result = rationale.batch_generate(list(records.values()), backend, config.summary)
-    generated = list(result.rationales.values())
-    return {"generated": len(generated), "failures": result.failures}, {RATIONALES: generated}
+    generated, failures = map_records(lambda record: rationale.generate_rationale(
+        record.evidence, backend, config.summary, record.id), records)
+    return {"generated": len(generated), "failures": failures}, {RATIONALES: generated}
 
 
 def _train(config, config_hash, records, splits, rationales):
@@ -450,20 +452,22 @@ def _predict(config, config_hash, records, rationales, model):
             raise CorruptArtifact(config.artifact(MODEL_STATE),
                                   f"cannot restore the state: {exc.detail}") from exc
 
-    predictions = [verdict.classify(r.claim, rationales[r.id], backend)
-                   for r in records.values() if r.id in rationales]
+    predictions, failures = map_records(
+        lambda r: verdict.classify(r.claim, rationales[r.id], backend),
+        {i: r for i, r in records.items() if i in rationales})
     skipped = [i for i in records if i not in rationales]
     if skipped:
         logger.warning("no rationale for %d records; skipped: %s", len(skipped), ", ".join(skipped))
-    return {"predicted": len(predictions), "skipped": skipped}, {PREDICTIONS: predictions}
+    summary = {"predicted": len(predictions), "skipped": skipped, "failures": failures}
+    return summary, {PREDICTIONS: predictions}
 
 
 def _nle(config, config_hash, rationales, predictions):
-    explanations = []
-    for prediction in predictions.values():
-        if prediction.record_id not in rationales:
-            raise ValidationError(f"no rationale for record {prediction.record_id!r}")
-        explanations.append(nle.compose_nle(prediction, rationales[prediction.record_id]))
+    explanations = {}
+    for record_id, prediction in predictions.items():
+        if record_id not in rationales:
+            raise ValidationError(f"no rationale for record {record_id!r}")
+        explanations[record_id] = nle.compose_nle(prediction, rationales[record_id])
     return {"explanations": len(explanations)}, {NLES: explanations}
 
 
@@ -471,73 +475,25 @@ def _explain(config, config_hash, records, splits, rationales):
     """Attribute rationale generation for the first few test records."""
     backend = create_summarizer(config.backends.summarizer)
     explain = config.explain
-    target_ids = [i for i in splits.test if i in rationales][: explain.records]
-    targets = [records[i] for i in target_ids]
-    features = [attribution.evidence_features(r.evidence, explain.granularity) for r in targets]
-    results = _attribute_all(targets, features, backend, config.summary, explain)
-    out_records = []
-    docs = []
-    for record_id, result in zip(target_ids, results):
-        docs.append(attribution.export_highlights(result, title=f"record {record_id}"))
-        out_records.append(HighlightRecord(record_id, explain.granularity, result.method,
-                                           result.features, result.phi,
-                                           tuple(map(attribution.polarity, result.phi))))
+    targets = {i: (records[i], attribution.evidence_features(records[i].evidence,
+                                                             explain.granularity))
+               for i in [i for i in splits.test if i in rationales][: explain.records]}
+    calls = sum(attribution.plan_attribution(len(f), explain.permutations)[1]
+                for _, f in targets.values())
+
+    def attribute(target):  # attribution.* is looked up at each call, where a tracer may wrap it
+        record, features = target
+        value_fn = attribution.rationale_value_fn(record, features, backend, config.summary)
+        return attribution.attribute(features, value_fn, explain.permutations, explain.seed)
+
+    results, failures = map_records(attribute, targets, calls)
+    out_records = [HighlightRecord(i, explain.granularity, r.method, r.features, r.phi,
+                                   tuple(map(attribution.polarity, r.phi)))
+                   for i, r in results.items()]
+    docs = [attribution.export_highlights(r, title=f"record {i}") for i, r in results.items()]
     page = f"<!-- config_hash: {config_hash} -->\n{attribution.render_highlight_page(docs)}"
-    return {"explained": target_ids}, {HIGHLIGHTS: Highlights(tuple(out_records)),
-                                       HIGHLIGHTS_HTML: page}
-
-
-# explain attributes its records in forked worker processes only when their value calls,
-# as attribution.plan_attribution bounds them, exceed this many: below it, starting the
-# workers costs about what they save. On a 2-CPU host with the stub summarizer, 2
-# long-evidence records (2,713 calls) broke even and 3 (5,114 calls) ran 1.3x faster.
-EXPLAIN_POOL_MIN_VALUE_CALLS = 4096
-
-# In an explain worker process: (summarizer, SummaryConfig, ExplainSettings), set once by
-# _start_explain_worker, so no task pickles the backend.
-_worker_job: tuple = ()
-
-
-def _attribute_record(record, features, backend, summary, explain):
-    # attribution's functions are looked up at each call, where a tracer may have wrapped them
-    value_fn = attribution.rationale_value_fn(record, features, backend, summary)
-    return attribution.attribute(features, value_fn, explain.permutations, explain.seed)
-
-
-def _start_explain_worker(*job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _attribute_in_worker(record, features):
-    return _attribute_record(record, features, *_worker_job)
-
-
-def _attribute_all(targets, features, backend, summary, explain) -> list:
-    """The AttributionResult of each target record, in order: in min(CPUs, records) forked
-    worker processes when there are two of each, fork exists and the records' value calls
-    exceed EXPLAIN_POOL_MIN_VALUE_CALLS; in this process otherwise. Every record's
-    attribution is deterministic and independent of the others, so both give the same bytes."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(targets))
-    calls = sum(attribution.plan_attribution(len(f), explain.permutations)[1] for f in features)
-    job = backend, summary, explain
-    if workers > 1 and calls > EXPLAIN_POOL_MIN_VALUE_CALLS:
-        import multiprocessing  # the pool's modules cost start-up time and memory
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            # Fork, not spawn: a worker inherits the backend, so one registered at run time,
-            # or one that cannot be pickled, works in it too.
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_start_explain_worker, initargs=job) as pool:
-                try:
-                    return list(pool.map(_attribute_in_worker, targets, features, chunksize=1))
-                except BrokenProcessPool as exc:
-                    raise BackendError(f"an explain worker process died: {exc}") from exc
-    return [_attribute_record(record, f, *job) for record, f in zip(targets, features)]
+    return {"explained": list(results), "failures": failures}, {
+        HIGHLIGHTS: Highlights(tuple(out_records)), HIGHLIGHTS_HTML: page}
 
 
 def _eval_f1(config, config_hash, records, splits, predictions):
@@ -558,9 +514,9 @@ def _eval_f1(config, config_hash, records, splits, predictions):
 
 def _eval_nli(config, config_hash, records, splits, nles):
     """Entailment audit of the test-split explanations."""
-    pairs = [(records[i].claim, nles[i].text) for i in splits.test if i in nles]
-    report = evaluation.evaluate_nli(pairs, create_nli(config.backends.nli))
-    return to_row(report), {EVAL_NLI: report}
+    pairs = {i: (records[i].claim, nles[i].text) for i in splits.test if i in nles}
+    report, failures = evaluation.evaluate_nli(pairs, create_nli(config.backends.nli))
+    return {**to_row(report), "failures": failures}, {EVAL_NLI: report}
 
 
 def _annotate_export(config, config_hash, records, splits, nles, n=None):
@@ -679,7 +635,7 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
     cleaned corpus when it reads both (_check_splits), write its outputs and hold them in
     `table`, and stamp a manifest entry with the sha256 of every file it read and wrote.
     A command that writes nothing opens no manifest; any other opens it before its first
-    output is written."""
+    output is written. If records failed, it then raises a BackendError naming them."""
     stage = COMMANDS.get(name)
     if stage is None:
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
@@ -707,6 +663,13 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
             table.hold(output, output_hashes[output], config_hash, value)
         input_hashes.update(*sources)
         append_manifest(append, stage.name, config_hash, input_hashes, output_hashes)
+    failures = summary.get("failures", {})  # errors.map_records' policy
+    for record_id, reason in failures.items():
+        logger.warning("record %s failed: %s", record_id, reason)
+    if failures:
+        record_id, reason = next(iter(failures.items()))
+        raise BackendError(f"{stage.name}: {len(failures)} of its records failed and the others "
+                           f"were written; the first, {record_id!r}: {reason}")
     return summary
 
 

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import logging
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-from .corpus import ClaimRecord
-from .errors import BackendFailure, ValidationError, call_backend
+from .errors import ValidationError, call_backend
 from .store import check_fields, check_range
 from .textutil import split_sentences, tokenize
 
 logger = logging.getLogger(__name__)
-
-
-class EmptyEvidence(ValidationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class SummarizationBackend(ABC):
     Implementations must be deterministic for fixed state and input
     (decoding randomness disabled) so audits are reproducible.
     `explain` may call `summarize` in worker processes forked from the
-    caller's (see pipeline.EXPLAIN_POOL_MIN_VALUE_CALLS): each holds a
+    caller's (see errors.EXPLAIN_POOL_MIN_VALUE_CALLS): each holds a
     copy of the backend made at the fork, and what a call changes in it
     stays in that worker.
     """
@@ -74,7 +68,7 @@ class SummarizationBackend(ABC):
 
     @abstractmethod
     def summarize(self, evidence: str, config: SummaryConfig) -> str:
-        raise NotImplementedError
+        """The summary text of `evidence`, within config's token bounds."""
 
 
 def stub_summarize(evidence: str, config: SummaryConfig) -> str:
@@ -122,7 +116,7 @@ def summarize_evidence(
     BackendFailure.
     """
     if not evidence or not evidence.strip():
-        raise EmptyEvidence(f"record {record_id!r}: evidence is empty")
+        raise ValidationError(f"record {record_id!r}: evidence is empty")
     # k whitespace tokens span at least 2k - 1 characters, so evidence of at
     # most 2 * backend_max_input characters is within the limit uncounted.
     tokens = tokenize(evidence) if len(evidence) > 2 * config.backend_max_input else ()
@@ -151,29 +145,3 @@ def generate_rationale(
         token_length=len(tokenize(text)),
         backend_id=backend.identity,
     )
-
-
-@dataclass
-class BatchResult:
-    """Per-record rationales plus a report of per-record failures."""
-
-    rationales: dict[str, Rationale] = field(default_factory=dict)
-    failures: dict[str, str] = field(default_factory=dict)
-
-
-def batch_generate(
-    split: Sequence[ClaimRecord],
-    backend: SummarizationBackend,
-    config: SummaryConfig,
-) -> BatchResult:
-    """Generate one rationale per record; failures are reported, not fatal."""
-    result = BatchResult()
-    for record in split:
-        try:
-            result.rationales[record.id] = generate_rationale(
-                record.evidence, backend, config, record_id=record.id
-            )
-        except (EmptyEvidence, BackendFailure) as exc:
-            logger.warning("rationale generation failed for %s: %s", record.id, exc)
-            result.failures[record.id] = str(exc)
-    return result

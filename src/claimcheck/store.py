@@ -62,6 +62,7 @@ class _Misfit(Exception):
 
 
 field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved
+JSON_INT_BOUND = 10 ** 4300  # JSON spells an integer of at most 4,300 digits, the int-to-text limit
 
 
 @cache
@@ -80,10 +81,11 @@ def value_rule(hint) -> tuple[Callable[[object], bool], str]:
                 f"{count} {wanted.split()[-1]}s")
     if is_dataclass(hint):
         return lambda v: isinstance(v, hint), f"{hint.__name__} settings"
-    if hint is float:  # a finite number: JSON's non-standard NaN and Infinity are not
-        return (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-                and (isinstance(v, int) or math.isfinite(v))), "a number"
-    scalars = {str: (str, "a string"), int: (int, "an integer"), type(None): (type(None), "null"),
+    if hint in (int, float):  # one JSON spells: not its non-standard NaN or Infinity
+        return (lambda v: isinstance(v, (int, hint)) and not isinstance(v, bool)
+                and (-JSON_INT_BOUND < v < JSON_INT_BOUND if isinstance(v, int)
+                     else math.isfinite(v))), "an integer" if hint is int else "a number"
+    scalars = {str: (str, "a string"), type(None): (type(None), "null"),
                list: (list, "a list"), dict: (dict, "an object")}
     if hint not in scalars:
         raise TypeError(f"cannot check a value against {hint!r}")

@@ -118,7 +118,7 @@ class Text2TextBackend(ABC):
 
     @abstractmethod
     def generate(self, prompt: str) -> str:
-        raise NotImplementedError
+        """The backend's answer to `prompt`."""
 
 
 class TrainableBackend(Text2TextBackend):
@@ -127,16 +127,14 @@ class TrainableBackend(Text2TextBackend):
     @abstractmethod
     def train_step(self, batch: Sequence[tuple[str, str]]) -> float:
         """Fit one batch; returns the batch loss before the update."""
-        raise NotImplementedError
 
     @abstractmethod
     def snapshot(self) -> dict:
         """JSON-serializable copy of the trainable state."""
-        raise NotImplementedError
 
     @abstractmethod
     def restore(self, state: dict) -> None:
-        raise NotImplementedError
+        """Load a state that snapshot returned."""
 
 
 class MemorizingBackend(TrainableBackend):

@@ -31,7 +31,8 @@ from claimcheck.evaluation import (
 )
 from claimcheck.attribution import exact_shapley, sampled_shapley
 from claimcheck.nle import compose_nle
-from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate, stub_summarize
+from claimcheck.rationale import (LeadSummarizer, Rationale, SummaryConfig, generate_rationale,
+                                  stub_summarize)
 from claimcheck.store import file_sha256
 from claimcheck.textutil import tokenize
 from claimcheck.verdict import VerdictPrediction, build_copa_prompt
@@ -176,8 +177,8 @@ def test_c06_rationale_bounds_and_claim_blindness(tmp_path):
     for row in rows:
         row["claim"] = "an entirely unrelated assertion."
     perturbed = parse_corpus(write_corpus(tmp_path / "b.jsonl", rows))
-    base = batch_generate(records, backend, config).rationales
-    after = batch_generate(perturbed, backend, config).rationales
+    base, after = ({r.id: generate_rationale(r.evidence, backend, config, r.id) for r in rs}
+                   for rs in (records, perturbed))
     assert all(after[record_id].text == base[record_id].text for record_id in base)
     assert time.monotonic() - start < 10
 

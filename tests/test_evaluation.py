@@ -180,18 +180,19 @@ def test_decode_nli_rejects_junk():
 
 def test_evaluate_nli_with_programmed_backend():
     backend = pipeline.create_nli("stub-nli")
-    pairs = [(f"claim {i}", f"explanation {i}") for i in range(3)]
+    pairs = {f"r{i}": (f"claim {i}", f"explanation {i}") for i in range(3)}
     outputs = ["entailment", "neutral", "entailment"]
     backend.train_step([(build_nli_prompt(claim, nle), output)
-                        for (claim, nle), output in zip(pairs, outputs)])
-    report = evaluate_nli(pairs, backend)
+                        for (claim, nle), output in zip(pairs.values(), outputs)])
+    report, failures = evaluate_nli(pairs, backend)
+    assert failures == {}
     assert report.counts[NliVerdict.ENTAILMENT] == 2
     assert report.counts[NliVerdict.NEUTRAL] == 1
 
 
 def test_evaluate_nli_empty_input():
     with pytest.raises(ValidationError, match="^no records to evaluate$"):
-        evaluate_nli([], pipeline.create_nli("stub-nli"))
+        evaluate_nli({}, pipeline.create_nli("stub-nli"))
 
 
 @given(st.text())
@@ -301,6 +302,14 @@ def test_aggregate_of_a_file_saved_with_a_byte_order_mark_is_as_without(tmp_path
     # UTF-8's byte order mark, then a legend line as in an exported file, then the rows
     marked.write_bytes(b"\xef\xbb\xbf# legend\n" + plain.read_bytes())
     assert aggregate_annotations([marked]) == aggregate_annotations([plain])
+
+
+def test_aggregate_skips_blank_lines_between_the_legend_and_the_header(tmp_path):
+    plain = write_filled(tmp_path / "a1.tsv", [filled_row("r0", 4, 5, 3, "a1")])
+    spaced = tmp_path / "spaced.tsv"
+    spaced.write_text("# legend\n\n \t\n# more legend\n\n" + plain.read_text())
+    assert read_annotation_file(spaced) == read_annotation_file(plain)
+    assert aggregate_annotations([spaced]).n_items == 1
 
 
 def test_aggregate_counts_an_item_whose_id_begins_with_a_hash(tmp_path):

@@ -12,6 +12,7 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -19,15 +20,15 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from claimcheck import pipeline
+from claimcheck import errors, pipeline
 from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, VerdictLabel, default_blocklist_path
 from claimcheck.errors import ValidationError, config_value
-from claimcheck.evaluation import AnnotationMeans
+from claimcheck.evaluation import NLI_CHOICES, AnnotationMeans
 from claimcheck.rationale import LeadSummarizer, SummarizationBackend
 from claimcheck.store import CorruptArtifact, file_sha256, from_row, to_row, write_doc
-from claimcheck.verdict import MemorizingBackend, Text2TextBackend
+from claimcheck.verdict import MemorizingBackend, Text2TextBackend, TrainConfig
 
 from conftest import FIXTURES
 from helpers import make_rows, write_config, write_corpus
@@ -93,14 +94,32 @@ def test_a_value_nested_too_deep_to_quote_is_named_not_quoted():
 
 
 @pytest.mark.parametrize("settings, message", [
-    ({"seed": [10**5000]}, "'explain.seed' must be an integer"),  # check_fields
-    ({"records": -10**5000}, "'explain.records' must be >= 0"),  # check_range
+    ({"seed": [10**5000]}, "'explain.seed' must be an integer"),
+    # check_fields refuses it before check_range could: JSON cannot spell it
+    ({"records": -10**5000}, "'explain.records' must be an integer"),
 ])
 def test_a_settings_value_too_long_to_quote_is_named_not_quoted(settings, message):
     # json.dumps refuses an integer of over 4,300 digits; only a library caller can pass one.
     with pytest.raises(ValidationError, match=f"^config key {message}, got a value too long to "
                                               "quote$"):
         pipeline.ExplainSettings(**settings)
+
+
+@pytest.mark.parametrize("key, wanted, config", [
+    ("explain.seed", "an integer",
+     lambda n: pipeline.PipelineConfig("c.jsonl", "out", explain=pipeline.ExplainSettings(seed=n))),
+    ("train.learning_rate", "a number",
+     lambda n: pipeline.PipelineConfig("c.jsonl", "out", train=TrainConfig(learning_rate=n))),
+    ("ratios", "three numbers", lambda n: pipeline.PipelineConfig("c.jsonl", "out",
+                                                                  ratios=(n, 0.5, 0.5))),
+])
+def test_an_integer_json_cannot_spell_is_refused_by_check_fields(key, wanted, config):
+    # config_hash hashes the settings' JSON text, which cannot hold an integer of 4,301 digits
+    for n in (10**4300, -10**4300):
+        with pytest.raises(ValidationError, match=f"^config key {key!r} must be {wanted}, got a "
+                                                  "value too long to quote$"):
+            config(n)
+    assert len(config(10**4300 - 1).config_hash) == 64
 
 
 def test_config_saved_with_a_byte_order_mark_loads_as_without(tmp_path, corpus20_path):
@@ -477,7 +496,7 @@ def explain_cpus(monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    monkeypatch.setattr(pipeline, "EXPLAIN_POOL_MIN_VALUE_CALLS", 0)
+    monkeypatch.setattr(errors, "EXPLAIN_POOL_MIN_VALUE_CALLS", 0)
 
     def use(cpus, cpus_from="sched_getaffinity"):
         if cpus_from == "sched_getaffinity":
@@ -560,17 +579,24 @@ def failing_explain(tmp_path, monkeypatch):
 @pytest.mark.skipif(not FORK, reason="explain starts worker processes by fork only")
 def test_explain_worker_backend_failure_exits_two_as_in_process(failing_explain, tmp_path,
                                                                explain_cpus, capsys):
+    # the failed record is named, the other five are written, the same way in both
     capsys.readouterr()
-    errors = {}
+    failed = json.loads((tmp_path / "out" / pipeline.SPLITS).read_text())["test"][1]
+    err, written = {}, {}
     for cpus in (1, 2):
         pools = explain_cpus(cpus)
         assert main(["explain", "--config", str(failing_explain)]) == 2
-        errors[cpus] = capsys.readouterr().err
-        assert not (tmp_path / "out" / pipeline.HIGHLIGHTS).exists()
+        err[cpus] = capsys.readouterr().err.splitlines()[-1]
+        written[cpus] = [(tmp_path / "out" / name).read_bytes()
+                         for name in (pipeline.HIGHLIGHTS, pipeline.HIGHLIGHTS_HTML)]
         assert multiprocessing.active_children() == []
     assert pools == [2]
-    assert errors[1] == errors[2] == "backend error: backend failure: summarizer " \
-                                     "'stub-failing': model OOM\n"
+    assert err[1] == err[2] == f"backend error: explain: 1 of its records failed and the others " \
+                               f"were written; the first, {failed!r}: backend failure: summarizer " \
+                               "'stub-failing': model OOM"
+    assert written[1] == written[2]
+    explained = [r["record_id"] for r in json.loads(written[2][0])["records"]]
+    assert len(explained) == 5 and failed not in explained
 
 
 @pytest.mark.skipif(not FORK, reason="explain starts worker processes by fork only")
@@ -586,6 +612,116 @@ def test_explain_worker_that_dies_exits_two(failing_explain, tmp_path, explain_c
     assert "Traceback" not in err
     assert not (tmp_path / "out" / pipeline.HIGHLIGHTS).exists()
     assert multiprocessing.active_children() == []
+
+
+FAIL_ON: list[str] = []  # the FailOn stubs raise on an input that holds one of these texts
+
+
+def _fail_on(text):
+    if any(marker in text for marker in FAIL_ON):
+        raise RuntimeError("model OOM")
+
+
+class FailOnSummarizer(LeadSummarizer):
+    identity = "stub-fail-on"
+
+    def summarize(self, evidence, config):
+        _fail_on(evidence)
+        return super().summarize(evidence, config)
+
+
+class FailOnModel(MemorizingBackend):
+    def generate(self, prompt):
+        _fail_on(prompt)
+        return super().generate(prompt)
+
+
+@pytest.fixture
+def fail_on_record(tmp_path, monkeypatch):
+    """A config over 40 records whose three backends are FailOn stubs, run up to split, and the
+    first test record's id and its texts that FAIL_ON may hold: its claim, which the classifier
+    and NLI prompts quote, and its first evidence sentence, which its whole evidence holds: what
+    rationales summarizes, and what explain summarizes first for the record's reference."""
+    for registry, factory in (("SUMMARIZER_BACKENDS", FailOnSummarizer),
+                              ("CLASSIFIER_BACKENDS", partial(FailOnModel, "stub-fail-on")),
+                              ("NLI_BACKENDS", partial(FailOnModel, "stub-fail-on", NLI_CHOICES))):
+        monkeypatch.setitem(getattr(pipeline, registry), "stub-fail-on", factory)
+    backends = {role: "stub-fail-on" for role in ("summarizer", "classifier", "nli")}
+    config = cli_config(tmp_path, write_corpus(tmp_path / "corpus.jsonl", make_rows(40, 20)),
+                        backends=backends)
+    for cmd in ("ingest", "split"):
+        assert main([cmd, "--config", str(config)]) == 0
+    records = {r["id"]: r for r in map(json.loads, (
+        tmp_path / "out" / pipeline.CORPUS_CLEAN).read_text().splitlines()[1:])}
+    chosen = json.loads((tmp_path / "out" / pipeline.SPLITS).read_text())["test"][0]
+    markers = [records[chosen]["claim"], evidence_features(records[chosen]["evidence"])[0]]
+    assert not any(m in r["claim"] + r["evidence"] for i, r in records.items() if i != chosen
+                   for m in markers)
+    yield config, chosen, markers
+    FAIL_ON.clear()
+
+
+def _record_ids(text):
+    return [json.loads(line)["record_id"] for line in text.splitlines()[1:]]
+
+
+# stage: (the commands before it, the file it writes, what that file holds of the records, the
+# backend role that fails)
+PER_RECORD_STAGES = {
+    "rationales": ((), pipeline.RATIONALES, _record_ids, "summarizer"),
+    "predict": (("rationales", "train"), pipeline.PREDICTIONS, _record_ids, "classifier"),
+    "explain": (("rationales",), pipeline.HIGHLIGHTS,
+                lambda text: [r["record_id"] for r in json.loads(text)["records"]], "summarizer"),
+    "eval-nli": (("rationales", "train", "predict", "nle"), pipeline.EVAL_NLI,
+                 lambda text: json.loads(text)["total"], "NLI backend"),
+}
+
+
+@pytest.mark.parametrize("stage", list(PER_RECORD_STAGES))
+def test_a_failed_record_is_named_and_the_others_written_before_exit_two(stage, fail_on_record,
+                                                                        tmp_path, capsys, caplog):
+    config, chosen, markers = fail_on_record
+    before, output, held, role = PER_RECORD_STAGES[stage]
+    reason = f"backend failure: {role} 'stub-fail-on': model OOM"
+    for cmd in (*before, stage):
+        assert main([cmd, "--config", str(config)]) == 0
+    path, manifest = tmp_path / "out" / output, tmp_path / "out" / pipeline.MANIFEST
+    clean = held(path.read_text())
+    capsys.readouterr()
+    FAIL_ON[:] = markers
+    assert main([stage, "--config", str(config)]) == 2
+    written = held(path.read_text())
+    if stage == "eval-nli":
+        assert written == clean - 1
+    else:
+        assert chosen in clean and written == [i for i in clean if i != chosen]
+    assert capsys.readouterr().err == (f"backend error: {stage}: 1 of its records failed and "
+                                       f"the others were written; the first, {chosen!r}: "
+                                       f"{reason}\n")
+    assert f"record {chosen} failed: {reason}" in caplog.text
+
+    # every record fails: the first error, and nothing written
+    entries = manifest.read_text().count("\n")
+    path.unlink()
+    FAIL_ON[:] = [""]
+    assert main([stage, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"backend error: {reason}\n"
+    assert not path.exists()
+    assert manifest.read_text().count("\n") == entries
+
+
+def test_a_record_without_a_rationale_is_skipped_downstream_with_warnings(fail_on_record,
+                                                                         tmp_path, caplog):
+    config, chosen, markers = fail_on_record
+    FAIL_ON[:] = markers
+    assert main(["rationales", "--config", str(config)]) == 2
+    FAIL_ON.clear()
+    for cmd in ("train", "predict", "nle", "eval-f1"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert f"no rationale for 1 records; skipped: {chosen}" in caplog.text
+    assert "test split: 1 records lack predictions" in caplog.text
+    predicted = _record_ids((tmp_path / "out" / pipeline.PREDICTIONS).read_text())
+    assert len(predicted) == 39 and chosen not in predicted
 
 
 def test_ingest_rerun_is_byte_identical(fixture_config):

@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck.corpus import parse_corpus
-from claimcheck.errors import BackendFailure
+from claimcheck.errors import BackendFailure, ValidationError, map_records
 from claimcheck.rationale import (
-    BatchResult,
-    EmptyEvidence,
     LeadSummarizer,
     SummarizationBackend,
     SummaryConfig,
-    batch_generate,
     generate_rationale,
     stub_summarize,
     summarize_evidence,
@@ -105,7 +102,7 @@ def test_generate_sets_metadata():
 
 
 def test_generate_empty_evidence_raises():
-    with pytest.raises(EmptyEvidence):
+    with pytest.raises(ValidationError, match="^record 'r1': evidence is empty$"):
         generate_rationale("   ", BACKEND, SummaryConfig(), record_id="r1")
 
 
@@ -146,7 +143,7 @@ def test_summarize_evidence_is_the_rationale_path(caplog):
     assert text == "t1 t2 t3 t4 t5 t6 t7 t8"
     assert text == generate_rationale(evidence, EchoBackend(), config, record_id="r1").text
     assert sum("tail-truncating" in m for m in caplog.messages) == 2
-    with pytest.raises(EmptyEvidence):
+    with pytest.raises(ValidationError, match="^record 'r1': evidence is empty$"):
         summarize_evidence("   ", BACKEND, SummaryConfig(), record_id="r1")
     with pytest.raises(BackendFailure, match="synthetic outage"):
         summarize_evidence("e1 e2 e3", FailingBackend(), SummaryConfig(min_tokens=1, max_tokens=5))
@@ -176,23 +173,28 @@ def test_summary_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Batch generation
+# Batch generation: the rationales stage maps generate_rationale over its records
 
 
 def records_from(rows, tmp_path):
     return parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
 
 
+def batch_generate(records, backend=BACKEND, config=SummaryConfig()):
+    """(rationales, failures) by record id, as errors.map_records returns them."""
+    return map_records(lambda r: generate_rationale(r.evidence, backend, config, r.id),
+                       {r.id: r for r in records})
+
+
 def test_batch_one_rationale_per_record(tmp_path):
     records = records_from(make_rows(3, 2), tmp_path)
-    result = batch_generate(records, BACKEND, SummaryConfig())
-    assert set(result.rationales) == {r.id for r in records}
-    assert result.failures == {}
+    rationales, failures = batch_generate(records)
+    assert set(rationales) == {r.id for r in records}
+    assert failures == {}
 
 
 def test_batch_empty_split():
-    result = batch_generate([], BACKEND, SummaryConfig())
-    assert result == BatchResult()
+    assert batch_generate([]) == ({}, {})
 
 
 class FlakyBackend(SummarizationBackend):
@@ -210,9 +212,18 @@ def test_batch_reports_partial_failures(tmp_path):
     rows = make_rows(3, 2)
     rows[1]["evidence"] = "XFAIL " + rows[1]["evidence"]
     records = records_from(rows, tmp_path)
-    result = batch_generate(records, FlakyBackend(), SummaryConfig())
-    assert len(result.rationales) == 2
-    assert list(result.failures) == [rows[1]["id"]]
+    rationales, failures = batch_generate(records, FlakyBackend())
+    assert list(rationales) == [rows[0]["id"], rows[2]["id"]]
+    assert failures == {rows[1]["id"]: "backend failure: summarizer 'stub-flaky': marked record"}
+
+
+def test_batch_of_only_failing_records_raises_the_first_error(tmp_path):
+    rows = make_rows(3, 2)
+    for row in rows:
+        row["evidence"] = "XFAIL " + row["evidence"]
+    with pytest.raises(BackendFailure, match="^backend failure: summarizer 'stub-flaky': "
+                                             "marked record$"):
+        batch_generate(records_from(rows, tmp_path), FlakyBackend())
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +233,20 @@ def test_batch_reports_partial_failures(tmp_path):
 def test_claim_perturbation_leaves_rationales_identical(tmp_path):
     rows = make_rows(5, 3, seed=9)
     records = records_from(rows, tmp_path)
-    baseline = batch_generate(records, BACKEND, SummaryConfig())
+    baseline, _ = batch_generate(records)
     for row in rows:
         row["claim"] = "a completely different claim."
-    perturbed = batch_generate(records_from(rows, tmp_path), BACKEND, SummaryConfig())
-    for record_id, r in baseline.rationales.items():
-        assert perturbed.rationales[record_id].text == r.text
+    perturbed, _ = batch_generate(records_from(rows, tmp_path))
+    for record_id, r in baseline.items():
+        assert perturbed[record_id].text == r.text
 
 
 def test_mean_compression_ratio_on_benchmark_shaped_corpus(tmp_path):
     # Long evidence compresses to well under a third of its length.
     rows = make_rows(40, 20, seed=4, sentences=(30, 34), sentence_tokens=(12, 16))
     records = records_from(rows, tmp_path)
-    result = batch_generate(records, BACKEND, SummaryConfig())
+    rationales, _ = batch_generate(records)
     ratios = [
-        result.rationales[r.id].token_length / len(tokenize(r.evidence)) for r in records
+        rationales[r.id].token_length / len(tokenize(r.evidence)) for r in records
     ]
     assert sum(ratios) / len(ratios) <= 0.30

@@ -10,6 +10,7 @@ from claimcheck.store import (
     parse_json,
     read_doc,
     read_records,
+    value_rule,
     write_doc,
     write_records,
     write_text,
@@ -73,3 +74,8 @@ def test_an_input_may_hold_any_json_value_and_is_refused_with_its_own_name():
                                               r"line 2") as caught:
         parse_json('[5,\n]', "input x")
     assert type(caught.value) is ValidationError
+
+
+def test_value_rule_refuses_an_annotation_it_does_not_know():
+    with pytest.raises(TypeError, match=r"^cannot check a value against <class 'set'>$"):
+        value_rule(set)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from claimcheck.corpus import VerdictLabel, parse_corpus
 from claimcheck.errors import ValidationError
 from claimcheck.evaluation import decode_nli
-from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, batch_generate
+from claimcheck.rationale import LeadSummarizer, Rationale, SummaryConfig, generate_rationale
 from claimcheck.verdict import (
     PROMPT_PREFIX,
     QUESTION_MARKER,
@@ -162,9 +162,9 @@ def test_classify_total_over_choice_only_backend():
 def test_training_pairs_full_train_split(tmp_path):
     rows = make_rows(2804, 1402, sentences=(2, 3), sentence_tokens=(4, 6))
     records = parse_corpus(write_corpus(tmp_path / "c.jsonl", rows))
-    rationales = batch_generate(
-        records, LeadSummarizer(), SummaryConfig(min_tokens=1, max_tokens=30)
-    ).rationales
+    config = SummaryConfig(min_tokens=1, max_tokens=30)
+    rationales = {r.id: generate_rationale(r.evidence, LeadSummarizer(), config, r.id)
+                  for r in records}
     pairs = make_training_pairs(records, rationales)
     assert len(pairs) == 2804
     assert pairs[0][1] == "Supports"
