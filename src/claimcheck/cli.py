@@ -7,13 +7,13 @@ Exit codes: 0 success, 1 validation error, 2 backend failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from functools import partial
 
 from . import pipeline
 from .errors import BackendError, ValidationError
+from .store import DOC_ENCODER
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    print(DOC_ENCODER.encode(payload))
 
 
 def _print_ingest(summary: dict) -> None:

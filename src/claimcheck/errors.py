@@ -5,13 +5,12 @@ code 2; everything raised by the library derives from one of them.
 A subclass exists only where the package catches it or reads its data;
 every other raise site raises one of the two with its own message.
 
-This module also holds call_backend, the one wrap of a backend call, map_records, the one loop
-over a stage's records, and config_value, how an error message quotes a value. The schema rules
-of the config and the artifacts (value_rule, check_fields, check_range) live in store.py.
+This module also holds call_backend, the one wrap of a backend call, and map_records, the one
+loop over a stage's records. How a message quotes a value (config_value) lives in store.py, with
+the schema rules that quote one (value_rule, check_fields, check_range).
 """
 
 import copyreg
-import json
 import os
 from functools import partial
 
@@ -115,19 +114,3 @@ def map_records(fn, items: dict, value_calls: int = 0) -> tuple[dict, dict[str, 
         raise next(iter(errors.values()))
     return results, {key: str(error) for key, error in errors.items()}
 
-
-QUOTE_LIMIT = 200  # characters of a value an error message quotes
-
-
-def config_value(value) -> str:
-    """Quote a value as a JSON file spells it, a tuple made from a list as the list; past
-    QUOTE_LIMIT characters, cut short and followed by its full length."""
-    try:
-        text = json.dumps(value, ensure_ascii=False, default=repr)
-    except RecursionError:  # json.loads admits nesting a few calls short of the limit
-        return "a value nested too deep to quote"
-    except ValueError:  # an integer of over 4,300 digits, which only a library caller can pass
-        return "a value too long to quote"
-    if len(text) <= QUOTE_LIMIT:
-        return text
-    return f"{text[:QUOTE_LIMIT]}… ({len(text)} characters)"

@@ -15,7 +15,6 @@ is byte-identical.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections import Counter
@@ -44,14 +43,15 @@ from .errors import (
     BackendFailure,
     ValidationError,
     call_backend,
-    config_value,
     map_records,
 )
 from .store import (
+    CANONICAL_ENCODER,
     CorruptArtifact,
     append_lines,
     check_fields,
     check_range,
+    config_value,
     digest,
     file_sha256,
     from_row,
@@ -186,7 +186,7 @@ class PipelineConfig:
         payload = asdict(self)
         for key in ("corpus_path", "blocklist_path", "output_dir"):
             payload.pop(key)
-        return digest(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        return digest(CANONICAL_ENCODER.encode(payload).encode("utf-8"))
 
     def artifact(self, name: str) -> Path:
         return Path(self.output_dir) / name

@@ -1,23 +1,22 @@
 """Artifact stores with provenance headers.
 
-Every artifact file opens with {"kind", "config_hash"}; readers verify
-both, so artifacts produced under a different configuration can never be
-mixed into a run. Stores contain no timestamps, which keeps reruns
-byte-identical (timestamps live only in the run manifest).
+Every artifact file opens with {"kind", "config_hash"}; readers verify both, so artifacts produced
+under a different configuration can never be mixed into a run. Stores contain no timestamps, which
+keeps reruns byte-identical (timestamps live only in the run manifest).
 
-Writes go to a temporary file in the same directory that replaces the
-artifact only once it is complete, so a write that fails part-way leaves
-the previous artifact, or none, never a truncated one; only append_lines, the
-manifest's writer, appends. The others return the sha256 of the bytes they
-wrote, hashed as they are written; every other sha256 is taken by digest.
-read_bytes is the one way an artifact's bytes are read, open_input the one
-way an input from outside the output directory is.
-A file that cannot be read or written is a ValidationError naming it.
+Writes go to a temporary file in the same directory that replaces the artifact only once it is
+complete, so a write that fails part-way leaves the previous artifact, or none, never a truncated
+one; only append_lines, the manifest's writer, appends. The others return the sha256 of the bytes
+they wrote, hashed as they are written; every other sha256 is taken by digest. read_bytes is the
+one way an artifact's bytes are read, open_input the one way an input from outside the output
+directory is. A file that cannot be read or written is a ValidationError naming it.
 
-Only parse_json (an input: the config, a corpus line) and _parse_object (an artifact, which
-must hold an object) parse JSON, both through _DECODER. A text it refuses (malformed, a key
-repeated in one object, an integer of over 4,300 digits, nested past the recursion limit) is a
-ValidationError naming its file.
+No other module imports hashlib or json. Only parse_json (an input: the config, a corpus line) and
+_parse_object (an artifact, which must hold an object) parse JSON, both through _DECODER. A text
+it refuses (malformed, a key repeated in one object, an integer of over 4,300 digits, nested past
+the recursion limit) is a ValidationError naming its file. Four encoders, built once, write every
+JSON text: _ROW_ENCODER a store's rows and the manifest's lines, DOC_ENCODER documents and the
+summaries the CLI prints, CANONICAL_ENCODER the text config_hash hashes, _QUOTE_ENCODER a quote.
 
 A dataclass's annotations are its schema, and this module holds every rule about them:
 value_rule says which JSON values fit an annotation; from_row decodes a row, a document or the
@@ -44,7 +43,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Callable, Iterable, Literal, Union, get_args, get_origin, get_type_hints
 
-from .errors import ValidationError, config_value
+from .errors import ValidationError
 
 
 class CorruptArtifact(ValidationError):
@@ -59,6 +58,26 @@ class _Misfit(Exception):
     """(path, wanted, got): the JSON value at `path` is `got`, not `wanted`; (path, None, key):
     the object at `path` has a key its class does not declare. A decoder raises it with the path
     below itself, and each decoder above it puts its own step in front."""
+
+
+# Built once: json.dumps given a setting builds an encoder on every call.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
+DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True)
+_QUOTE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=repr)
+QUOTE_LIMIT = 200  # characters of a value an error message quotes
+
+
+def config_value(value) -> str:
+    """Quote a value as a JSON file spells it, a tuple made from a list as the list; past
+    QUOTE_LIMIT characters, cut short and followed by its full length."""
+    try:
+        text = _QUOTE_ENCODER.encode(value)
+    except RecursionError:  # json.loads admits nesting a few calls short of the limit
+        return "a value nested too deep to quote"
+    except ValueError:  # an integer of over 4,300 digits, which only a library caller can pass
+        return "a value too long to quote"
+    return text if len(text) <= QUOTE_LIMIT else f"{text[:QUOTE_LIMIT]}… ({len(text)} characters)"
 
 
 field_hints = cache(get_type_hints)  # dataclass -> its field annotations, resolved
@@ -264,11 +283,6 @@ def from_row(cls, row: dict, noun: str = "field"):
         raise ValidationError(f"{noun} {path[1:]!r} {detail}") from None
 
 
-# Built once: json.dumps given a setting builds an encoder on every call.
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
-_DOC_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
-
-
 def _json_object(pairs: list) -> dict:
     """An object's key-value pairs as a dict; a repeated key, whose last value json.loads keeps,
     is a ValueError naming it."""
@@ -405,7 +419,7 @@ def write_doc(path: str | Path, kind: str, config_hash: str, payload: dict) -> s
     """Write a single-document JSON artifact with embedded provenance. Returns the file's
     sha256."""
     doc = {"kind": kind, "config_hash": config_hash, **payload}
-    return write_text(path, chain(_DOC_ENCODER.iterencode(doc), ("\n",)))
+    return write_text(path, chain(DOC_ENCODER.iterencode(doc), ("\n",)))
 
 
 def read_doc(path: str | Path, kind: str, config_hash: str) -> tuple[str, dict]:

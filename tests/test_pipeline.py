@@ -24,10 +24,11 @@ from claimcheck import errors, pipeline
 from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, VerdictLabel, default_blocklist_path
-from claimcheck.errors import ValidationError, config_value
+from claimcheck.errors import ValidationError
 from claimcheck.evaluation import NLI_CHOICES, AnnotationMeans
 from claimcheck.rationale import LeadSummarizer, SummarizationBackend
-from claimcheck.store import CorruptArtifact, file_sha256, from_row, to_row, write_doc
+from claimcheck.store import (CorruptArtifact, config_value, file_sha256, from_row, to_row,
+                              write_doc)
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend, TrainConfig
 
 from conftest import FIXTURES
