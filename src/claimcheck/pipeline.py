@@ -321,9 +321,13 @@ def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, obj
         digest, doc = read_doc(path, spec.kind, config_hash)
         del doc["kind"], doc["config_hash"]  # read_doc has checked them
         try:
-            return digest, from_row(spec.cls, doc, "key")
+            value = from_row(spec.cls, doc, "key")
         except ValidationError as exc:
             raise CorruptArtifact(path, str(exc)) from exc
+        if name == MODEL_STATE and value.backend_id != config.backends.classifier:
+            raise CorruptArtifact(path, f"written for classifier {value.backend_id!r}, not the "
+                                        f"config's {config.backends.classifier!r}")
+        return digest, value
     digest, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
     for line, row in rows:
@@ -444,7 +448,7 @@ def _train(config, config_hash, records, splits, rationales):
 
 
 def _predict(config, config_hash, records, rationales, model):
-    backend = create_classifier(model.backend_id)
+    backend = create_classifier(config.backends.classifier)
     if isinstance(backend, verdict.TrainableBackend):
         try:
             call_backend("classifier", backend.identity, backend.restore, model.state)

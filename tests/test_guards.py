@@ -69,7 +69,7 @@ def imported_modules(tree):
             yield node.module.partition(".")[0]
 
 
-def test_only_the_store_imports_hashlib_or_json():
+def test_only_the_store_imports_json_or_hashlib():
     importers = {(module.name, name) for module in modules()
                  for name in imported_modules(parse(module)) if name in STORE_ONLY_IMPORTS}
     assert importers == {("store.py", name) for name in STORE_ONLY_IMPORTS}

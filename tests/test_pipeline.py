@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -83,6 +83,22 @@ def test_config_unknown_override_rejected(tmp_path, corpus20_path):
     path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out")
     with pytest.raises(ValidationError, match="^unknown config override 'bogus'$"):
         pipeline.load_config(path, bogus=1)
+
+
+def test_every_override_flag_is_an_option_of_every_command_and_sets_its_key(tmp_path,
+                                                                            corpus20_path):
+    # cli.main takes each OVERRIDES flag from the parsed arguments: a flag some command lacked
+    # would end in a KeyError, not exit 1
+    path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out")
+    values = {flag: str(number) for number, flag in enumerate(pipeline.OVERRIDES, start=7)}
+    flags = [arg for flag, value in values.items() for arg in (f"--{flag}", value)]
+    for command in pipeline.COMMANDS:
+        files = ["filled.tsv"] if command == "annotate-aggregate" else []
+        args = vars(build_parser().parse_args([command, "--config", str(path), *flags, *files]))
+        config = pipeline.load_config(path, **{flag: args[flag] for flag in pipeline.OVERRIDES})
+        for flag, key in pipeline.OVERRIDES.items():
+            assert args[flag] in (values[flag], int(values[flag])), (command, flag)
+            assert reduce(getattr, key.split("."), config) == args[flag], (command, flag)
 
 
 def test_a_value_nested_too_deep_to_quote_is_named_not_quoted():
@@ -856,6 +872,22 @@ def test_cli_train_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20
     assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
 
 
+def test_predict_refuses_a_model_state_written_for_another_registered_classifier(
+        fixture_config, monkeypatch):
+    # predict builds the config's classifier, and a model state trained for another one,
+    # even one that is registered, is refused before anything is written.
+    monkeypatch.setitem(pipeline.CLASSIFIER_BACKENDS, "other", partial(MemorizingBackend, "other"))
+    pipeline.run_all(fixture_config)
+    model, predictions = (fixture_config.artifact(name)
+                          for name in (pipeline.MODEL_STATE, pipeline.PREDICTIONS))
+    before = predictions.read_bytes()
+    _set_key("backend_id", "other")(model)
+    with pytest.raises(CorruptArtifact, match="^model_state.json: written for classifier 'other', "
+                                              "not the config's 'stub-memorizing'; rerun"):
+        pipeline.run_command(fixture_config, "predict")
+    assert predictions.read_bytes() == before
+
+
 class UnnamedSummarizer(LeadSummarizer):
     identity = SummarizationBackend.identity  # the interface's default, "unspecified"
 
@@ -978,6 +1010,36 @@ def test_annotate_aggregate_hashes_each_filled_file_under_its_given_path(tmp_pat
     entry = json.loads((tmp_path / "out" / pipeline.MANIFEST).read_text().splitlines()[-1])
     assert entry["input_hashes"] == {path: file_sha256(path) for path in given}
     assert len(set(entry["input_hashes"].values())) == 2
+
+
+def test_cli_prints_a_summary_indented_by_two_in_raw_utf8(tmp_path, corpus20_path, capsys):
+    # the exact bytes of a printed summary: a 2-space indent, and non-ASCII text not escaped
+    config = cli_config(tmp_path, corpus20_path)
+    filled = tmp_path / "filled.tsv"
+    filled.write_text("item_id\tclaim\tnle\tplausibility\tfluency\tcorrectness\tannotator_id\t"
+                      "system_id\nc1\tclaim\tnle\t4\t5\t3\ta1\tsystème\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["annotate-aggregate", "--config", str(config), str(filled)]) == 0
+    assert capsys.readouterr().out == """\
+{
+  "per_system": {
+    "système": {
+      "plausibility": 4.0,
+      "fluency": 5.0,
+      "correctness": 3.0
+    }
+  },
+  "per_annotator": {
+    "a1": {
+      "plausibility": 4.0,
+      "fluency": 5.0,
+      "correctness": 3.0
+    }
+  },
+  "n_items": 1,
+  "n_annotators": 1
+}
+"""
 
 
 def test_manifest_hashes_exactly_each_stages_declared_inputs(fixture_config):
@@ -1710,6 +1772,11 @@ MALFORMED_INPUTS = {
                                _replace_text('"text": ', '"text": "", "text": '), "train",
                                "rationales.jsonl line 2: not valid JSON (repeated key 'text')",
                                pipeline.MODEL_STATE),
+    "model state from another classifier": ({}, UPSTREAM[:4], pipeline.MODEL_STATE,
+                                            _set_key("backend_id", "other-classifier"), "predict",
+                                            "model_state.json: written for classifier "
+                                            "'other-classifier', not the config's "
+                                            "'stub-memorizing'", pipeline.PREDICTIONS),
     "rationale from another summarizer": ({}, UPSTREAM[:3], pipeline.RATIONALES,
                                           _set_in_first_row(backend_id="other-summarizer"),
                                           "train", "rationales.jsonl line 2: written by summarizer "
