@@ -56,10 +56,6 @@ def namespace(module):
     return importlib.import_module(f"claimcheck.{module.stem}".removesuffix(".__init__"))
 
 
-# The modules that store.py alone imports.
-STORE_ONLY_IMPORTS = {"hashlib", "json"}
-
-
 def imported_modules(tree):
     """The top-level name of each module an absolute import in `tree` imports."""
     for node in ast.walk(tree):
@@ -69,10 +65,18 @@ def imported_modules(tree):
             yield node.module.partition(".")[0]
 
 
-def test_only_the_store_imports_json_or_hashlib():
-    importers = {(module.name, name) for module in modules()
-                 for name in imported_modules(parse(module)) if name in STORE_ONLY_IMPORTS}
-    assert importers == {("store.py", name) for name in STORE_ONLY_IMPORTS}
+def importers(name):
+    """The name of each module of the package that imports the module `name`."""
+    return {module.name for module in modules() if name in set(imported_modules(parse(module)))}
+
+
+def test_only_the_store_imports_hashlib():
+    assert importers("hashlib") == {"store.py"}
+
+
+def test_only_the_store_parses_json():
+    # No other module imports json at all, so none can parse, or encode, a JSON text.
+    assert importers("json") == {"store.py"}
 
 
 def _raises(node, function=None):
