@@ -172,16 +172,8 @@ RATING_SCALES: dict[str, dict[int, str]] = {
     },
 }
 
-_COLUMNS = (
-    "item_id",
-    "claim",
-    "nle",
-    "plausibility",
-    "fluency",
-    "correctness",
-    "annotator_id",
-    "system_id",
-)
+# The annotation file's columns: the exporter writes them and the reader holds files to them.
+_COLUMNS = ("item_id", "claim", "nle", *CRITERIA, "annotator_id", "system_id")
 
 
 def _flatten(text: str) -> str:
@@ -217,31 +209,39 @@ def render_annotation_tasks(
         raise ValidationError(f"asked for {n} tasks but only {len(items)} items available")
     sampled = random.Random(seed).sample(list(items), n)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter="\t", lineterminator="\n")
-    writer.writerow(_COLUMNS)
+    writer = csv.DictWriter(buffer, _COLUMNS, delimiter="\t", lineterminator="\n")
+    writer.writeheader()
     for item_id, claim, nle_text in sampled:
-        writer.writerow([item_id, _flatten(claim), _flatten(nle_text), "", "", "", "", system_id])
+        writer.writerow({"item_id": item_id, "claim": _flatten(claim), "nle": _flatten(nle_text),
+                         "system_id": system_id})
     return "\n".join(_legend_lines()) + "\n" + buffer.getvalue()
 
 
 def read_annotation_file(path: str | Path) -> list[dict[str, str]]:
-    """Read a (possibly filled) annotation file back into row dicts. A '#' or blank line is
-    skipped only before the header row; after it every line is data: an item id may begin '#'."""
+    """Read a (possibly filled) annotation file into row dicts keyed by _COLUMNS. '#' and blank
+    lines are skipped only before the header row, which must name each column exactly once, in
+    any order; after it each non-empty line is a row of one value per column (ids may begin '#')."""
     with open_input(path, "annotation file", "") as fh:
-        return list(csv.DictReader(dropwhile(lambda ln: ln[0] == "#" or ln.isspace(), fh),
-                                   delimiter="\t"))
+        rows = csv.reader(dropwhile(lambda ln: ln[0] == "#" or ln.isspace(), fh), delimiter="\t")
+        header = next(rows, [])
+        if sorted(header) != sorted(_COLUMNS):
+            raise ValidationError(f"{path}: the header row must name each of the columns "
+                                  f"{', '.join(_COLUMNS)} exactly once")
+        records = []
+        for number, row in enumerate(filter(None, rows), start=1):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: row {number} holds {len(row)} values, "
+                                      f"not one per column ({len(header)})")
+            records.append(dict(zip(header, row)))
+    return records
 
 
 @dataclass(frozen=True)
-class AnnotationMeans:
+class AnnotationSummary:
     """Mean ratings per criterion, grouped by system and by annotator."""
 
     per_system: dict[str, dict[str, float]]
     per_annotator: dict[str, dict[str, float]]
-
-
-@dataclass(frozen=True)
-class AnnotationSummary(AnnotationMeans):
     n_items: int
     n_annotators: int
 
@@ -249,7 +249,7 @@ class AnnotationSummary(AnnotationMeans):
 def _parse_rating(file: str, item: str, value: str) -> int:
     try:
         rating = int(value.strip())
-    except (ValueError, AttributeError):
+    except ValueError:
         raise ValidationError(f"{file}: item {item!r} has rating {value!r} "
                               "outside 1..5") from None
     if not 1 <= rating <= 5:
@@ -261,31 +261,19 @@ def aggregate_annotations(files: Sequence[str | Path]) -> AnnotationSummary:
     """Arithmetic means per criterion across annotators and items.
 
     Grouped by the system column so externally produced files can be
-    compared side by side; per-annotator means are reported as well.
-    No file, like files with no rated row, gives a summary of nothing.
+    compared side by side; per-annotator means are reported as well. A
+    blank system or annotator cell is grouped under "unknown". No file,
+    like files with no rated row, gives a summary of nothing.
     """
-    by_system: dict[str, dict[str, list[int]]] = {}
-    by_annotator: dict[str, dict[str, list[int]]] = {}
+    groups: dict[str, dict[str, list[tuple[int, ...]]]] = {"system_id": {}, "annotator_id": {}}
     items: set[str] = set()
     for file in files:
         for row in read_annotation_file(file):
-            item = row.get("item_id", "")
-            items.add(item)
-            system = row.get("system_id") or "unknown"
-            annotator = row.get("annotator_id") or "unknown"
-            for criterion in CRITERIA:
-                rating = _parse_rating(str(file), item, row.get(criterion, ""))
-                by_system.setdefault(system, {c: [] for c in CRITERIA})[criterion].append(rating)
-                by_annotator.setdefault(annotator, {c: [] for c in CRITERIA})[criterion].append(rating)
-    return AnnotationSummary(
-        per_system={
-            system: {c: fmean(vals) for c, vals in crits.items()}
-            for system, crits in by_system.items()
-        },
-        per_annotator={
-            annotator: {c: fmean(vals) for c, vals in crits.items()}
-            for annotator, crits in by_annotator.items()
-        },
-        n_items=len(items),
-        n_annotators=len(by_annotator),
-    )
+            items.add(row["item_id"])
+            ratings = tuple(_parse_rating(str(file), row["item_id"], row[c]) for c in CRITERIA)
+            for column, by_name in groups.items():
+                by_name.setdefault(row[column] or "unknown", []).append(ratings)
+    per_system, per_annotator = (
+        {name: dict(zip(CRITERIA, map(fmean, zip(*rated)))) for name, rated in by_name.items()}
+        for by_name in groups.values())
+    return AnnotationSummary(per_system, per_annotator, len(items), len(per_annotator))

@@ -285,7 +285,7 @@ class Highlights:
 @dataclass(frozen=True)
 class EvalReport(F1Report):
     nli: evaluation.NliReport
-    annotation: evaluation.AnnotationMeans | None = None  # present once annotations are aggregated
+    annotation: evaluation.AnnotationSummary | None = None  # once annotations are aggregated
 
 
 class Artifact(NamedTuple):
@@ -539,12 +539,11 @@ def _annotate_aggregate(config, config_hash, files):
 
 
 def _report(config, config_hash, f1, nli):
-    """Merge the evaluation artifacts (and annotation means, if present)."""
-    sources, means = {}, None
+    """Merge the evaluation artifacts (and the annotation summary, if present)."""
+    sources, annotation = {}, None
     if config.artifact(ANNOTATION_SUMMARY).exists():
         sources["annotation_summary"], annotation = _read(config, ANNOTATION_SUMMARY, config_hash)
-        means = evaluation.AnnotationMeans(annotation.per_system, annotation.per_annotator)
-    report = EvalReport(f1.macro_f1, f1.scored, nli, means)
+    report = EvalReport(f1.macro_f1, f1.scored, nli, annotation)
     return to_row(report), {EVAL_REPORT: report}, sources
 
 

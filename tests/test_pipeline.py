@@ -25,7 +25,7 @@ from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, VerdictLabel, default_blocklist_path
 from claimcheck.errors import ValidationError
-from claimcheck.evaluation import NLI_CHOICES, AnnotationMeans
+from claimcheck.evaluation import NLI_CHOICES, AnnotationSummary
 from claimcheck.rationale import LeadSummarizer, SummarizationBackend
 from claimcheck.store import (CorruptArtifact, config_value, file_sha256, from_row, to_row,
                               write_doc)
@@ -309,7 +309,7 @@ ARTIFACT_JSON_TYPES = {
     str: {"string"}, int: {"int"}, float: {"int", "float"}, dict: {"object"},
     int | None: {"int", "null"}, float | None: {"int", "float", "null"},
     VerdictLabel: {"string"}, Literal["sentence", "token"]: {"string"},
-    Literal["exact", "sampled"]: {"string"}, AnnotationMeans | None: {"object", "null"},
+    Literal["exact", "sampled"]: {"string"}, AnnotationSummary | None: {"object", "null"},
 }
 
 
@@ -995,6 +995,63 @@ def test_cli_annotation_round_trip_and_report(tmp_path, corpus20_path, capsys):
     report = json.loads((tmp_path / "out" / pipeline.EVAL_REPORT).read_text())
     assert report["annotation"]["per_system"]["claimcheck"]["fluency"] == 5.0
     assert "macro_f1" in report and "nli" in report
+
+
+def test_report_carries_the_annotation_summary_as_aggregated(fixture_config, tmp_path):
+    pipeline.run_all(fixture_config)
+    pipeline.run_command(fixture_config, "annotate-export", n=2)
+    filled = _fill_annotation_tasks(fixture_config.artifact(pipeline.ANNOTATION_TASKS),
+                                    tmp_path / "filled.tsv")
+    pipeline.run_command(fixture_config, "annotate-aggregate", files=[str(filled)])
+    pipeline.run_command(fixture_config, "report")
+    report, summary = (json.loads(fixture_config.artifact(name).read_text())
+                       for name in (pipeline.EVAL_REPORT, pipeline.ANNOTATION_SUMMARY))
+    del summary["kind"], summary["config_hash"]
+    assert report["annotation"] == summary
+    assert (summary["n_items"], summary["n_annotators"]) == (2, 1)
+
+
+ANNOTATION_HEADER = "item_id\tclaim\tnle\tplausibility\tfluency\tcorrectness\tannotator_id\tsystem_id"
+ANNOTATION_ROWS = ["c1\tclaim\tnle\t4\t5\t3\ta1\tsys", "c2\tclaim\tnle\t2\t2\t2\ta1\tsys"]
+NOT_THE_COLUMNS = ("the header row must name each of the columns item_id, claim, nle, "
+                   "plausibility, fluency, correctness, annotator_id, system_id exactly once")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (ANNOTATION_ROWS[:1], NOT_THE_COLUMNS),  # its one row read as the header: no rating at all
+    ([line.rsplit("\t", 1)[0] for line in (ANNOTATION_HEADER, *ANNOTATION_ROWS)], NOT_THE_COLUMNS),
+    ([ANNOTATION_HEADER.replace("fluency", "fluence"), *ANNOTATION_ROWS], NOT_THE_COLUMNS),
+    ([f"{ANNOTATION_HEADER}\tsystem_id", *(f"{row}\tsys" for row in ANNOTATION_ROWS)],
+     NOT_THE_COLUMNS),
+    ([ANNOTATION_HEADER, ANNOTATION_ROWS[0], ANNOTATION_ROWS[1].replace("\ta1", "")],
+     "row 2 holds 7 values, not one per column (8)"),
+    ([ANNOTATION_HEADER, ANNOTATION_ROWS[0], f"{ANNOTATION_ROWS[1]}\tnote"],
+     "row 2 holds 9 values, not one per column (8)"),
+], ids=["header row deleted", "system_id column deleted", "misspelled column",
+        "column named twice", "row missing a value", "row with an extra value"])
+def test_annotate_aggregate_refuses_a_file_off_the_exported_columns(tmp_path, corpus20_path,
+                                                                   capsys, lines, message):
+    config = cli_config(tmp_path, corpus20_path)
+    path = tmp_path / "filled.tsv"
+    path.write_text("# legend\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["annotate-aggregate", "--config", str(config), str(path)]) == 1
+    assert f"error: {path}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / pipeline.ANNOTATION_SUMMARY).exists()
+
+
+def test_annotate_aggregate_takes_the_columns_in_any_order_and_skips_empty_lines(
+        tmp_path, corpus20_path, capsys):
+    config = cli_config(tmp_path, corpus20_path)
+    plain, shuffled = tmp_path / "plain.tsv", tmp_path / "shuffled.tsv"
+    plain.write_text("\n".join([ANNOTATION_HEADER, *ANNOTATION_ROWS]) + "\n", encoding="utf-8")
+    reversed_lines = ["\t".join(line.split("\t")[::-1]) for line in (ANNOTATION_HEADER,
+                                                                      *ANNOTATION_ROWS)]
+    shuffled.write_text("\n\n".join(reversed_lines) + "\n\n", encoding="utf-8")
+    printed = []
+    for path in (plain, shuffled):
+        assert main(["annotate-aggregate", "--config", str(config), str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and '"n_items": 2' in printed[0]
 
 
 def test_annotate_aggregate_hashes_each_filled_file_under_its_given_path(tmp_path, corpus20_path):
