@@ -12,7 +12,6 @@ user-editable blocklist, keeping only primary-source material.
 from __future__ import annotations
 
 import csv
-import logging
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,8 +23,6 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 from .store import open_input, parse_json
 from .textutil import split_paragraphs, stats_tokenize
-
-logger = logging.getLogger(__name__)
 
 # The seven fields of a corpus row, each required (ClaimRecord declares them in this order).
 FIELD_ORDER = ("id", "claim", "date", "source", "verdict", "evidence", "url")

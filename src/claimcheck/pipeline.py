@@ -231,8 +231,12 @@ def create_summarizer(backend_id: str) -> rationale.SummarizationBackend:
     return _create(SUMMARIZER_BACKENDS, backend_id, "summarizer")
 
 
-def create_classifier(backend_id: str) -> verdict.Text2TextBackend:
-    return _create(CLASSIFIER_BACKENDS, backend_id, "classifier")
+def create_classifier(backend_id: str) -> verdict.TrainableBackend:
+    """train fine-tunes the classifier and predict restores its state: both need it trainable."""
+    backend = _create(CLASSIFIER_BACKENDS, backend_id, "classifier")
+    if not isinstance(backend, verdict.TrainableBackend):
+        raise ValidationError(f"classifier backend {backend_id!r} is not trainable")
+    return backend
 
 
 def create_nli(backend_id: str) -> verdict.Text2TextBackend:
@@ -432,10 +436,6 @@ def _train(config, config_hash, records, splits, rationales):
     validation_pairs = verdict.make_training_pairs(val_records, rationales) or None
 
     backend = create_classifier(config.backends.classifier)
-    if not isinstance(backend, verdict.TrainableBackend):
-        raise ValidationError(
-            f"classifier backend {config.backends.classifier!r} is not trainable"
-        )
     state, log = verdict.fine_tune(pairs, config.train, backend, validation_pairs)
 
     summary = {
@@ -449,12 +449,11 @@ def _train(config, config_hash, records, splits, rationales):
 
 def _predict(config, config_hash, records, rationales, model):
     backend = create_classifier(config.backends.classifier)
-    if isinstance(backend, verdict.TrainableBackend):
-        try:
-            call_backend("classifier", backend.identity, backend.restore, model.state)
-        except BackendFailure as exc:
-            raise CorruptArtifact(config.artifact(MODEL_STATE),
-                                  f"cannot restore the state: {exc.detail}") from exc
+    try:
+        call_backend("classifier", backend.identity, backend.restore, model.state)
+    except BackendFailure as exc:
+        raise CorruptArtifact(config.artifact(MODEL_STATE),
+                              f"cannot restore the state: {exc.detail}") from exc
 
     predictions, failures = map_records(
         lambda r: verdict.classify(r.claim, rationales[r.id], backend),

@@ -872,6 +872,29 @@ def test_cli_train_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20
     assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
 
 
+class FrozenClassifier(Text2TextBackend):
+    """A classifier that cannot be fine-tuned, registered under the trained one's id."""
+
+    identity = "stub-memorizing"
+
+    def generate(self, prompt):
+        return "Supports"
+
+
+def test_cli_predict_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20_path, capsys,
+                                                                monkeypatch):
+    # predict restores the state train wrote; a classifier that cannot take it would predict
+    # with the trained state silently dropped
+    config = cli_config(tmp_path, corpus20_path)
+    for cmd in ("ingest", "split", "rationales", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    monkeypatch.setitem(pipeline.CLASSIFIER_BACKENDS, "stub-memorizing", FrozenClassifier)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(config)]) == 1
+    assert "error: classifier backend 'stub-memorizing' is not trainable" in capsys.readouterr().err
+    assert not (tmp_path / "out" / pipeline.PREDICTIONS).exists()
+
+
 def test_predict_refuses_a_model_state_written_for_another_registered_classifier(
         fixture_config, monkeypatch):
     # predict builds the config's classifier, and a model state trained for another one,
