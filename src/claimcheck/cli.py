@@ -24,14 +24,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    # --config plus one flag per pipeline.OVERRIDES entry
     sub.add_argument("--config", required=True, help="path to the JSON pipeline config")
-    sub.add_argument("--seed", type=int, default=None, help="override the split seed")
-    sub.add_argument("--limit", type=int, default=None,
-                     help="ingest only the first N records (fixture runs)")
-    sub.add_argument("--summarizer", default=None, help="override the summarizer backend id")
-    sub.add_argument("--classifier", default=None, help="override the classifier backend id")
-    sub.add_argument("--nli", default=None, help="override the NLI backend id")
+    for flag, (_, kind, text) in pipeline.OVERRIDES.items():
+        sub.add_argument(f"--{flag}", type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

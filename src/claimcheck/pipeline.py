@@ -103,13 +103,13 @@ NLI_BACKENDS: dict[str, Callable[[], verdict.Text2TextBackend]] = {
     "stub-nli": partial(verdict.MemorizingBackend, "stub-nli", evaluation.NLI_CHOICES),
 }
 
-# CLI flag (load_config keyword) -> the config key it overrides.
+# CLI flag (load_config keyword) -> (the config key it overrides, its type, its help).
 OVERRIDES = {
-    "seed": "split_seed",
-    "limit": "limit",
-    "summarizer": "backends.summarizer",
-    "classifier": "backends.classifier",
-    "nli": "backends.nli",
+    "seed": ("split_seed", int, "override the split seed"),
+    "limit": ("limit", int, "ingest only the first N records (fixture runs)"),
+    "summarizer": ("backends.summarizer", str, "override the summarizer backend id"),
+    "classifier": ("backends.classifier", str, "override the classifier backend id"),
+    "nli": ("backends.nli", str, "override the NLI backend id"),
 }
 # Environment variable -> the flag it stands in for.
 ENV_OVERRIDES = {
@@ -208,7 +208,7 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     for flag, value in {**env, **flags}.items():
         if flag not in OVERRIDES:
             raise ValidationError(f"unknown config override {flag!r}")
-        section, _, key = OVERRIDES[flag].rpartition(".")
+        section, _, key = OVERRIDES[flag][0].rpartition(".")
         target = raw.setdefault(section, {}) if section else raw
         if isinstance(target, dict):  # otherwise from_row rejects the section itself
             target[key] = value
@@ -683,25 +683,22 @@ def _run_commands(config: PipelineConfig, names: tuple[str, ...],
     return summary
 
 
-stage_ingest = partial(run_command, name="ingest")
-
-# run_all's steps after ingest, in order, and the commands each runs: eval runs
-# both evaluation halves, then the report that merges them.
+# run_all's steps, in order, and the commands each runs: eval runs both evaluation
+# halves, then the report that merges them.
 STEPS: dict[str, tuple[str, ...]] = {
-    **{name: (name,) for name in ("split", "rationales", "train", "predict", "nle", "explain")},
+    **{name: (name,) for name in ("ingest", "split", "rationales", "train", "predict", "nle",
+                                  "explain")},
     "eval": ("eval-f1", "eval-nli", "report"),
 }
 # Each value is f(config, table=None).
 STAGES: dict[str, Callable[..., dict]] = {
     step: partial(_run_commands, names=names) for step, names in STEPS.items()}
+stage_ingest = STAGES["ingest"]  # the name bench/tracing.py wraps
 
 
 def run_all(config: PipelineConfig) -> dict[str, dict]:
-    """Ingest followed by every stage, in dependency order, sharing one RunTable."""
+    """Every stage of STEPS, from ingest on, in order, sharing one RunTable."""
     if config.artifact(ANNOTATION_SUMMARY).exists():  # report reads it; refuse a stale one first
         _read(config, ANNOTATION_SUMMARY, config.config_hash)
     table = RunTable(name for names in STEPS.values() for name in names)
-    summaries = {"ingest": stage_ingest(config, table=table)}
-    for stage in STEPS:
-        summaries[stage] = STAGES[stage](config, table=table)
-    return summaries
+    return {step: STAGES[step](config, table=table) for step in STEPS}

@@ -36,7 +36,6 @@ def run(tmp_path_factory):
                           blocklist_path=str(default_blocklist_path()),
                           explain={"records": 1, "permutations": 8},
                           annotation={"n": 2, "seed": 1})
-    assert main(["ingest", "--config", str(config)]) == 0
     for step in pipeline.STEPS.values():
         for command in step:
             assert main([command, "--config", str(config)]) == 0

@@ -202,7 +202,7 @@ def test_delimited_quoted_line_breaks_parse_like_json_lines(tmp_path):
         config = pipeline.load_config(write_config(
             tmp_path / f"{corpus_format}.json", tmp_path / corpus, out,
             blocklist_path=str(default_blocklist_path()), corpus_format=corpus_format))
-        pipeline.stage_ingest(config)
+        pipeline.run_command(config, "ingest")
         cleaned[corpus_format] = pipeline._read(config, pipeline.CORPUS_CLEAN, config.config_hash)[1]
     assert cleaned["delimited"] == cleaned["json-lines"]
     assert cleaned["json-lines"]["c00001"].evidence == "First paragraph stands.\n\nThird stays."

@@ -96,7 +96,7 @@ def test_every_override_flag_is_an_option_of_every_command_and_sets_its_key(tmp_
         files = ["filled.tsv"] if command == "annotate-aggregate" else []
         args = vars(build_parser().parse_args([command, "--config", str(path), *flags, *files]))
         config = pipeline.load_config(path, **{flag: args[flag] for flag in pipeline.OVERRIDES})
-        for flag, key in pipeline.OVERRIDES.items():
+        for flag, (key, _, _) in pipeline.OVERRIDES.items():
             assert args[flag] in (values[flag], int(values[flag])), (command, flag)
             assert reduce(getattr, key.split("."), config) == args[flag], (command, flag)
 
@@ -391,7 +391,7 @@ def test_settings_are_frozen(fixture_config):
 def test_unknown_backend_id_is_validation_error(fixture_config):
     config = replace(fixture_config,
                      backends=replace(fixture_config.backends, summarizer="no-such-backend"))
-    pipeline.stage_ingest(config)
+    pipeline.run_command(config, "ingest")
     pipeline.run_command(config, "split")
     with pytest.raises(ValidationError, match="no-such-backend"):
         pipeline.run_command(config, "rationales")
@@ -402,7 +402,7 @@ def test_unknown_backend_id_is_validation_error(fixture_config):
 
 
 def test_stage_requires_upstream_artifacts(fixture_config):
-    pipeline.stage_ingest(fixture_config)
+    pipeline.run_command(fixture_config, "ingest")
     with pytest.raises(ValidationError, match="^stage 'predict' needs missing artifact "
                                               "rationales.jsonl; run earlier stages first$"):
         pipeline.run_command(fixture_config, "predict")
@@ -417,7 +417,7 @@ def test_artifacts_from_other_config_rejected(tmp_path, corpus20_path):
     out = tmp_path / "out"
     out.mkdir()
     first = pipeline.load_config(write_config(tmp_path / "a.json", corpus20_path, out))
-    pipeline.stage_ingest(first)
+    pipeline.run_command(first, "ingest")
     second = pipeline.load_config(write_config(tmp_path / "b.json", corpus20_path, out,
                                                split_seed=7))
     with pytest.raises(ValidationError, match="^corpus_clean.jsonl: artifact was produced under "
@@ -427,7 +427,7 @@ def test_artifacts_from_other_config_rejected(tmp_path, corpus20_path):
 
 
 def test_manifest_records_stages_and_input_hashes(fixture_config):
-    pipeline.stage_ingest(fixture_config)
+    pipeline.run_command(fixture_config, "ingest")
     pipeline.run_command(fixture_config, "split")
     entries = [json.loads(line) for line in
                fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()]
@@ -742,10 +742,10 @@ def test_a_record_without_a_rationale_is_skipped_downstream_with_warnings(fail_o
 
 
 def test_ingest_rerun_is_byte_identical(fixture_config):
-    pipeline.stage_ingest(fixture_config)
+    pipeline.run_command(fixture_config, "ingest")
     first = fixture_config.artifact(pipeline.CORPUS_CLEAN).read_bytes()
     stats_first = fixture_config.artifact(pipeline.CORPUS_STATS).read_bytes()
-    pipeline.stage_ingest(fixture_config)
+    pipeline.run_command(fixture_config, "ingest")
     assert fixture_config.artifact(pipeline.CORPUS_CLEAN).read_bytes() == first
     assert fixture_config.artifact(pipeline.CORPUS_STATS).read_bytes() == stats_first
 
@@ -758,13 +758,13 @@ def test_ingest_drops_fully_blocklisted_records(tmp_path):
     out.mkdir()
     config = pipeline.load_config(write_config(tmp_path / "cfg.json", corpus, out,
                                                blocklist_path=str(default_blocklist_path())))
-    summary = pipeline.stage_ingest(config)
+    summary = pipeline.run_command(config, "ingest")
     assert summary["total"] == 2
     assert summary["dropped_ids"] == [rows[1]["id"]]
 
 
 def test_limit_restricts_ingest(fixture_config):
-    assert pipeline.stage_ingest(replace(fixture_config, limit=5))["total"] == 5
+    assert pipeline.run_command(replace(fixture_config, limit=5), "ingest")["total"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1140,7 @@ def test_manifest_hashes_exactly_each_stages_declared_inputs(fixture_config):
 
 
 def test_manifest_hashes_the_bytes_the_stage_decoded(fixture_config, monkeypatch):
-    pipeline.stage_ingest(fixture_config)
+    pipeline.run_command(fixture_config, "ingest")
     corpus = fixture_config.artifact(pipeline.CORPUS_CLEAN)
     original = corpus.read_bytes()
     split = pipeline.COMMANDS["split"]
@@ -1238,7 +1238,7 @@ def test_manifest_output_hashes_are_the_digests_of_the_files_written(fixture_con
     entries = [json.loads(line) for line in
                fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()]
     assert [e["stage"] for e in entries] == [
-        "ingest", *(name for names in pipeline.STEPS.values() for name in names)]
+        name for names in pipeline.STEPS.values() for name in names]
     for entry in entries:
         assert entry["output_hashes"], entry["stage"]
         for name, digest in entry["output_hashes"].items():
@@ -1397,7 +1397,6 @@ def test_run_all_matches_stages_run_one_by_one_through_the_cli(fixture_config, t
     out = tmp_path / "cli-out"
     config = write_config(tmp_path / "cli.json", fixture_config.corpus_path, out,
                           blocklist_path=fixture_config.blocklist_path)
-    assert main(["ingest", "--config", str(config)]) == 0
     for names in pipeline.STEPS.values():
         for name in names:
             assert main([name, "--config", str(config)]) == 0
