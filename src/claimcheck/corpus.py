@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -23,9 +23,6 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 from .store import open_input, parse_json
 from .textutil import split_paragraphs, stats_tokenize
-
-# The seven fields of a corpus row, each required (ClaimRecord declares them in this order).
-FIELD_ORDER = ("id", "claim", "date", "source", "verdict", "evidence", "url")
 
 REQUIRED_NONEMPTY = ("id", "claim", "verdict", "evidence")
 
@@ -60,6 +57,10 @@ class ClaimRecord:
     verdict: VerdictLabel
     evidence: str
     url: str
+
+
+# The seven fields of a corpus row, each required.
+FIELD_ORDER = tuple(f.name for f in fields(ClaimRecord))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _record_from_mapping(row_num: int, row: dict, seen_ids: set[str]) -> ClaimRe
         if not str(row[name]).strip():
             raise ValidationError(f"row {row_num}: missing or empty field {name!r}")
     raw_verdict = str(row["verdict"]).strip()
-    # Canonical labels (a re-ingested cleaned store) pass through; raw
+    # Canonical labels (a raw corpus that spells Supports/Refutes) pass through; raw
     # labels go through the binary mapping, which rejects everything else.
     verdict = _CANONICAL_LABELS.get(raw_verdict)
     if verdict is None:

@@ -138,7 +138,7 @@ def evaluate_nli(records: Mapping[str, tuple[str, str]],
     if not records:
         raise ValidationError("no records to evaluate")
     verdicts, failures = map_records(lambda pair: decode_nli(call_backend(
-        "NLI backend", nli_backend.identity, nli_backend.generate, build_nli_prompt(*pair))),
+        "NLI", nli_backend.identity, nli_backend.generate, build_nli_prompt(*pair))),
         records)
     return NliReport.from_verdicts(list(verdicts.values())), failures
 
@@ -262,18 +262,28 @@ def aggregate_annotations(files: Sequence[str | Path]) -> AnnotationSummary:
 
     Grouped by the system column so externally produced files can be
     compared side by side; per-annotator means are reported as well. A
-    blank system or annotator cell is grouped under "unknown". No file,
-    like files with no rated row, gives a summary of nothing.
+    blank system or annotator cell is grouped under "unknown". An item
+    rated twice by one annotator for one system, in one file or across
+    files, is refused. No file, like files with no rated row, gives a
+    summary of nothing.
     """
     groups: dict[str, dict[str, list[tuple[int, ...]]]] = {"system_id": {}, "annotator_id": {}}
-    items: set[str] = set()
+    seen: set[tuple[str, ...]] = set()  # (item, system, annotator)
     for file in files:
         for row in read_annotation_file(file):
-            items.add(row["item_id"])
-            ratings = tuple(_parse_rating(str(file), row["item_id"], row[c]) for c in CRITERIA)
+            item = row["item_id"]
+            ratings = tuple(_parse_rating(str(file), item, row[c]) for c in CRITERIA)
+            names = {column: row[column] or "unknown" for column in groups}
+            key = (item, *names.values())
+            if key in seen:
+                raise ValidationError(f"{file}: item {item!r} is rated twice by annotator "
+                                      f"{names['annotator_id']!r} for system "
+                                      f"{names['system_id']!r}")
+            seen.add(key)
             for column, by_name in groups.items():
-                by_name.setdefault(row[column] or "unknown", []).append(ratings)
+                by_name.setdefault(names[column], []).append(ratings)
     per_system, per_annotator = (
         {name: dict(zip(CRITERIA, map(fmean, zip(*rated)))) for name, rated in by_name.items()}
         for by_name in groups.values())
-    return AnnotationSummary(per_system, per_annotator, len(items), len(per_annotator))
+    n_items = len({item for item, *_ in seen})
+    return AnnotationSummary(per_system, per_annotator, n_items, len(per_annotator))

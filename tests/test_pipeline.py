@@ -25,7 +25,7 @@ from claimcheck.attribution import evidence_features, polarity
 from claimcheck.cli import build_parser, main
 from claimcheck.corpus import FIELD_ORDER, VerdictLabel, default_blocklist_path
 from claimcheck.errors import ValidationError
-from claimcheck.evaluation import NLI_CHOICES, AnnotationSummary
+from claimcheck.evaluation import CRITERIA, NLI_CHOICES, AnnotationSummary
 from claimcheck.rationale import LeadSummarizer, SummarizationBackend
 from claimcheck.store import (CorruptArtifact, config_value, file_sha256, from_row, to_row,
                               write_doc)
@@ -466,6 +466,14 @@ def test_readme_names_every_manifest_key_in_order(fixture_config):
         assert list(json.loads(line)) == documented
 
 
+def test_readme_quick_start_runs_the_commands_of_steps_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"then run the stages in order:\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    documented = re.findall(r"^claimcheck (\S+) +--config config\.json$", block, re.M)
+    assert len(documented) == len(block.splitlines())
+    assert documented == [name for names in pipeline.STEPS.values() for name in names]
+
+
 # ---------------------------------------------------------------------------
 # Full fixture run
 
@@ -690,7 +698,7 @@ PER_RECORD_STAGES = {
     "explain": (("rationales",), pipeline.HIGHLIGHTS,
                 lambda text: [r["record_id"] for r in json.loads(text)["records"]], "summarizer"),
     "eval-nli": (("rationales", "train", "predict", "nle"), pipeline.EVAL_NLI,
-                 lambda text: json.loads(text)["total"], "NLI backend"),
+                 lambda text: json.loads(text)["total"], "NLI"),
 }
 
 
@@ -1038,28 +1046,52 @@ ANNOTATION_HEADER = "item_id\tclaim\tnle\tplausibility\tfluency\tcorrectness\tan
 ANNOTATION_ROWS = ["c1\tclaim\tnle\t4\t5\t3\ta1\tsys", "c2\tclaim\tnle\t2\t2\t2\ta1\tsys"]
 NOT_THE_COLUMNS = ("the header row must name each of the columns item_id, claim, nle, "
                    "plausibility, fluency, correctness, annotator_id, system_id exactly once")
+RATED_TWICE = "item 'c1' is rated twice by annotator {!r} for system 'sys'"
+C1_FIVES, C2_ONES = "c1\tclaim\tnle\t5\t5\t5\ta1\tsys", "c2\tclaim\tnle\t1\t1\t1\ta1\tsys"
 
 
-@pytest.mark.parametrize("lines, message", [
-    (ANNOTATION_ROWS[:1], NOT_THE_COLUMNS),  # its one row read as the header: no rating at all
-    ([line.rsplit("\t", 1)[0] for line in (ANNOTATION_HEADER, *ANNOTATION_ROWS)], NOT_THE_COLUMNS),
-    ([ANNOTATION_HEADER.replace("fluency", "fluence"), *ANNOTATION_ROWS], NOT_THE_COLUMNS),
-    ([f"{ANNOTATION_HEADER}\tsystem_id", *(f"{row}\tsys" for row in ANNOTATION_ROWS)],
+# each case: the lines of each file given, in order; the message names the last file
+@pytest.mark.parametrize("files, message", [
+    ([ANNOTATION_ROWS[:1]], NOT_THE_COLUMNS),  # its one row read as the header: no rating at all
+    ([[line.rsplit("\t", 1)[0] for line in (ANNOTATION_HEADER, *ANNOTATION_ROWS)]],
      NOT_THE_COLUMNS),
-    ([ANNOTATION_HEADER, ANNOTATION_ROWS[0], ANNOTATION_ROWS[1].replace("\ta1", "")],
+    ([[ANNOTATION_HEADER.replace("fluency", "fluence"), *ANNOTATION_ROWS]], NOT_THE_COLUMNS),
+    ([[f"{ANNOTATION_HEADER}\tsystem_id", *(f"{row}\tsys" for row in ANNOTATION_ROWS)]],
+     NOT_THE_COLUMNS),
+    ([[ANNOTATION_HEADER, ANNOTATION_ROWS[0], ANNOTATION_ROWS[1].replace("\ta1", "")]],
      "row 2 holds 7 values, not one per column (8)"),
-    ([ANNOTATION_HEADER, ANNOTATION_ROWS[0], f"{ANNOTATION_ROWS[1]}\tnote"],
+    ([[ANNOTATION_HEADER, ANNOTATION_ROWS[0], f"{ANNOTATION_ROWS[1]}\tnote"]],
      "row 2 holds 9 values, not one per column (8)"),
+    # 5, 5 and 1 would aggregate to a mean of 3.67 where the one rating per item gives 3.0
+    ([[ANNOTATION_HEADER, C1_FIVES, C1_FIVES, C2_ONES]], RATED_TWICE.format("a1")),
+    ([[ANNOTATION_HEADER, C1_FIVES, C2_ONES], [ANNOTATION_HEADER, C1_FIVES]],
+     RATED_TWICE.format("a1")),
+    ([[ANNOTATION_HEADER, C1_FIVES.replace("\ta1", "\t"), C1_FIVES.replace("a1", "unknown")]],
+     RATED_TWICE.format("unknown")),
 ], ids=["header row deleted", "system_id column deleted", "misspelled column",
-        "column named twice", "row missing a value", "row with an extra value"])
+        "column named twice", "row missing a value", "row with an extra value",
+        "item rated twice in one file", "item rated again in another file",
+        "blank annotator cell rated as unknown"])
 def test_annotate_aggregate_refuses_a_file_off_the_exported_columns(tmp_path, corpus20_path,
-                                                                   capsys, lines, message):
+                                                                   capsys, files, message):
+    config = cli_config(tmp_path, corpus20_path)
+    paths = [tmp_path / f"filled{number}.tsv" for number in range(len(files))]
+    for path, lines in zip(paths, files):
+        path.write_text("# legend\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["annotate-aggregate", "--config", str(config), *map(str, paths)]) == 1
+    assert f"error: {paths[-1]}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / pipeline.ANNOTATION_SUMMARY).exists()
+
+
+def test_annotate_aggregate_averages_two_annotators_of_one_item(tmp_path, corpus20_path, capsys):
     config = cli_config(tmp_path, corpus20_path)
     path = tmp_path / "filled.tsv"
-    path.write_text("# legend\n" + "\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["annotate-aggregate", "--config", str(config), str(path)]) == 1
-    assert f"error: {path}: {message}\n" in capsys.readouterr().err
-    assert not (tmp_path / "out" / pipeline.ANNOTATION_SUMMARY).exists()
+    path.write_text("\n".join([ANNOTATION_HEADER, C1_FIVES, "c1\tclaim\tnle\t1\t1\t1\ta2\tsys"])
+                    + "\n", encoding="utf-8")
+    assert main(["annotate-aggregate", "--config", str(config), str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["n_items"], summary["n_annotators"]) == (1, 2)
+    assert summary["per_system"]["sys"] == dict.fromkeys(CRITERIA, 3.0)
 
 
 def test_annotate_aggregate_takes_the_columns_in_any_order_and_skips_empty_lines(
