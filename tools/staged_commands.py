@@ -48,9 +48,7 @@ def differences(work: Path) -> list[str]:
                for out in (run_all, staged)]
     pipeline.run_all(pipeline.load_config(configs[0]))
     commands = [name for names in pipeline.STEPS.values() for name in names]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH"))))}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for command in commands:
         print(f"claimcheck {command}", flush=True)
         status = subprocess.run([sys.executable, "-m", "claimcheck.cli", command,
