@@ -4,13 +4,13 @@ One table, COMMANDS, declares every stage: the artifacts it needs and the
 function that turns them into new artifacts; ARTIFACTS declares each file.
 For each stage the engine checks that the needed artifacts exist, reads each
 one's bytes once, refusing artifacts of a different configuration, decodes
-them, encodes and writes what the stage returns, and appends a manifest entry
-with the sha256 of the bytes it decoded and of the bytes it wrote. Stages get
-read-only inputs. Within run_all a RunTable holds each artifact from its write,
-as the value decoding its bytes would give, so the run decodes nothing it wrote;
-a later reader gets the held value only if the file's bytes still hash the same.
-Artifact files carry no timestamps, so a rerun with the same config and inputs
-is byte-identical.
+them, checks how they relate to the config and to each other, encodes and
+writes what the stage returns, and appends a manifest entry with the sha256 of
+the bytes it decoded and wrote. Stages get read-only inputs. Within run_all a
+RunTable holds each artifact from its write, as the value decoding its bytes
+would give, so the run decodes nothing it wrote; a later reader gets the held
+value only if the file's bytes still hash the same. Artifact files carry no
+timestamps, so a rerun with the same config and inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -319,37 +319,30 @@ ARTIFACTS: dict[str, Artifact] = {
 
 
 def _read(config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
-    """Read one artifact's bytes once; return their sha256 and the checked, read-only value."""
+    """Read one artifact's bytes once; return their sha256 and the decoded, read-only value. A
+    document is one row at no line. Checks the artifact alone: header, stamps, codec, repeats."""
     path, spec = config.artifact(name), ARTIFACTS[name]
     if spec.key is None:
-        digest, doc = read_doc(path, spec.kind, config_hash)
+        sha, doc = read_doc(path, spec.kind, config_hash)
         del doc["kind"], doc["config_hash"]  # read_doc has checked them
-        try:
-            value = from_row(spec.cls, doc, "key")
-        except ValidationError as exc:
-            raise CorruptArtifact(path, str(exc)) from exc
-        if name == MODEL_STATE and value.backend_id != config.backends.classifier:
-            raise CorruptArtifact(path, f"written for classifier {value.backend_id!r}, not the "
-                                        f"config's {config.backends.classifier!r}")
-        return digest, value
-    digest, rows = read_records(path, spec.kind, config_hash)
+        rows = [(None, doc)]
+    else:
+        sha, rows = read_records(path, spec.kind, config_hash)
     decoded = {}
     for line, row in rows:
         try:
-            record_id = row[spec.key]
+            record_id = row[spec.key] if spec.key else None
             stamp = row.pop("config_hash") if spec.stamped else config_hash
-            record, repeated = from_row(spec.cls, row), record_id in decoded
+            record = from_row(spec.cls, row, "key" if line is None else "field")
         except (KeyError, ValidationError) as exc:  # a missing key, or a misfit
-            raise CorruptArtifact(path, f"bad record ({type(exc).__name__}: {exc})", line) from exc
+            detail = str(exc) if line is None else f"bad record ({type(exc).__name__}: {exc})"
+            raise CorruptArtifact(path, detail, line) from exc
         if stamp != config_hash:
             raise CorruptArtifact(path, f"stamped with config {stamp!r}, not the header's", line)
-        if name == RATIONALES and record.backend_id != config.backends.summarizer:
-            raise CorruptArtifact(path, f"written by summarizer {record.backend_id!r}, not the "
-                                        f"config's {config.backends.summarizer!r}", line)
-        if repeated:
+        if record_id in decoded:
             raise CorruptArtifact(path, f"repeated {spec.key} {record_id!r}", line)
         decoded[record_id] = record
-    return digest, MappingProxyType(decoded)
+    return sha, decoded[None] if spec.key is None else MappingProxyType(decoded)
 
 
 def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tuple[str, object]:
@@ -466,11 +459,7 @@ def _predict(config, config_hash, records, rationales, model):
 
 
 def _nle(config, config_hash, rationales, predictions):
-    explanations = {}
-    for record_id, prediction in predictions.items():
-        if record_id not in rationales:
-            raise ValidationError(f"no rationale for record {record_id!r}")
-        explanations[record_id] = nle.compose_nle(prediction, rationales[record_id])
+    explanations = {i: nle.compose_nle(p, rationales[i]) for i, p in predictions.items()}
     return {"explanations": len(explanations)}, {NLES: explanations}
 
 
@@ -612,32 +601,46 @@ class RunTable:
             self.entries[name] = sha, config_hash, value
 
 
-def _check_splits(config: PipelineConfig, splits: CorpusSplits, records) -> None:
-    """Refuse splits drawn with another seed or other ratios than the config's, or whose three
-    lists together do not hold exactly the cleaned corpus's ids."""
-    path = config.artifact(SPLITS)
-    for key, drawn, configured in (("split_seed", splits.seed, config.split_seed),
-                                   ("ratios", splits.ratios, config.ratios)):
-        if drawn != configured:
-            raise CorruptArtifact(path, f"drawn with {key} {config_value(drawn)}, "
-                                        f"not the config's {config_value(configured)}")
-    listed = {*splits.train, *splits.validation, *splits.test}
-    if listed == records.keys():
-        return
-    for ids, detail in ((listed - records.keys(), f"is not in {CORPUS_CLEAN}"),
-                        (records.keys() - listed, "is in no split")):
-        if ids:
-            raise CorruptArtifact(path, f"record id {min(ids)!r} {detail}")
+def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
+    """Refuse inputs, `held` by artifact name, that do not fit the config or each other: a model
+    state or a rationale of another backend than the config's; splits of another seed or other
+    ratios, or listing other ids than the cleaned corpus's; a prediction without a rationale."""
+    backends, rationales = config.backends, held.get(RATIONALES, {})
+    model, splits, records = map(held.get, (MODEL_STATE, SPLITS, CORPUS_CLEAN))
+    if model is not None and model.backend_id != backends.classifier:
+        raise CorruptArtifact(config.artifact(MODEL_STATE), f"written for classifier "
+                              f"{model.backend_id!r}, not the config's {backends.classifier!r}")
+    for record_id, record in rationales.items():
+        if record.backend_id != backends.summarizer:  # its rows are read again to name the line
+            path, kind = config.artifact(RATIONALES), ARTIFACTS[RATIONALES].kind
+            line = next((n for n, row in read_records(path, kind, config.config_hash)[1]
+                         if row["record_id"] == record_id), None)
+            raise CorruptArtifact(path, f"written by summarizer {record.backend_id!r}, not the "
+                                        f"config's {backends.summarizer!r}", line)
+    if splits is not None and records is not None:
+        path = config.artifact(SPLITS)
+        for key, drawn, configured in (("split_seed", splits.seed, config.split_seed),
+                                       ("ratios", splits.ratios, config.ratios)):
+            if drawn != configured:
+                raise CorruptArtifact(path, f"drawn with {key} {config_value(drawn)}, "
+                                            f"not the config's {config_value(configured)}")
+        listed = {*splits.train, *splits.validation, *splits.test}
+        for ids, detail in ((listed - records.keys(), f"is not in {CORPUS_CLEAN}"),
+                            (records.keys() - listed, "is in no split")):
+            if ids:
+                raise CorruptArtifact(path, f"record id {min(ids)!r} {detail}")
+    for record_id in held.get(PREDICTIONS, ()) if RATIONALES in held else ():  # in file order
+        if record_id not in rationales:
+            raise ValidationError(f"no rationale for record {record_id!r}")
 
 
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
                 **args) -> dict:
-    """Run one COMMANDS entry: check its needs exist, read and decode them through
-    `table` (run_all's, or an empty one), check splits.json against the config and the
-    cleaned corpus when it reads both (_check_splits), write its outputs and hold them in
-    `table`, and stamp a manifest entry with the sha256 of every file it read and wrote.
-    A command that writes nothing opens no manifest; any other opens it before its first
-    output is written. If records failed, it then raises a BackendError naming them."""
+    """Run one COMMANDS entry: check its needs exist, read and decode them through `table`
+    (run_all's, or an empty one), check how they relate (_check_inputs), write its outputs and
+    hold them in `table`, and stamp a manifest entry with the sha256 of every file it read and
+    wrote. A command that writes nothing opens no manifest; any other opens it before its
+    first output is written. If records failed, it then raises a BackendError naming them."""
     stage = COMMANDS.get(name)
     if stage is None:
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
@@ -647,14 +650,11 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
                                   "run earlier stages first")
     config_hash = config.config_hash
     table = table or RunTable()
-    input_hashes, inputs = {}, []
+    input_hashes, held = {}, {}
     for need in stage.needs:
-        input_hashes[Path(need).stem], value = table.read(config, need, config_hash)
-        inputs.append(value)
-    if {SPLITS, CORPUS_CLEAN} <= set(stage.needs):
-        _check_splits(config, inputs[stage.needs.index(SPLITS)],
-                      inputs[stage.needs.index(CORPUS_CLEAN)])
-    summary, outputs, *sources = stage.fn(config, config_hash, *inputs, **args)
+        input_hashes[Path(need).stem], held[need] = table.read(config, need, config_hash)
+    _check_inputs(config, held)
+    summary, outputs, *sources = stage.fn(config, config_hash, *held.values(), **args)
     if not outputs:
         return summary
     # opened before the first output is written, so no new file stands without its entry
