@@ -604,7 +604,8 @@ class RunTable:
 def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
     """Refuse inputs, `held` by artifact name, that do not fit the config or each other: a model
     state or a rationale of another backend than the config's; splits of another seed or other
-    ratios, or listing other ids than the cleaned corpus's; a prediction without a rationale."""
+    ratios, or listing other ids than the cleaned corpus's; a rationale, prediction or NLE of a
+    record the cleaned corpus lacks; a prediction without a rationale."""
     backends, rationales = config.backends, held.get(RATIONALES, {})
     model, splits, records = map(held.get, (MODEL_STATE, SPLITS, CORPUS_CLEAN))
     if model is not None and model.backend_id != backends.classifier:
@@ -629,6 +630,10 @@ def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
                             (records.keys() - listed, "is in no split")):
             if ids:
                 raise CorruptArtifact(path, f"record id {min(ids)!r} {detail}")
+    for name in (RATIONALES, PREDICTIONS, NLES) if records is not None else ():
+        if unknown := held.get(name, {}).keys() - records.keys():
+            raise CorruptArtifact(config.artifact(name),
+                                  f"record id {min(unknown)!r} is not in {CORPUS_CLEAN}")
     for record_id in held.get(PREDICTIONS, ()) if RATIONALES in held else ():  # in file order
         if record_id not in rationales:
             raise ValidationError(f"no rationale for record {record_id!r}")

@@ -357,12 +357,16 @@ WRITE_BATCH = 256
 def write_text(path: str | Path, chunks: Iterable[str]) -> str:
     """Write the text `chunks` as UTF-8 to a file that appears at `path` only once complete;
     return the sha256 of the bytes written. Chunks are encoded and hashed in batches, so the
-    whole file is never held as one string."""
+    whole file is never held as one string. The temporary file is `.<name>.<pid>.tmp`; any
+    other writer's, left by a killed process, is deleted first, so a writer running at the
+    same time on the same path fails to replace it and no mixed file appears."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     hasher, chunks = hashlib.sha256(), iter(chunks)
     with os_errors("write", path):
         path.parent.mkdir(parents=True, exist_ok=True)
+        for stale in path.parent.glob(f".{path.name}.*.tmp"):
+            stale.unlink(missing_ok=True)
         try:
             with tmp.open("wb") as fh:
                 for batch in iter(lambda: list(islice(chunks, WRITE_BATCH)), []):

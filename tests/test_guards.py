@@ -1,4 +1,4 @@
-"""Five rules about the whole package, checked on its source.
+"""Six rules about the whole package, checked on its source.
 
 One hash and one JSON seam: only store.py imports hashlib or json, so every sha256 goes through
 store.digest or store.write_text, and every JSON text is parsed, and refused, by the store's
@@ -9,13 +9,16 @@ declared in NOT_PIPELINE_ERRORS. One error class per distinction the program mak
 exception class the package defines is named in one of its except clauses, or is declared in
 UNCAUGHT_ERRORS. Errors cross processes: every exception class survives pickling with its type,
 message and attributes. No export for its own sake: every name the package's __init__.py imports
-is used by the package itself."""
+is used by the package itself. The codec knows no artifact: pipeline._read and pipeline._write
+name no artifact-file constant, so every check that one artifact makes of another, or of the
+config, is made in one place, pipeline._check_inputs."""
 
 import ast
 import importlib
 import pickle
 from pathlib import Path
 
+from claimcheck import pipeline
 from claimcheck.errors import PipelineError
 
 from test_file_access import PACKAGE
@@ -166,3 +169,15 @@ def test_every_exported_name_is_used_inside_the_package():
             for module in modules() if module != init for node in ast.walk(parse(module))
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(exported - used) == []
+
+
+def test_the_artifact_codec_names_no_artifact():
+    files = {name for name, value in vars(pipeline).items()
+             if isinstance(value, str) and value in {*pipeline.ARTIFACTS, pipeline.MANIFEST}}
+    assert {"CORPUS_CLEAN", "MODEL_STATE", "RATIONALES", "MANIFEST"} <= files
+    codec = [node for node in parse(PACKAGE / "pipeline.py").body
+             if isinstance(node, ast.FunctionDef) and node.name in ("_read", "_write")]
+    assert len(codec) == 2
+    named = {node.id for function in codec for node in ast.walk(function)
+             if isinstance(node, ast.Name)}
+    assert sorted(named & files) == []

@@ -749,6 +749,34 @@ def test_a_record_without_a_rationale_is_skipped_downstream_with_warnings(fail_o
     assert len(predicted) == 39 and chosen not in predicted
 
 
+def test_records_of_ids_a_later_ingest_replaced_are_refused(tmp_path, corpus20_path, capsys):
+    # Rationales made before rows 10-19 were replaced by records of new ids: train refuses
+    # them, rather than fit on the records the two corpora share.
+    rows = [json.loads(line) for line in corpus20_path.read_text().splitlines()]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", rows)
+    config = cli_config(tmp_path, corpus)
+    for cmd in ("ingest", "split", "rationales"):
+        assert main([cmd, "--config", str(config)]) == 0
+    write_corpus(corpus, rows[:10] + [{**row, "id": f"n{row['id']}"} for row in rows[10:]])
+    for cmd in ("ingest", "split"):
+        assert main([cmd, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == ("error: rationales.jsonl: record id 'c00010' is not in "
+                                       "corpus_clean.jsonl; rerun the stage that writes it\n")
+    assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
+
+
+def test_a_killed_writers_temporary_file_is_deleted_by_the_next_write(tmp_path, corpus20_path):
+    config = cli_config(tmp_path, corpus20_path)
+    for cmd in UPSTREAM[:4]:
+        assert main([cmd, "--config", str(config)]) == 0
+    stale = tmp_path / "out" / ".predictions.jsonl.12345.tmp"
+    stale.write_text("half a store")
+    assert main(["predict", "--config", str(config)]) == 0
+    assert not stale.exists()
+
+
 def test_ingest_rerun_is_byte_identical(fixture_config):
     pipeline.run_command(fixture_config, "ingest")
     first = fixture_config.artifact(pipeline.CORPUS_CLEAN).read_bytes()
@@ -1543,6 +1571,16 @@ def _blank_line_then_drop_claim_of_file_line_7(path):
     path.write_text("".join(lines))
 
 
+def _blank_line_then_backend_id_of_second_row(backend_id):
+    """Insert a blank line after the header and set the second row's backend_id, so that row
+    is on file line 4 though it is the store's second record."""
+    def damage(path):
+        header, first, second, *rest = path.read_text().splitlines(keepends=True)
+        second = json.dumps({**json.loads(second), "backend_id": backend_id}) + "\n"
+        path.write_text(header + "\n" + first + second + "".join(rest))
+    return damage
+
+
 def _repeat_last_row(path):
     text = path.read_text()
     path.write_text(text + text.splitlines(keepends=True)[-1])
@@ -1893,6 +1931,22 @@ MALFORMED_INPUTS = {
                                           "train", "rationales.jsonl line 2: written by summarizer "
                                           "'other-summarizer', not the config's 'stub-lead'",
                                           pipeline.MODEL_STATE),
+    "rationale from another summarizer after a blank line": (
+        {}, UPSTREAM[:3], pipeline.RATIONALES, _blank_line_then_backend_id_of_second_row("other"),
+        "train", "rationales.jsonl line 4: written by summarizer 'other', not the config's "
+        "'stub-lead'", pipeline.MODEL_STATE),
+    "rationale of no cleaned record": ({}, UPSTREAM[:3], pipeline.RATIONALES,
+                                       _set_in_first_row(record_id="c99999"), "train",
+                                       "rationales.jsonl: record id 'c99999' is not in "
+                                       "corpus_clean.jsonl", pipeline.MODEL_STATE),
+    "prediction of no cleaned record": ({}, UPSTREAM, pipeline.PREDICTIONS,
+                                        _set_in_first_row(record_id="c99999"), "eval-f1",
+                                        "predictions.jsonl: record id 'c99999' is not in "
+                                        "corpus_clean.jsonl", pipeline.EVAL_F1),
+    "explanation of no cleaned record": ({}, (*UPSTREAM, "nle"), pipeline.NLES,
+                                         _set_in_first_row(record_id="c99999"), "eval-nli",
+                                         "nles.jsonl: record id 'c99999' is not in "
+                                         "corpus_clean.jsonl", pipeline.EVAL_NLI),
 }
 
 

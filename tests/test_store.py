@@ -33,6 +33,21 @@ def test_interrupted_write_leaves_previous_store_intact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]  # no temporary file left
 
 
+def test_a_write_deletes_stale_temporary_files_and_fails_a_writer_it_overlaps(tmp_path):
+    path = tmp_path / "text.txt"
+    (tmp_path / ".text.txt.12345.tmp").write_text("left by a killed writer")
+
+    def chunks():
+        yield "first writer\n"
+        write_text(path, ["second writer\n"])  # starts and ends while the first one writes
+        yield "first writer again\n"
+
+    with pytest.raises(ValidationError, match=r"^cannot write .*text\.txt: \[Errno 2\]"):
+        write_text(path, chunks())
+    assert path.read_text() == "second writer\n"  # whole: the first writer replaced nothing
+    assert [p.name for p in tmp_path.iterdir()] == ["text.txt"]
+
+
 def test_write_text_returns_the_sha256_of_exactly_the_bytes_written(tmp_path):
     path = tmp_path / "text.txt"
     chunks = [f"line {n}: é\n" for n in range(3 * WRITE_BATCH + 1)] + ["", "end"]
