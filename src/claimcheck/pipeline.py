@@ -611,14 +611,20 @@ def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
     if model is not None and model.backend_id != backends.classifier:
         raise CorruptArtifact(config.artifact(MODEL_STATE), f"written for classifier "
                               f"{model.backend_id!r}, not the config's {backends.classifier!r}")
-    for record_id, record in rationales.items():
+    for record in rationales.values():
         if record.backend_id != backends.summarizer:  # its rows are read again to name the line
             path, kind = config.artifact(RATIONALES), ARTIFACTS[RATIONALES].kind
             line = next((n for n, row in read_records(path, kind, config.config_hash)[1]
-                         if row["record_id"] == record_id), None)
+                         if row["record_id"] == record.record_id), None)
             raise CorruptArtifact(path, f"written by summarizer {record.backend_id!r}, not the "
                                         f"config's {backends.summarizer!r}", line)
-    if splits is not None and records is not None:
+    for record_id in held.get(PREDICTIONS, ()) if RATIONALES in held else ():  # in file order
+        if record_id not in rationales:
+            raise ValidationError(f"no rationale for record {record_id!r}")
+    if records is None:
+        return
+    named = {name: held[name].keys() for name in (RATIONALES, PREDICTIONS, NLES) if name in held}
+    if splits is not None:
         path = config.artifact(SPLITS)
         for key, drawn, configured in (("split_seed", splits.seed, config.split_seed),
                                        ("ratios", splits.ratios, config.ratios)):
@@ -626,17 +632,14 @@ def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
                 raise CorruptArtifact(path, f"drawn with {key} {config_value(drawn)}, "
                                             f"not the config's {config_value(configured)}")
         listed = {*splits.train, *splits.validation, *splits.test}
-        for ids, detail in ((listed - records.keys(), f"is not in {CORPUS_CLEAN}"),
-                            (records.keys() - listed, "is in no split")):
-            if ids:
-                raise CorruptArtifact(path, f"record id {min(ids)!r} {detail}")
-    for name in (RATIONALES, PREDICTIONS, NLES) if records is not None else ():
-        if unknown := held.get(name, {}).keys() - records.keys():
-            raise CorruptArtifact(config.artifact(name),
-                                  f"record id {min(unknown)!r} is not in {CORPUS_CLEAN}")
-    for record_id in held.get(PREDICTIONS, ()) if RATIONALES in held else ():  # in file order
-        if record_id not in rationales:
-            raise ValidationError(f"no rationale for record {record_id!r}")
+        if listed < records.keys():
+            raise CorruptArtifact(path, f"record id {min(records.keys() - listed)!r} "
+                                        "is in no split")
+        named = {SPLITS: listed, **named}
+    for name, ids in named.items():  # every id another input names is a cleaned record's
+        if not ids <= records.keys():
+            raise CorruptArtifact(config.artifact(name), f"record id "
+                                  f"{min(ids - records.keys())!r} is not in {CORPUS_CLEAN}")
 
 
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
