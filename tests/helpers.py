@@ -1,10 +1,14 @@
-"""Deterministic corpus factories and a coalition-game adapter shared by the test modules."""
+"""Deterministic corpus factories, a coalition-game adapter and a staged-run driver shared by
+the test modules."""
 
 from __future__ import annotations
 
 import json
 import random
 from pathlib import Path
+
+from claimcheck import pipeline
+from claimcheck.cli import main
 
 WORDS = (
     "policy report agency data federal state program health census budget "
@@ -77,3 +81,12 @@ def write_config(path: str | Path, corpus_path: str | Path, output_dir: str | Pa
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return path
+
+
+def run_steps(config: str | Path) -> list[str]:
+    """Run the commands of pipeline.STEPS one by one through the CLI, in order, each asserted
+    to exit 0; return the commands run."""
+    commands = [command for step in pipeline.STEPS.values() for command in step]
+    for command in commands:
+        assert main([command, "--config", str(config)]) == 0, command
+    return commands

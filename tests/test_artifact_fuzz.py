@@ -18,7 +18,7 @@ from claimcheck.cli import main
 from claimcheck.corpus import default_blocklist_path
 
 from conftest import FIXTURES
-from helpers import write_config
+from helpers import run_steps, write_config
 
 # {artifact file name: the commands that read it}; report also reads the annotation summary
 READERS = {name: [command for command, stage in pipeline.COMMANDS.items() if name in stage.needs]
@@ -36,9 +36,7 @@ def run(tmp_path_factory):
                           blocklist_path=str(default_blocklist_path()),
                           explain={"records": 1, "permutations": 8},
                           annotation={"n": 2, "seed": 1})
-    for step in pipeline.STEPS.values():
-        for command in step:
-            assert main([command, "--config", str(config)]) == 0
+    run_steps(config)
     assert main(["annotate-export", "--config", str(config)]) == 0
     filled = tmp / "filled.tsv"
     filled.write_text((out / pipeline.ANNOTATION_TASKS).read_text().replace(

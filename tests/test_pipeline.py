@@ -32,7 +32,7 @@ from claimcheck.store import (CorruptArtifact, config_value, file_sha256, from_r
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend, TrainConfig
 
 from conftest import FIXTURES
-from helpers import make_rows, write_config, write_corpus
+from helpers import benchmark_shaped_rows, make_rows, run_steps, write_config, write_corpus
 
 # Store hashes of the checked-in 20-record fixture under the default
 # config, frozen after first generation. They move only when a template,
@@ -1452,25 +1452,31 @@ def test_stages_get_read_only_inputs(fixture_config, monkeypatch):
     assert assigned == [True, True]
 
 
-def test_run_all_matches_stages_run_one_by_one_through_the_cli(fixture_config, tmp_path):
-    pipeline.run_all(fixture_config)
-    out = tmp_path / "cli-out"
-    config = write_config(tmp_path / "cli.json", fixture_config.corpus_path, out,
-                          blocklist_path=fixture_config.blocklist_path)
-    for names in pipeline.STEPS.values():
-        for name in names:
-            assert main([name, "--config", str(config)]) == 0
+@pytest.mark.parametrize("corpus", ["corpus20", "benchmark-shaped"])
+def test_run_all_matches_stages_run_one_by_one_through_the_cli(corpus, tmp_path):
+    """run_all decodes nothing it wrote, so only the staged commands decode what they read;
+    at the benchmark's 4,006 rows, they decode stores of that size."""
+    path = (FIXTURES / "corpus20.jsonl" if corpus == "corpus20"
+            else write_corpus(tmp_path / "corpus.jsonl", benchmark_shaped_rows(1)))
+    run_all, staged = tmp_path / "run_all", tmp_path / "staged"
+    configs = [write_config(tmp_path / f"{out.name}.json", path, out,
+                            blocklist_path=str(default_blocklist_path()))
+               for out in (run_all, staged)]
+    pipeline.run_all(pipeline.load_config(configs[0]))
+    commands = run_steps(configs[1])
 
     def artifacts(directory):
-        return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())
-                if p.name != pipeline.MANIFEST}
+        return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != pipeline.MANIFEST}
 
-    def stamps(directory):
-        return [(e["stage"], e["input_hashes"]) for e in map(
-            json.loads, (Path(directory) / pipeline.MANIFEST).read_text().splitlines())]
+    def entries(directory):  # each manifest entry without its timestamp
+        return [{key: value for key, value in json.loads(line).items() if key != "timestamp"}
+                for line in (directory / pipeline.MANIFEST).read_text().splitlines()]
 
-    assert artifacts(out) == artifacts(fixture_config.output_dir)
-    assert stamps(out) == stamps(fixture_config.output_dir)
+    expected, got = artifacts(run_all), artifacts(staged)
+    assert sorted(got) == sorted(expected)
+    assert sorted(name for name in expected if got[name] != expected[name]) == []
+    assert [entry["stage"] for entry in entries(run_all)] == commands
+    assert entries(staged) == entries(run_all)
 
 
 def test_run_all_refuses_a_stale_annotation_summary_before_writing(fixture_config):
