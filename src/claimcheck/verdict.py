@@ -124,6 +124,11 @@ class Text2TextBackend(ABC):
 class TrainableBackend(Text2TextBackend):
     """Backend that can be fine-tuned on (input, target) text pairs."""
 
+    def configure(self, settings: TrainConfig) -> None:
+        """Take the training settings, once, before the first train_step. fine_tune runs
+        batch_size, epochs, eval_every_steps and seed itself; loss, optimizer, learning_rate,
+        weight_decay and lr_schedule are for the backend to interpret. The default ignores them."""
+
     @abstractmethod
     def train_step(self, batch: Sequence[tuple[str, str]]) -> float:
         """Fit one batch; returns the batch loss before the update."""
@@ -243,6 +248,7 @@ def fine_tune(
     if not pairs:
         raise ValidationError("no training pairs")
     call = partial(call_backend, "classifier", backend.identity)
+    call(backend.configure, config)
     golds = [decode_verdict(target) for _, target in validation_pairs or ()]
     starts = range(0, len(pairs), config.batch_size)
     last_step = config.epochs * len(starts)

@@ -79,6 +79,13 @@ def test_config_env_and_flag_overrides(tmp_path, corpus20_path, monkeypatch):
     assert config.split_seed == 99
 
 
+def test_an_empty_override_variable_is_ignored(tmp_path, corpus20_path, monkeypatch):
+    path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out",
+                        backends={"nli": "file-nli"})
+    monkeypatch.setenv("CLAIMCHECK_NLI", "")
+    assert pipeline.load_config(path).backends.nli == "file-nli"
+
+
 def test_config_unknown_override_rejected(tmp_path, corpus20_path):
     path = write_config(tmp_path / "cfg.json", corpus20_path, tmp_path / "out")
     with pytest.raises(ValidationError, match="^unknown config override 'bogus'$"):
@@ -702,6 +709,28 @@ PER_RECORD_STAGES = {
 }
 
 
+def test_explain_attributes_no_test_record_whose_rationale_failed(tmp_path, corpus20_path,
+                                                                 monkeypatch):
+    # the summarizer fails on the first test record's evidence while rationales runs, and no
+    # longer when explain runs: explain takes the next test record instead
+    monkeypatch.setitem(pipeline.SUMMARIZER_BACKENDS, FailingSummarizer.identity,
+                        FailingSummarizer)
+    config = cli_config(tmp_path, corpus20_path, explain={"records": 1, "permutations": 8},
+                        backends={"summarizer": FailingSummarizer.identity})
+    for cmd in UPSTREAM[:2]:
+        assert main([cmd, "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    test_ids = json.loads((out / pipeline.SPLITS).read_text())["test"]
+    evidence = {r["id"]: r["evidence"] for r in map(json.loads, (
+        out / pipeline.CORPUS_CLEAN).read_text().splitlines()[1:])}
+    monkeypatch.setattr(FailingSummarizer, "fail_on", evidence[test_ids[0]])
+    assert main(["rationales", "--config", str(config)]) == 2
+    monkeypatch.setattr(FailingSummarizer, "fail_on", None)
+    assert main(["explain", "--config", str(config)]) == 0
+    explained = json.loads((out / pipeline.HIGHLIGHTS).read_text())["records"]
+    assert [record["record_id"] for record in explained] == [test_ids[1]]
+
+
 @pytest.mark.parametrize("stage", list(PER_RECORD_STAGES))
 def test_a_failed_record_is_named_and_the_others_written_before_exit_two(stage, fail_on_record,
                                                                         tmp_path, capsys, caplog):
@@ -832,6 +861,26 @@ def test_cli_stats_reads_artifact(tmp_path, corpus20_path, capsys):
     assert '"total": 20' in capsys.readouterr().out
 
 
+def test_cli_stats_appends_no_manifest_entry(tmp_path, corpus20_path):
+    # a command that writes nothing leaves the manifest as it was
+    config = cli_config(tmp_path, corpus20_path)
+    assert main(["ingest", "--config", str(config)]) == 0
+    manifest = tmp_path / "out" / pipeline.MANIFEST
+    before = manifest.read_bytes()
+    assert main(["stats", "--config", str(config)]) == 0
+    assert manifest.read_bytes() == before
+
+
+def test_cli_eval_f1_scores_no_split_without_records(tmp_path, corpus20_path):
+    # ratios [1, 0, 0] leave validation and test empty: nothing is scored, and that is no error
+    config = cli_config(tmp_path, corpus20_path, ratios=[1, 0, 0])
+    for cmd in (*UPSTREAM, "eval-f1"):
+        assert main([cmd, "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / pipeline.EVAL_F1).read_text())
+    assert report["macro_f1"] == {"validation": None, "test": None}
+    assert report["scored"] == {"validation": 0, "test": 0}
+
+
 def test_cli_unlabeled_row_exits_one_naming_row(tmp_path, capsys):
     rows = make_rows(3, 2)
     rows[2]["verdict"] = "Half True"
@@ -863,6 +912,14 @@ class OutOfMemoryClassifier(MemorizingBackend):
         raise RuntimeError("model OOM")
 
 
+class UnconfigurableClassifier(MemorizingBackend):
+    def __init__(self):
+        super().__init__("stub-no-loss")
+
+    def configure(self, settings):
+        raise RuntimeError(f"no loss named {settings.loss!r}")
+
+
 def _missing_weights():
     raise RuntimeError("weights missing")
 
@@ -874,6 +931,10 @@ BACKEND_FAILURES = {
     "classifier raising in train": ("CLASSIFIER_BACKENDS", "classifier", "stub-oom",
                                     OutOfMemoryClassifier, "train",
                                     "classifier 'stub-oom': model OOM"),
+    "classifier refusing its settings": ("CLASSIFIER_BACKENDS", "classifier", "stub-no-loss",
+                                         UnconfigurableClassifier, "train",
+                                         "classifier 'stub-no-loss': no loss named "
+                                         "'cross-entropy'"),
     "summarizer factory raising": ("SUMMARIZER_BACKENDS", "summarizer", "stub-no-weights",
                                    _missing_weights, "rationales",
                                    "summarizer 'stub-no-weights': weights missing"),
@@ -906,6 +967,31 @@ def test_cli_train_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20
     assert main(["train", "--config", str(config)]) == 1
     assert "error: classifier backend 'stub-junk' is not trainable" in capsys.readouterr().err
     assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
+
+
+def test_train_hands_the_classifier_its_settings_before_the_first_step(tmp_path, corpus20_path,
+                                                                      monkeypatch):
+    # fine_tune runs batch_size, epochs, eval_every_steps and seed itself; the other settings,
+    # such as loss, reach the backend only through configure
+    calls = []
+
+    class RecordingClassifier(MemorizingBackend):
+        def configure(self, settings):
+            calls.append(settings)
+
+        def train_step(self, batch):
+            calls.append("train_step")
+            return super().train_step(batch)
+
+    monkeypatch.setitem(pipeline.CLASSIFIER_BACKENDS, "stub-recording",
+                        partial(RecordingClassifier, "stub-recording"))
+    config = cli_config(tmp_path, corpus20_path, train={"loss": "hinge"},
+                        backends={"classifier": "stub-recording"})
+    for cmd in ("ingest", "split", "rationales", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    settings, *steps = calls
+    assert settings == pipeline.load_config(config).train and settings.loss == "hinge"
+    assert steps and set(steps) == {"train_step"}
 
 
 class FrozenClassifier(Text2TextBackend):
@@ -1232,6 +1318,17 @@ def _run_all_reads():
     """artifact name -> how many commands of run_all read it."""
     return Counter(need for names in pipeline.STEPS.values() for name in names
                    for need in pipeline.COMMANDS[name].needs)
+
+
+def test_a_shared_table_decodes_a_value_held_under_another_config(fixture_config):
+    # the file still hashes as when ingest held it, but split runs under another config: the
+    # held value must not stand in for the file, which was written under ingest's config
+    table = pipeline.RunTable(["split"])
+    pipeline.run_command(fixture_config, "ingest", table=table)
+    with pytest.raises(ValidationError, match="^corpus_clean.jsonl: artifact was produced under "
+                                              "config "):
+        pipeline.run_command(replace(fixture_config, split_seed=7), "split", table=table)
+    assert not fixture_config.artifact(pipeline.SPLITS).exists()
 
 
 def test_run_all_decodes_nothing_it_wrote(fixture_config, monkeypatch):
@@ -1725,6 +1822,9 @@ MALFORMED_INPUTS = {
                                "'blocklist_path'"),
     "object summarizer id": ({"backends": {"summarizer": {}}}, (), None, None, "rationales",
                              "'backends.summarizer'"),
+    "backends a string, with a backend flag": ({"backends": "x"}, (), None, None,
+                                               "ingest --nli stub-nli", "config key 'backends' "
+                                               "must be an object, got \"x\""),
     "empty list corpus_path quoted as written": ({"corpus_path": []}, (), None, None, "ingest",
                                                  "'corpus_path' must be a string, got []"),
     "mixed ratios quoted as written": ({"ratios": ["a", 1, None]}, (), None, None, "ingest",
