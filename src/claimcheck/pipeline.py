@@ -53,11 +53,11 @@ from .store import (
     check_range,
     config_value,
     digest,
+    file_digests,
     file_sha256,
     from_row,
     open_input,
     parse_json,
-    read_bytes,
     read_doc,
     read_records,
     to_row,
@@ -575,21 +575,32 @@ class RunTable:
     Every command reads its needs through a RunTable. run_all shares one across its
     commands, so each artifact is held from its write, as the value _write returned,
     and nothing the run wrote is decoded again; a single command gets an empty one,
-    which holds nothing. A reader re-hashes the file and gets the held value only if
-    both hashes are the same; other bytes are decoded and checked afresh, so a file
+    which holds nothing. A command first verifies its held needs, hashing their files
+    at once (store.file_digests), and a reader gets the held value only if the file's
+    digest is the held one; other bytes are decoded and checked afresh, so a file
     rewritten after its write is never hidden. An artifact is held only if a command
-    in `commands` reads it, and is dropped after its last reader.
+    in `commands` reads it, and is dropped after its last reader. `checked` holds the
+    (config hash, input hashes) whose inputs have passed _check_inputs.
     """
 
     def __init__(self, commands: Iterable[str] = ()):
         self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
         self.entries: dict[str, tuple[str, str, object]] = {}
+        self.digests: dict[str, str] = {}  # name -> its file's digest, taken by verify
+        self.checked: set[tuple[str, frozenset]] = set()
+
+    def verify(self, config: PipelineConfig, names: Iterable[str], config_hash: str) -> None:
+        """Hash the files of those of `names` held under `config_hash`, all at once, for read
+        to compare with what is held."""
+        held = [name for name in names
+                if name in self.entries and self.entries[name][1] == config_hash]
+        self.digests = dict(zip(held, file_digests(map(config.artifact, held))))
 
     def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
         """Like _read: the sha256 of the bytes read and the read-only value."""
         sha, held_hash, value = self.entries.pop(name, (None, None, None))
-        if (held_hash != config_hash  # the file may have changed since it was held
-                or digest(read_bytes(config.artifact(name))) != sha):
+        # not held under this config, or its file was not verified to hash the same
+        if held_hash != config_hash or self.digests.pop(name, None) != sha:
             sha, value = _read(config, name, config_hash)
         self.readers[name] -= 1
         self.hold(name, sha, config_hash, value)
@@ -645,7 +656,8 @@ def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
 def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
                 **args) -> dict:
     """Run one COMMANDS entry: check its needs exist, read and decode them through `table`
-    (run_all's, or an empty one), check how they relate (_check_inputs), write its outputs and
+    (run_all's, or an empty one), check how they relate (_check_inputs, unless inputs of the
+    same config hash and input hashes passed in `table` already), write its outputs and
     hold them in `table`, and stamp a manifest entry with the sha256 of every file it read and
     wrote. A command that writes nothing opens no manifest; any other opens it before its
     first output is written. If records failed, it then raises a BackendError naming them."""
@@ -659,9 +671,14 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
     config_hash = config.config_hash
     table = table or RunTable()
     input_hashes, held = {}, {}
+    table.verify(config, stage.needs, config_hash)
     for need in stage.needs:
         input_hashes[Path(need).stem], held[need] = table.read(config, need, config_hash)
-    _check_inputs(config, held)
+    # inputs of one config hash and the same bytes pass the same checks: check them once
+    checked = config_hash, frozenset(input_hashes.items())
+    if checked not in table.checked:
+        _check_inputs(config, held)
+        table.checked.add(checked)
     summary, outputs, *sources = stage.fn(config, config_hash, *held.values(), **args)
     if not outputs:
         return summary

@@ -7,9 +7,10 @@ keeps reruns byte-identical (timestamps live only in the run manifest).
 Writes go to a temporary file in the same directory that replaces the artifact only once it is
 complete, so a write that fails part-way leaves the previous artifact, or none, never a truncated
 one; only append_lines, the manifest's writer, appends. The others return the sha256 of the bytes
-they wrote, hashed as they are written; every other sha256 is taken by digest. read_bytes is the
-one way an artifact's bytes are read, open_input the one way an input from outside the output
-directory is. A file that cannot be read or written is a ValidationError naming it.
+they wrote, hashed as they are written; file_digests hashes files it does not decode, streamed in
+threads; every other sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
+read, open_input the one way an input from outside the output directory is. A file that cannot be
+read or written is a ValidationError naming it.
 
 No other module imports hashlib or json. Only parse_json (an input: the config, a corpus line) and
 _parse_object (an artifact, which must hold an object) parse JSON, both through _DECODER. A text
@@ -33,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -320,6 +322,49 @@ def _parse_object(path: Path, text: str, line: int = 1) -> dict:
 def digest(data: bytes) -> str:
     """The sha256 of `data`, as hex."""
     return hashlib.sha256(data).hexdigest()
+
+
+# Bytes each file_digests thread reads and hashes at a time.
+HASH_BUFFER = 64 * 1024
+
+
+def _hash_into(results: list, index: int, path: str | Path) -> None:
+    """Set results[index] to the sha256 of the file at `path`, as hex, or to the OSError that
+    reading it raised. The file is streamed through one buffer, and hashlib releases the GIL
+    while it hashes, so threads running this hash in parallel."""
+    hasher, buffer = hashlib.sha256(), bytearray(HASH_BUFFER)
+    view = memoryview(buffer)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                hasher.update(view[:size])
+    except OSError as exc:
+        results[index] = exc
+    else:
+        results[index] = hasher.hexdigest()
+
+
+def file_digests(paths: Iterable[str | Path]) -> list[str]:
+    """The sha256 of each file in `paths`, as hex, in order. The first is hashed in this thread
+    and each other in a thread of its own; every thread started is joined before this returns or
+    raises. A file that cannot be read is a ValidationError naming the first such path."""
+    paths = list(paths)
+    results: list = [None] * len(paths)
+    threads = []
+    try:
+        for index, path in enumerate(paths[1:], start=1):
+            thread = threading.Thread(target=_hash_into, args=(results, index, path))
+            thread.start()
+            threads.append(thread)
+        if paths:
+            _hash_into(results, 0, paths[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for path, result in zip(paths, results):
+        if isinstance(result, OSError):
+            raise ValidationError(f"cannot read {path}: {result}") from result
+    return results
 
 
 @contextmanager

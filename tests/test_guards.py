@@ -1,7 +1,8 @@
 """Six rules about the whole package, checked on its source.
 
 One hash and one JSON seam: only store.py imports hashlib or json, so every sha256 goes through
-store.digest or store.write_text, and every JSON text is parsed, and refused, by the store's
+store.digest, store.write_text or store.file_digests (which streams files through sha256, one
+thread per file past the first), and every JSON text is parsed, and refused, by the store's
 rules (one decoder, by store.parse_json and store._parse_object) and encoded by the encoders it
 builds. One error family: every raise in the package raises a PipelineError subclass, which the
 CLI maps to an exit code, except the programmer errors, the internal signal and the one re-raise

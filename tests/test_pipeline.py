@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import re
+import threading
 from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,7 @@ from claimcheck.evaluation import CRITERIA, NLI_CHOICES, AnnotationSummary
 from claimcheck.rationale import LeadSummarizer, SummarizationBackend
 from claimcheck.store import (CorruptArtifact, config_value, file_sha256, from_row, to_row,
                               write_doc)
+from claimcheck.textutil import tokenize
 from claimcheck.verdict import MemorizingBackend, Text2TextBackend, TrainConfig
 
 from conftest import FIXTURES
@@ -1426,16 +1428,21 @@ def test_run_table_holds_an_artifact_only_until_its_last_reader(fixture_config, 
     assert len(tables) == 1 and tables[0].entries == {}
 
 
-def _damage_corpus_after(command, damage, monkeypatch):
-    """Make `command` damage corpus_clean.jsonl once it has written its own outputs."""
+def _damage_after(command, name, damage, monkeypatch):
+    """Make `command` damage artifact `name` once it has written its own outputs."""
     stage = pipeline.COMMANDS[command]
 
     def run_then_damage(config, config_hash, *inputs):
         result = stage.fn(config, config_hash, *inputs)
-        damage(config.artifact(pipeline.CORPUS_CLEAN))
+        damage(config.artifact(name))
         return result
 
     monkeypatch.setitem(pipeline.COMMANDS, command, stage._replace(fn=run_then_damage))
+
+
+def _damage_corpus_after(command, damage, monkeypatch):
+    """Make `command` damage corpus_clean.jsonl once it has written its own outputs."""
+    _damage_after(command, pipeline.CORPUS_CLEAN, damage, monkeypatch)
 
 
 def _edit_first_claim(path):
@@ -1528,6 +1535,97 @@ def test_run_all_checks_splits_rewritten_between_commands_against_the_corpus(
     monkeypatch.setitem(pipeline.COMMANDS, "nle", nle._replace(fn=run_then_drop_a_test_id))
     with pytest.raises(CorruptArtifact, match="splits.json: record id 'c00003' is in no split"):
         pipeline.run_all(fixture_config)
+
+
+def _record_checks(monkeypatch):
+    """The names of the inputs of each _check_inputs call, in order."""
+    checked, check_inputs = [], pipeline._check_inputs
+    monkeypatch.setattr(pipeline, "_check_inputs", lambda config, held:
+                        checked.append(tuple(held)) or check_inputs(config, held))
+    return checked
+
+
+def _edit_first_rationale(path):
+    """Rewrite the first rationale's text in place; return the record's id."""
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    row = json.loads(first)
+    row.update(text="an edited rationale.", token_length=len(tokenize("an edited rationale.")))
+    path.write_text(header + json.dumps(row) + "\n" + "".join(rest))
+    return row["record_id"]
+
+
+def test_run_all_decodes_a_rewritten_input_that_another_thread_verifies(fixture_config,
+                                                                      monkeypatch):
+    # explain hashes its first need in its own thread, and rationales.jsonl in another
+    explain = pipeline.COMMANDS["explain"]
+    assert explain.needs.index(pipeline.RATIONALES) > 0
+
+    def edit_first_rationale(path):
+        edited.update(id=_edit_first_rationale(path),
+                      digest=hashlib.sha256(path.read_bytes()).hexdigest())
+
+    def record_rationales(config, config_hash, records, splits, rationales):
+        seen.update({i: r.text for i, r in rationales.items()})
+        return explain.fn(config, config_hash, records, splits, rationales)
+
+    edited, seen, checked = {}, {}, _record_checks(monkeypatch)
+    _damage_after("nle", pipeline.RATIONALES, edit_first_rationale, monkeypatch)
+    monkeypatch.setitem(pipeline.COMMANDS, "explain", explain._replace(fn=record_rationales))
+    pipeline.run_all(fixture_config)
+    assert seen[edited["id"]] == "an edited rationale."
+    entries = [json.loads(line) for line in
+               fixture_config.artifact(pipeline.MANIFEST).read_text().splitlines()]
+    stamped = {e["stage"]: e["input_hashes"].get("rationales") for e in entries}
+    assert stamped["explain"] == edited["digest"] != stamped["nle"]
+    # train's checks passed on other bytes, so explain checks its inputs again
+    assert checked.count(explain.needs) == 2
+
+
+@pytest.mark.parametrize("need", pipeline.COMMANDS["explain"].needs)
+def test_run_all_names_a_held_input_it_cannot_read_whichever_thread_hashes_it(
+        fixture_config, monkeypatch, need):
+    def replace_with_a_directory(path):
+        path.unlink()
+        path.mkdir()
+
+    decoded = Counter()
+    for reader in ("read_records", "read_doc"):
+        original = getattr(pipeline, reader)
+        monkeypatch.setattr(pipeline, reader, lambda path, *rest, original=original:
+                            decoded.update([Path(path).name]) or original(path, *rest))
+    _damage_after("nle", need, replace_with_a_directory, monkeypatch)
+    threads, named = threading.active_count(), re.escape(str(fixture_config.artifact(need)))
+    with pytest.raises(ValidationError, match=rf"^cannot read {named}: \[Errno 21\]") as caught:
+        pipeline.run_all(fixture_config)
+    assert type(caught.value) is ValidationError  # exit 1
+    assert threading.active_count() == threads
+    assert decoded == {}  # refused as explain verified it, before any input was read
+    assert not fixture_config.artifact(pipeline.HIGHLIGHTS).exists()
+
+
+def test_no_verify_thread_is_running_when_a_stage_maps_its_records(fixture_config, monkeypatch):
+    # explain may fork its workers in the map, and a fork copies no thread but the caller's
+    seen, attempts = [], errors._attempts
+    monkeypatch.setattr(errors, "EXPLAIN_POOL_MIN_VALUE_CALLS", 0)
+    monkeypatch.setattr(errors, "_attempts", lambda fn, items, value_calls:
+                        seen.append(threading.active_count()) or attempts(fn, items, value_calls))
+    threads = threading.active_count()
+    pipeline.run_all(fixture_config)
+    assert seen == [threads] * 4  # rationales, predict, explain, eval-nli
+
+
+def test_run_all_checks_the_same_input_bytes_once_and_a_command_alone_always(fixture_config,
+                                                                             monkeypatch):
+    checked = _record_checks(monkeypatch)
+    pipeline.run_all(fixture_config)
+    commands = [name for names in pipeline.STEPS.values() for name in names]
+    # explain reads the bytes train read, whose checks passed
+    assert pipeline.COMMANDS["explain"].needs == pipeline.COMMANDS["train"].needs
+    assert checked == [pipeline.COMMANDS[name].needs for name in commands if name != "explain"]
+    checked.clear()
+    for name in ("train", "explain"):
+        pipeline.run_command(fixture_config, name)
+    assert checked == [pipeline.COMMANDS["explain"].needs] * 2
 
 
 def test_stages_get_read_only_inputs(fixture_config, monkeypatch):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import re
+import threading
+
 import pytest
 
 from claimcheck.errors import ValidationError
 from claimcheck.store import (
+    HASH_BUFFER,
     WRITE_BATCH,
     CorruptArtifact,
+    file_digests,
     file_sha256,
     parse_json,
     read_doc,
@@ -94,3 +100,28 @@ def test_an_input_may_hold_any_json_value_and_is_refused_with_its_own_name():
 def test_value_rule_refuses_an_annotation_it_does_not_know():
     with pytest.raises(TypeError, match=r"^cannot check a value against <class 'set'>$"):
         value_rule(set)
+
+
+def test_file_digests_streams_each_file_in_order_and_joins_every_thread(tmp_path):
+    sizes = (0, 1, HASH_BUFFER - 1, HASH_BUFFER, 2 * HASH_BUFFER + 1)
+    paths = [tmp_path / f"file{size}" for size in sizes]
+    for size, path in zip(sizes, paths):
+        path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+    threads = threading.active_count()
+    assert file_digests(paths) == [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    assert threading.active_count() == threads
+    assert file_digests([]) == []
+
+
+@pytest.mark.parametrize("unreadable", [0, 2])  # hashed in this thread, and in another
+def test_file_digests_names_a_file_it_cannot_read_once_every_thread_is_joined(tmp_path,
+                                                                             unreadable):
+    paths = [tmp_path / f"file{n}" for n in range(3)]
+    for path in paths:
+        path.write_text("text")
+    paths[unreadable].unlink()
+    paths[unreadable].mkdir()
+    threads, named = threading.active_count(), re.escape(str(paths[unreadable]))
+    with pytest.raises(ValidationError, match=rf"^cannot read {named}: \[Errno 21\]"):
+        file_digests(paths)
+    assert threading.active_count() == threads
