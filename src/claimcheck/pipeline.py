@@ -6,11 +6,12 @@ For each stage the engine checks that the needed artifacts exist, reads each
 one's bytes once, refusing artifacts of a different configuration, decodes
 them, checks how they relate to the config and to each other, encodes and
 writes what the stage returns, and appends a manifest entry with the sha256 of
-the bytes it decoded and wrote. Stages get read-only inputs. Within run_all a
-RunTable holds each artifact from its write, as the value decoding its bytes
-would give, so the run decodes nothing it wrote; a later reader gets the held
-value only if the file's bytes still hash the same. Artifact files carry no
-timestamps, so a rerun with the same config and inputs is byte-identical.
+the bytes it decoded and wrote. Stages get read-only inputs. A command runs
+through a RunTable bound to its config. run_all's one table holds each artifact
+from its write, as the value decoding its bytes would give, so the run decodes
+nothing it wrote; a later reader gets the held value only if the file's bytes
+still hash the same. Artifact files carry no timestamps, so a rerun with the
+same config and inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -570,46 +571,44 @@ COMMANDS: dict[str, Stage] = {stage.name: stage for stage in (
 
 
 class RunTable:
-    """The artifacts one run holds: name -> (sha256 of the bytes, config hash, value).
+    """The artifacts one run of one config holds: name -> (sha256 of the bytes, value).
 
-    Every command reads its needs through a RunTable. run_all shares one across its
-    commands, so each artifact is held from its write, as the value _write returned,
-    and nothing the run wrote is decoded again; a single command gets an empty one,
-    which holds nothing. A command first verifies its held needs, hashing their files
-    at once (store.file_digests), and a reader gets the held value only if the file's
-    digest is the held one; other bytes are decoded and checked afresh, so a file
-    rewritten after its write is never hidden. An artifact is held only if a command
-    in `commands` reads it, and is dropped after its last reader. `checked` holds the
-    (config hash, input hashes) whose inputs have passed _check_inputs.
+    A table is bound to its config, whose hash it takes once, and every command reads its
+    needs through one. run_all shares one across its commands, so each artifact is held from
+    its write, as the value _write returned, and nothing the run wrote is decoded again; a
+    single command gets an empty one, which holds nothing. read hashes the files of the held
+    needs at once (store.file_digests), and a reader gets the held value only if the file's
+    digest is the held one; other bytes are decoded and checked afresh, so a file rewritten
+    after its write is never hidden. An artifact is held only if a command in `commands` reads
+    it, and is dropped after its last reader. `checked` holds the input hashes whose inputs
+    have passed _check_inputs.
     """
 
-    def __init__(self, commands: Iterable[str] = ()):
+    def __init__(self, config: PipelineConfig, commands: Iterable[str] = ()):
+        self.config, self.config_hash = config, config.config_hash
         self.readers = Counter(need for name in commands for need in COMMANDS[name].needs)
-        self.entries: dict[str, tuple[str, str, object]] = {}
-        self.digests: dict[str, str] = {}  # name -> its file's digest, taken by verify
-        self.checked: set[tuple[str, frozenset]] = set()
+        self.entries: dict[str, tuple[str, object]] = {}
+        self.checked: set[frozenset] = set()
 
-    def verify(self, config: PipelineConfig, names: Iterable[str], config_hash: str) -> None:
-        """Hash the files of those of `names` held under `config_hash`, all at once, for read
-        to compare with what is held."""
-        held = [name for name in names
-                if name in self.entries and self.entries[name][1] == config_hash]
-        self.digests = dict(zip(held, file_digests(map(config.artifact, held))))
+    def read(self, names: tuple[str, ...]) -> tuple[dict[str, str], dict[str, object]]:
+        """Read `names` as _read does: the sha256 of each one's bytes, by file stem as the
+        manifest names inputs, and its read-only value, by name."""
+        held = [name for name in names if name in self.entries]
+        digests = dict(zip(held, file_digests(map(self.config.artifact, held))))
+        input_hashes, values = {}, {}
+        for name in names:
+            sha, value = self.entries.pop(name, (None, None))
+            if sha is None or digests[name] != sha:  # not held, or its file hashes otherwise
+                sha, value = _read(self.config, name, self.config_hash)
+            self.readers[name] -= 1
+            self.hold(name, sha, value)
+            input_hashes[Path(name).stem], values[name] = sha, value
+        return input_hashes, values
 
-    def read(self, config: PipelineConfig, name: str, config_hash: str) -> tuple[str, object]:
-        """Like _read: the sha256 of the bytes read and the read-only value."""
-        sha, held_hash, value = self.entries.pop(name, (None, None, None))
-        # not held under this config, or its file was not verified to hash the same
-        if held_hash != config_hash or self.digests.pop(name, None) != sha:
-            sha, value = _read(config, name, config_hash)
-        self.readers[name] -= 1
-        self.hold(name, sha, config_hash, value)
-        return sha, value
-
-    def hold(self, name: str, sha: str, config_hash: str, value) -> None:
+    def hold(self, name: str, sha: str, value) -> None:
         """Hold `name`'s value, if a later command reads it."""
         if self.readers[name] > 0:
-            self.entries[name] = sha, config_hash, value
+            self.entries[name] = sha, value
 
 
 def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
@@ -653,14 +652,19 @@ def _check_inputs(config: PipelineConfig, held: dict[str, object]) -> None:
                                   f"{min(ids - records.keys())!r} is not in {CORPUS_CLEAN}")
 
 
-def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = None,
-                **args) -> dict:
-    """Run one COMMANDS entry: check its needs exist, read and decode them through `table`
-    (run_all's, or an empty one), check how they relate (_check_inputs, unless inputs of the
-    same config hash and input hashes passed in `table` already), write its outputs and
-    hold them in `table`, and stamp a manifest entry with the sha256 of every file it read and
-    wrote. A command that writes nothing opens no manifest; any other opens it before its
-    first output is written. If records failed, it then raises a BackendError naming them."""
+def run_command(config: PipelineConfig, name: str, **args) -> dict:
+    """Run one COMMANDS entry on its own, through an empty RunTable (see _run_command)."""
+    return _run_command(RunTable(config), name, **args)
+
+
+def _run_command(table: RunTable, name: str, **args) -> dict:
+    """Run one COMMANDS entry: check its needs exist, read and decode them through `table`,
+    check how they relate (_check_inputs, unless inputs of the same hashes passed in `table`
+    already), write its outputs and hold them in `table`, and stamp a manifest entry with the
+    sha256 of every file it read and wrote. A command that writes nothing opens no manifest;
+    any other opens it before its first output is written. If records failed, it then raises a
+    BackendError naming them."""
+    config, config_hash = table.config, table.config_hash
     stage = COMMANDS.get(name)
     if stage is None:
         raise ValidationError(f"unknown command {name!r}; commands: {', '.join(COMMANDS)}")
@@ -668,14 +672,9 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         if not config.artifact(need).exists():
             raise ValidationError(f"stage {stage.name!r} needs missing artifact {need}; "
                                   "run earlier stages first")
-    config_hash = config.config_hash
-    table = table or RunTable()
-    input_hashes, held = {}, {}
-    table.verify(config, stage.needs, config_hash)
-    for need in stage.needs:
-        input_hashes[Path(need).stem], held[need] = table.read(config, need, config_hash)
-    # inputs of one config hash and the same bytes pass the same checks: check them once
-    checked = config_hash, frozenset(input_hashes.items())
+    input_hashes, held = table.read(stage.needs)
+    # inputs of the same bytes pass the same checks: check them once
+    checked = frozenset(input_hashes.items())
     if checked not in table.checked:
         _check_inputs(config, held)
         table.checked.add(checked)
@@ -687,7 +686,7 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
         output_hashes = {}
         for output, payload in outputs.items():
             output_hashes[output], value = _write(config, output, config_hash, payload)
-            table.hold(output, output_hashes[output], config_hash, value)
+            table.hold(output, output_hashes[output], value)
         input_hashes.update(*sources)
         append_manifest(append, stage.name, config_hash, input_hashes, output_hashes)
     failures = summary.get("failures", {})  # errors.map_records' policy
@@ -700,11 +699,10 @@ def run_command(config: PipelineConfig, name: str, *, table: RunTable | None = N
     return summary
 
 
-def _run_commands(config: PipelineConfig, names: tuple[str, ...],
-                  table: RunTable | None = None) -> dict:
-    """Run the named commands in order; return the last one's summary."""
+def _run_commands(table: RunTable, names: tuple[str, ...]) -> dict:
+    """Run the named commands in order through `table`; return the last one's summary."""
     for name in names:
-        summary = run_command(config, name, table=table)
+        summary = _run_command(table, name)
     return summary
 
 
@@ -715,7 +713,7 @@ STEPS: dict[str, tuple[str, ...]] = {
                                   "explain")},
     "eval": ("eval-f1", "eval-nli", "report"),
 }
-# Each value is f(config, table=None).
+# Each value is f(table), a RunTable.
 STAGES: dict[str, Callable[..., dict]] = {
     step: partial(_run_commands, names=names) for step, names in STEPS.items()}
 stage_ingest = STAGES["ingest"]  # the name bench/tracing.py wraps
@@ -723,7 +721,7 @@ stage_ingest = STAGES["ingest"]  # the name bench/tracing.py wraps
 
 def run_all(config: PipelineConfig) -> dict[str, dict]:
     """Every stage of STEPS, from ingest on, in order, sharing one RunTable."""
+    table = RunTable(config, (name for names in STEPS.values() for name in names))
     if config.artifact(ANNOTATION_SUMMARY).exists():  # report reads it; refuse a stale one first
-        _read(config, ANNOTATION_SUMMARY, config.config_hash)
-    table = RunTable(name for names in STEPS.values() for name in names)
-    return {step: STAGES[step](config, table=table) for step in STEPS}
+        _read(config, ANNOTATION_SUMMARY, table.config_hash)
+    return {step: STAGES[step](table) for step in STEPS}

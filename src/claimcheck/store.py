@@ -7,10 +7,11 @@ keeps reruns byte-identical (timestamps live only in the run manifest).
 Writes go to a temporary file in the same directory that replaces the artifact only once it is
 complete, so a write that fails part-way leaves the previous artifact, or none, never a truncated
 one; only append_lines, the manifest's writer, appends. The others return the sha256 of the bytes
-they wrote, hashed as they are written; file_digests hashes files it does not decode, streamed in
-threads; every other sha256 is taken by digest. read_bytes is the one way an artifact's bytes are
-read, open_input the one way an input from outside the output directory is. A file that cannot be
-read or written is a ValidationError naming it.
+they wrote, hashed as they are written. file_sha256 streams a file the engine hashes but does not
+decode, and file_digests hashes several such files at once, the first in the calling thread and
+the others in a thread pool; every other sha256 is taken by digest, of the bytes _read_text reads
+whole to decode an artifact. open_input is the one way an input from outside the output directory
+is read. A file that cannot be read or written is a ValidationError naming it.
 
 No other module imports hashlib or json. Only parse_json (an input: the config, a corpus line) and
 _parse_object (an artifact, which must hold an object) parse JSON, both through _DECODER. A text
@@ -34,7 +35,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -324,47 +324,33 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# Bytes each file_digests thread reads and hashes at a time.
+# Bytes file_sha256 reads and hashes at a time.
 HASH_BUFFER = 64 * 1024
 
 
-def _hash_into(results: list, index: int, path: str | Path) -> None:
-    """Set results[index] to the sha256 of the file at `path`, as hex, or to the OSError that
-    reading it raised. The file is streamed through one buffer, and hashlib releases the GIL
-    while it hashes, so threads running this hash in parallel."""
+def file_sha256(path: str | Path) -> str:
+    """The sha256 of the file at `path`, as hex, streamed through one HASH_BUFFER; hashlib
+    releases the GIL while it hashes, so threads running this hash in parallel."""
     hasher, buffer = hashlib.sha256(), bytearray(HASH_BUFFER)
     view = memoryview(buffer)
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            while size := fh.readinto(buffer):
-                hasher.update(view[:size])
-    except OSError as exc:
-        results[index] = exc
-    else:
-        results[index] = hasher.hexdigest()
+    with os_errors("read", path), open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            hasher.update(view[:size])
+    return hasher.hexdigest()
 
 
 def file_digests(paths: Iterable[str | Path]) -> list[str]:
-    """The sha256 of each file in `paths`, as hex, in order. The first is hashed in this thread
-    and each other in a thread of its own; every thread started is joined before this returns or
-    raises. A file that cannot be read is a ValidationError naming the first such path."""
+    """file_sha256 of each file in `paths`, in order. The first is hashed in this thread and the
+    others in a thread pool that is shut down, every thread joined, before this returns or
+    raises; an unreadable file is the ValidationError of the first such path."""
     paths = list(paths)
-    results: list = [None] * len(paths)
-    threads = []
-    try:
-        for index, path in enumerate(paths[1:], start=1):
-            thread = threading.Thread(target=_hash_into, args=(results, index, path))
-            thread.start()
-            threads.append(thread)
-        if paths:
-            _hash_into(results, 0, paths[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for path, result in zip(paths, results):
-        if isinstance(result, OSError):
-            raise ValidationError(f"cannot read {path}: {result}") from result
-    return results
+    if len(paths) < 2:
+        return list(map(file_sha256, paths))
+    from concurrent.futures import ThreadPoolExecutor  # its import costs start-up time
+
+    with ThreadPoolExecutor(len(paths) - 1) as pool:
+        others = pool.map(file_sha256, paths[1:])
+        return [file_sha256(paths[0]), *others]
 
 
 @contextmanager
@@ -374,12 +360,6 @@ def os_errors(verb: str, path: str | Path):
         yield
     except OSError as exc:
         raise ValidationError(f"cannot {verb} {path}: {exc}") from exc
-
-
-def read_bytes(path: str | Path) -> bytes:
-    """A file's bytes."""
-    with os_errors("read", path):
-        return Path(path).read_bytes()
 
 
 @contextmanager
@@ -447,7 +427,8 @@ def write_records(path: str | Path, kind: str, config_hash: str, records: Iterab
 
 def _read_text(path: Path) -> tuple[str, str]:
     """Read a file's bytes once; return their sha256 and their UTF-8 text."""
-    data = read_bytes(path)
+    with os_errors("read", path):
+        data = path.read_bytes()
     try:
         return digest(data), data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -488,7 +469,3 @@ def _check_header(path: Path, header: dict, kind: str, config_hash: str) -> None
             f"{path.name}: artifact was produced under config {header.get('config_hash')!r}, "
             f"current config is {config_hash!r}"
         )
-
-
-def file_sha256(path: str | Path) -> str:
-    return digest(read_bytes(path))

@@ -1,8 +1,9 @@
 """One reader and one writer: only store.py opens, reads or writes a file.
 
 Every other module goes through store.open_input (a file from outside the output
-directory), store.read_bytes, store.write_text or, for the append-only manifest,
-store.append_lines. No module is an exception."""
+directory), store.read_records or store.read_doc (an artifact it decodes),
+store.file_sha256 (a file it only hashes), store.write_text or, for the append-only
+manifest, store.append_lines. No module is an exception."""
 
 import ast
 from pathlib import Path

@@ -113,15 +113,18 @@ def test_file_digests_streams_each_file_in_order_and_joins_every_thread(tmp_path
     assert file_digests([]) == []
 
 
-@pytest.mark.parametrize("unreadable", [0, 2])  # hashed in this thread, and in another
-def test_file_digests_names_a_file_it_cannot_read_once_every_thread_is_joined(tmp_path,
+# (files, the unreadable ones): one hashed in this thread, in another, two, and one alone
+@pytest.mark.parametrize("files, unreadable", [(3, [0]), (3, [2]), (3, [1, 2]), (1, [0])],
+                         ids=["0", "2", "1-2", "alone"])
+def test_file_digests_names_a_file_it_cannot_read_once_every_thread_is_joined(tmp_path, files,
                                                                              unreadable):
-    paths = [tmp_path / f"file{n}" for n in range(3)]
+    paths = [tmp_path / f"file{n}" for n in range(files)]
     for path in paths:
         path.write_text("text")
-    paths[unreadable].unlink()
-    paths[unreadable].mkdir()
-    threads, named = threading.active_count(), re.escape(str(paths[unreadable]))
+    for n in unreadable:
+        paths[n].unlink()
+        paths[n].mkdir()
+    threads, named = threading.active_count(), re.escape(str(paths[unreadable[0]]))
     with pytest.raises(ValidationError, match=rf"^cannot read {named}: \[Errno 21\]"):
         file_digests(paths)
     assert threading.active_count() == threads
