@@ -52,6 +52,7 @@ from .store import (
     append_lines,
     check_fields,
     check_range,
+    check_utf8,
     config_value,
     digest,
     file_digests,
@@ -358,14 +359,8 @@ def _write(config: PipelineConfig, name: str, config_hash: str, payload) -> tupl
     if spec.key is None:
         return write_doc(path, spec.kind, config_hash, to_row(payload)), payload
     records = MappingProxyType(payload)
-
-    def rows():
-        for record in records.values():
-            row = to_row(record)
-            if spec.stamped:  # to_row built the row, so the stamp goes into it, not a copy
-                row["config_hash"] = config_hash
-            yield row
-    return write_records(path, spec.kind, config_hash, rows()), records
+    return write_records(path, spec.kind, config_hash, records.values(), spec.cls,
+                         spec.stamped), records
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +518,8 @@ def _annotate_export(config, config_hash, records, splits, nles, n=None):
 
 
 def _annotate_aggregate(config, config_hash, files):
+    for file in files:  # the manifest names each file by its name
+        check_utf8(str(file), f"the name of annotation file {str(file)!r}")
     summary = evaluation.aggregate_annotations(files)
     return to_row(summary), {ANNOTATION_SUMMARY: summary}, {str(f): file_sha256(f) for f in files}
 

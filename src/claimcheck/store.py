@@ -17,15 +17,18 @@ No other module imports hashlib or json. Only parse_json (an input: the config, 
 _parse_object (an artifact, which must hold an object) parse JSON, both through _DECODER. A text
 it refuses (malformed, a key repeated in one object, an integer of over 4,300 digits, nested past
 the recursion limit) is a ValidationError naming its file. Four encoders, built once, write every
-JSON text: _ROW_ENCODER a store's rows and the manifest's lines, DOC_ENCODER documents and the
-summaries the CLI prints, CANONICAL_ENCODER the text config_hash hashes, _QUOTE_ENCODER a quote.
+JSON text: _ROW_ENCODER a store's header, the manifest's lines and each store value row_text
+does not quote itself, DOC_ENCODER documents and the summaries the CLI prints, CANONICAL_ENCODER
+the text config_hash hashes, _QUOTE_ENCODER a quote.
 
 A dataclass's annotations are its schema, and this module holds every rule about them:
 value_rule says which JSON values fit an annotation; from_row decodes a row, a document or the
-config with the function _decoder builds for its class, and to_row encodes one with the
-functions _encoder builds for its fields; check_fields and check_range check settings built in
-code. _decoder and _encoder build one function per annotation, once per process, so no value is
-decoded or encoded by looking its annotation up again.
+config with the function _decoder builds for its class, and to_row encodes a document with the
+functions _encoder builds for its fields; row_text writes a store's record straight to its line,
+the text _ROW_ENCODER writes of its to_row, with no row built; check_fields and check_range
+check settings built in code, and check_utf8 refuses a str that UTF-8 cannot encode. _decoder,
+_encoder and row_text build one function per annotation or class, once per process, so no value
+is decoded or encoded by looking its annotation up again.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from types import UnionType
@@ -118,13 +121,26 @@ def check_fields(settings, section: str = "") -> None:
     """Check each field of dataclass `settings` against its annotation, the config's type schema.
 
     A mismatch is a ValidationError naming the key `section.field`. A bool is never an int or
-    a float; a float is finite and may be an int. `X | None`, tuples of one scalar type,
-    `Literal` of strings and nested settings classes are understood, others are a TypeError."""
+    a float; a float is finite and may be an int; a str is one UTF-8 can encode (check_utf8).
+    `X | None`, tuples of one scalar type, `Literal` of strings and nested settings classes are
+    understood, others are a TypeError."""
     for name, hint in field_hints(type(settings)).items():
         (fits, wanted), value = value_rule(hint), getattr(settings, name)
+        key = f"{section}.{name}" if section else name
         if not fits(value):
-            key = f"{section}.{name}" if section else name
             raise ValidationError(f"config key {key!r} must be {wanted}, got {config_value(value)}")
+        if isinstance(value, str):  # a path, or a name the engine writes
+            check_utf8(value, f"config key {key!r}")
+
+
+def check_utf8(text: str, what: str) -> None:
+    """Refuse a str that UTF-8 cannot encode, one holding a lone surrogate, with a
+    ValidationError naming `what`: every file name and text the engine writes is UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{what} holds {text[exc.start]!r} at character {exc.start}, "
+                              "which UTF-8 cannot encode") from None
 
 
 def check_range(key: str, value, least, strict: bool = False) -> None:
@@ -272,6 +288,49 @@ def to_row(record) -> dict:
     return row
 
 
+_QUOTE = json.encoder.encode_basestring  # how _ROW_ENCODER, with ensure_ascii=False, quotes a str
+
+
+def _exact_text(hint) -> tuple[type | None, Callable[[object], str] | None]:
+    """(type, function): a value of exactly that type, in a field annotated `hint`, is written as
+    the function's text, the text _ROW_ENCODER writes of it; (None, None) where every value goes
+    through _ROW_ENCODER."""
+    if hint in (str, int):
+        return hint, _QUOTE if hint is str else int.__repr__
+    if isinstance(hint, type) and issubclass(hint, Enum) \
+            and all(type(member.value) is str for member in hint):
+        return hint, lambda member: _QUOTE(member._value_)
+    return None, None
+
+
+@cache
+def row_text(cls) -> Callable[..., str]:
+    """The function that writes a `cls` record as its store line, built once per class:
+    `text(record)` is `_ROW_ENCODER.encode(to_row(record)) + "\\n"`, and `text(record, stamp)`
+    the same with the key "config_hash" last, holding `stamp`. A value of exactly a str, an int
+    or an enum of str values is written by one call (_exact_text); any other value, a bool, a
+    subclass, a float or a nested value, is encoded (_encoder) and handed to _ROW_ENCODER, so
+    its rules stay the one encoder's."""
+    names, encoded = _row_plan(cls)
+    encoders = {name: (encode, optional) for name, encode, optional in encoded}
+    plan = [(name, f"{_QUOTE(name)}: ", *_exact_text(field_hints(cls)[name]),
+             *encoders.get(name, (_as_is, False))) for name in names]
+    stamp_key = f'{_QUOTE("config_hash")}: '
+
+    def text(record, stamp: str | None = None) -> str:
+        parts = []
+        for name, key, exact, quote, encode, optional in plan:
+            value = getattr(record, name)
+            if type(value) is exact:
+                parts.append(key + quote(value))
+            elif not (optional and value is None):
+                parts.append(key + _ROW_ENCODER.encode(encode(value)))
+        if stamp is not None:
+            parts.append(stamp_key + _QUOTE(stamp))
+        return "{" + ", ".join(parts) + "}\n"
+    return text
+
+
 def from_row(cls, row: dict, noun: str = "field"):
     """Decode a row into dataclass `cls` (see _decoder). A value that does not fit, a missing
     field or an unknown key is a ValidationError naming the {noun} path to it."""
@@ -407,9 +466,9 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> str:
 @contextmanager
 def append_lines(path: str | Path):
     """Open the headerless line-delimited file at `path` for append, creating its directory, and
-    yield a function that writes one row to it as one line, encoded as write_records encodes a
-    row. An OSError in the with block is a ValidationError naming this file (the other writers
-    name their own files first); the file is closed on every path."""
+    yield a function that writes one row, a dict, to it as one line, encoded by _ROW_ENCODER.
+    An OSError in the with block is a ValidationError naming this file (the other writers name
+    their own files first); the file is closed on every path."""
     path = Path(path)
     with os_errors("write", path):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -417,12 +476,14 @@ def append_lines(path: str | Path):
             yield lambda row: fh.write(_ROW_ENCODER.encode(row) + "\n")
 
 
-def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable[dict]) -> str:
-    """Write a line-delimited store: one header line, then one record per line. Returns the
+def write_records(path: str | Path, kind: str, config_hash: str, records: Iterable, cls: type,
+                  stamped: bool) -> str:
+    """Write a line-delimited store: one header line, then one line per record of dataclass
+    `cls` (row_text), each ending with the header's config hash if `stamped`. Returns the
     file's sha256."""
-    header = {"kind": kind, "config_hash": config_hash}
-    return write_text(path, (_ROW_ENCODER.encode(row) + "\n"
-                             for row in chain((header,), records)))
+    header = _ROW_ENCODER.encode({"kind": kind, "config_hash": config_hash}) + "\n"
+    lines = map(row_text(cls), records, repeat(config_hash if stamped else None))
+    return write_text(path, chain((header,), lines))
 
 
 def _read_text(path: Path) -> tuple[str, str]:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .corpus import ClaimRecord, VerdictLabel
 from .errors import BackendError, ValidationError, call_backend
 from .rationale import Rationale
-from .store import check_fields, check_range, digest
+from .store import check_fields, check_range, config_value, digest, value_rule
 
 CHOICE_SUPPORTS = VerdictLabel.SUPPORTS.value
 CHOICE_REFUTES = VerdictLabel.REFUTES.value
@@ -240,7 +240,8 @@ def fine_tune(
     last step, each state once; a strictly better score keeps a snapshot of
     that state, and the state returned is the best kept one (the final state
     when validation is absent). Prompts are never truncated here; length
-    handling belongs to the backend.
+    handling belongs to the backend. A loss that is not a finite number, which
+    train_log.json's reader would refuse, is a BackendError naming the backend.
     """
     # Imported here to avoid a module cycle: evaluation builds on verdict types.
     from .evaluation import macro_f1
@@ -249,6 +250,7 @@ def fine_tune(
         raise ValidationError("no training pairs")
     call = partial(call_backend, "classifier", backend.identity)
     call(backend.configure, config)
+    fits_loss, wanted = value_rule(float)  # the rule train_log.json is read back with
     golds = [decode_verdict(target) for _, target in validation_pairs or ()]
     starts = range(0, len(pairs), config.batch_size)
     last_step = config.epochs * len(starts)
@@ -261,6 +263,9 @@ def fine_tune(
         rng.shuffle(order)
         for start in starts:
             loss = call(backend.train_step, order[start : start + config.batch_size])
+            if not fits_loss(loss):
+                raise BackendError(f"classifier {backend.identity!r}: a training loss must be "
+                                   f"{wanted}, got {config_value(loss)}")
             step += 1
             if step % config.eval_every_steps and step != last_step:
                 continue

@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+# HYPOTHESIS_PROFILE=derandomized runs every property test on the same examples each run, with
+# no example database, so which statements run and which mutants die does not vary between runs
+# (CI sets it); unset, each run draws fresh examples.
+try:
+    from hypothesis import settings
+except ImportError:  # the tests that need hypothesis fail at collection; the others still run
+    pass
+else:
+    settings.register_profile("derandomized", derandomize=True, database=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -172,6 +172,24 @@ def test_readme_quick_start_config_loads_as_the_defaults(tmp_path):
     assert config.config_hash == defaults.config_hash
 
 
+@pytest.mark.parametrize("command, key", [
+    ("ingest", "corpus_path"), ("ingest", "output_dir"), ("ingest", "blocklist_path"),
+    ("annotate-export", "annotation.system"),
+])
+def test_cli_refuses_a_config_string_utf8_cannot_encode(tmp_path, corpus20_path, capsys, command,
+                                                        key):
+    # the JSON escape of a lone surrogate decodes to a str no file name or artifact can hold
+    section, _, name = key.rpartition(".")
+    value = "x\ud800"
+    config = cli_config(tmp_path, corpus20_path, **({section: {name: value}} if section
+                                                     else {name: value}))
+    assert "\\ud800" in config.read_text()
+    assert main([command, "--config", str(config)]) == 1
+    assert (f"error: config key {key!r} holds '\\ud800' at character 1, which UTF-8 cannot "
+            "encode\n") in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("key, value", [
     ("records", -1), ("records", 2.5), ("records", True), ("permutations", 0),
     ("permutations", "200"), ("granularity", "paragraph"),
@@ -971,6 +989,35 @@ def test_cli_train_refuses_a_classifier_that_is_not_trainable(tmp_path, corpus20
     assert not (tmp_path / "out" / pipeline.MODEL_STATE).exists()
 
 
+class DivergingClassifier(MemorizingBackend):
+    """A classifier whose fine-tune diverges: every step returns `loss`."""
+
+    def __init__(self, loss):
+        super().__init__("stub-diverging")
+        self.loss = loss
+
+    def train_step(self, batch):
+        super().train_step(batch)
+        return self.loss
+
+
+@pytest.mark.parametrize("loss, quoted", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                          (True, "true")], ids=["nan", "inf", "bool"])
+def test_cli_train_refuses_a_loss_its_train_log_could_not_be_read_back_with(
+        tmp_path, corpus20_path, capsys, monkeypatch, loss, quoted):
+    monkeypatch.setitem(pipeline.CLASSIFIER_BACKENDS, "stub-diverging",
+                        partial(DivergingClassifier, loss))
+    config = cli_config(tmp_path, corpus20_path, backends={"classifier": "stub-diverging"})
+    for cmd in ("ingest", "split", "rationales"):
+        assert main([cmd, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert (f"backend error: classifier 'stub-diverging': a training loss must be a number, "
+            f"got {quoted}\n") in capsys.readouterr().err
+    for name in (pipeline.MODEL_STATE, pipeline.TRAIN_LOG):
+        assert not (tmp_path / "out" / name).exists()
+
+
 def test_train_hands_the_classifier_its_settings_before_the_first_step(tmp_path, corpus20_path,
                                                                       monkeypatch):
     # fine_tune runs batch_size, epochs, eval_every_steps and seed itself; the other settings,
@@ -1197,6 +1244,19 @@ def test_annotate_aggregate_refuses_a_file_off_the_exported_columns(tmp_path, co
     assert main(["annotate-aggregate", "--config", str(config), *map(str, paths)]) == 1
     assert f"error: {paths[-1]}: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "out" / pipeline.ANNOTATION_SUMMARY).exists()
+
+
+def test_annotate_aggregate_refuses_a_file_name_utf8_cannot_encode(tmp_path, corpus20_path,
+                                                                  capsys):
+    # the manifest names each filled file: a name that is not UTF-8 is refused before any write
+    config = cli_config(tmp_path, corpus20_path)
+    path = str(tmp_path / os.fsdecode(b"filled\xff.tsv"))
+    Path(path).write_text("\n".join([ANNOTATION_HEADER, *ANNOTATION_ROWS]) + "\n",
+                          encoding="utf-8")
+    assert main(["annotate-aggregate", "--config", str(config), path]) == 1
+    assert (f"error: the name of annotation file {path!r} holds '\\udcff' at character "
+            f"{len(path) - 5}, which UTF-8 cannot encode\n") in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_annotate_aggregate_averages_two_annotators_of_one_item(tmp_path, corpus20_path, capsys):

@@ -3,19 +3,30 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
+from dataclasses import dataclass
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from claimcheck import pipeline
+from claimcheck.corpus import ClaimRecord, VerdictLabel
 from claimcheck.errors import ValidationError
+from claimcheck.rationale import Rationale
 from claimcheck.store import (
+    _ROW_ENCODER,
     HASH_BUFFER,
     WRITE_BATCH,
     CorruptArtifact,
+    field_hints,
     file_digests,
     file_sha256,
     parse_json,
     read_doc,
     read_records,
+    row_text,
+    to_row,
     value_rule,
     write_doc,
     write_records,
@@ -23,17 +34,28 @@ from claimcheck.store import (
 )
 
 
+@dataclass(frozen=True)
+class Row:
+    n: int
+    s: str | None = None
+
+
+def write_rows(path, rows) -> str:
+    """write_records of Row records, unstamped."""
+    return write_records(path, "rows", "h", rows, Row, False)
+
+
 def test_interrupted_write_leaves_previous_store_intact(tmp_path):
     path = tmp_path / "rows.jsonl"
-    write_records(path, "rows", "h", [{"n": 1}, {"n": 2}])
+    write_rows(path, [Row(1), Row(2)])
     before = path.read_bytes()
 
     def failing_rows():
-        yield {"n": 3}
+        yield Row(3)
         raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError):
-        write_records(path, "rows", "h", failing_rows())
+        write_rows(path, failing_rows())
     assert path.read_bytes() == before
     assert read_records(path, "rows", "h") == (file_sha256(path), [(2, {"n": 1}), (3, {"n": 2})])
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]  # no temporary file left
@@ -63,7 +85,7 @@ def test_write_text_returns_the_sha256_of_exactly_the_bytes_written(tmp_path):
 
 def test_store_writers_return_the_digest_their_readers_see(tmp_path):
     rows, doc = tmp_path / "rows.jsonl", tmp_path / "doc.json"
-    digest = write_records(rows, "rows", "h", ({"n": n, "s": "ü"} for n in range(WRITE_BATCH + 2)))
+    digest = write_rows(rows, (Row(n, "ü") for n in range(WRITE_BATCH + 2)))
     assert read_records(rows, "rows", "h")[0] == digest == file_sha256(rows)
     digest = write_doc(doc, "doc", "h", {"nested": {"xs": [1, 2.5, None]}, "s": "ü"})
     assert read_doc(doc, "doc", "h") == (digest, {"kind": "doc", "config_hash": "h",
@@ -82,7 +104,7 @@ def test_a_document_that_is_not_json_is_refused_at_the_line_of_the_fault(tmp_pat
 
 def test_a_row_that_is_not_json_is_refused_at_its_own_line(tmp_path):
     path = tmp_path / "rows.jsonl"
-    write_records(path, "rows", "h", [{"n": 1}, {"n": 2}])
+    write_rows(path, [Row(1), Row(2)])
     path.write_text(path.read_text().replace('{"n": 2}', '{"n": '))
     with pytest.raises(CorruptArtifact, match=r"^rows\.jsonl line 3: not valid JSON \(Expecting"):
         read_records(path, "rows", "h")
@@ -128,3 +150,82 @@ def test_file_digests_names_a_file_it_cannot_read_once_every_thread_is_joined(tm
     with pytest.raises(ValidationError, match=rf"^cannot read {named}: \[Errno 21\]"):
         file_digests(paths)
     assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
+# row_text: a store's line without building its row
+
+
+RECORD_CLASSES = {spec.cls.__name__: spec.cls for spec in pipeline.ARTIFACTS.values() if spec.key}
+# Any character at all: surrogates, control characters, quotes and backslashes included.
+ANY_TEXT = st.text(st.characters())
+
+
+def field_values(hint):
+    """Values of a record-store field's annotation, and for a str or int field also values of
+    other types, which row_text hands to _ROW_ENCODER."""
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return st.sampled_from(hint)
+    others = st.booleans() | st.floats() | st.none() | st.lists(st.integers(), max_size=2)
+    return {str: ANY_TEXT, int: st.integers()}[hint] | others
+
+
+def unchecked(cls, values: dict):
+    """A `cls` record holding `values`, built past its __post_init__ checks, which row_text and
+    to_row do not repeat."""
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CLASSES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), stamp=ANY_TEXT)
+def test_row_text_writes_what_the_row_encoder_writes_of_to_row(name, data, stamp):
+    cls = RECORD_CLASSES[name]
+    record = unchecked(cls, {field: data.draw(field_values(hint), label=field)
+                             for field, hint in field_hints(cls).items()})
+    assert row_text(cls)(record) == _ROW_ENCODER.encode(to_row(record)) + "\n"
+    assert row_text(cls)(record, stamp) == _ROW_ENCODER.encode(
+        {**to_row(record), "config_hash": stamp}) + "\n"
+
+
+class Colour(Enum):
+    RED = "red"
+
+
+class Level(Enum):
+    LOW = 1
+
+
+@dataclass(frozen=True)
+class Mixed:
+    score: float
+    pair: tuple[int, ...]
+    colour: Colour
+    level: Level
+    note: str | None = None
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize("record, line", [
+    # a str field holding an int, and one holding a str subclass
+    (ClaimRecord(5, "c", "d", Text("s"), VerdictLabel.REFUTES, "e\n\"q\"", "u"),
+     r'{"id": 5, "claim": "c", "date": "d", "source": "s", "verdict": "Refutes", '
+     r'"evidence": "e\n\"q\"", "url": "u"}'),
+    (Rationale("r", "word", True, "b"),  # an int field holding a bool
+     '{"record_id": "r", "text": "word", "token_length": true, "backend_id": "b"}'),
+    # a float, a tuple, an enum of str values, one of int values, an optional field left out
+    (Mixed(1.5, (1, 2), Colour.RED, Level.LOW),
+     '{"score": 1.5, "pair": [1, 2], "colour": "red", "level": 1}'),
+    (Mixed(float("nan"), (), Colour.RED, Level.LOW, "ü"),
+     '{"score": NaN, "pair": [], "colour": "red", "level": 1, "note": "ü"}'),
+], ids=["str field", "int field", "optional None", "optional given"])
+def test_row_text_writes_a_value_of_any_type_as_the_row_encoder_does(record, line):
+    text = row_text(type(record))
+    assert text(record) == line + "\n" == _ROW_ENCODER.encode(to_row(record)) + "\n"
+    assert text(record, "h") == line[:-1] + ', "config_hash": "h"}\n'
